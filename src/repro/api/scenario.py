@@ -54,7 +54,7 @@ from repro.federated import (
     train_vertical_model,
 )
 from repro.federation import SCHEDULERS, FederationRuntime, TopologyConfig
-from repro.metrics import aggregate_cbr, mse_per_feature, path_cbr, reconstruction_cbr
+from repro.metrics import aggregate_cbr, mse_per_feature, path_cbr, reconstruction_cbr_batch
 from repro.models import BaseClassifier
 from repro.nn.data import train_test_split
 from repro.resilience import DEGRADATIONS, BreakerPolicy, RetryPolicy
@@ -900,13 +900,9 @@ def _compute_metrics(
     if config.compute_cbr and x_hat is not None:
         full_hat = scenario.view.assemble(scenario.X_adv, x_hat)
         counts = [
-            reconstruction_cbr(
-                structure,
-                scenario.X_pred_full[i],
-                full_hat[i],
-                scenario.view.target_indices,
+            reconstruction_cbr_batch(
+                structure, scenario.X_pred_full, full_hat, scenario.view.target_indices
             )
-            for i in range(scenario.X_pred_full.shape[0])
             for structure in structures
         ]
         metrics["cbr"] = float(aggregate_cbr(counts))
@@ -925,13 +921,9 @@ def _compute_metrics(
         if config.compute_cbr:
             full_guess = scenario.view.assemble(scenario.X_adv, guess.x_target_hat)
             counts = [
-                reconstruction_cbr(
-                    structure,
-                    scenario.X_pred_full[i],
-                    full_guess[i],
-                    scenario.view.target_indices,
+                reconstruction_cbr_batch(
+                    structure, scenario.X_pred_full, full_guess, scenario.view.target_indices
                 )
-                for i in range(scenario.X_pred_full.shape[0])
                 for structure in structures
             ]
             metrics[f"rg_{distribution}_cbr"] = float(aggregate_cbr(counts))

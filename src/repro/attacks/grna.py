@@ -42,6 +42,7 @@ from repro.models.distill import RandomForestDistiller
 from repro.nn.data import batch_indices
 from repro.nn.module import Parameter
 from repro.nn.optim import make_optimizer
+from repro.nn.train import TrainStep
 from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor, assemble_columns, concat
 from repro.utils.random import check_random_state
@@ -264,7 +265,7 @@ class GenerativeRegressionNetwork(FeatureInferenceAttack):
             layers.append(Sigmoid())
         return Sequential(*layers)
 
-    def _generator_batch_input(self, x_adv_batch: np.ndarray) -> Tensor:
+    def _generator_batch_input(self, x_adv_batch: np.ndarray) -> np.ndarray:
         """Generator input for one batch, reusing the training concat buffer.
 
         The noise draw stays a single ``rng.normal(size=...)`` call so the
@@ -283,9 +284,9 @@ class GenerativeRegressionNetwork(FeatureInferenceAttack):
             offset = self.view.d_adv
         if self.use_noise:
             out[:, offset:] = self.rng.normal(size=(rows, self.view.d_target))
-        return Tensor(out)
+        return out
 
-    def _prediction_loss(self, x_adv_batch: np.ndarray, x_hat: Tensor, v_batch: np.ndarray) -> Tensor:
+    def _prediction_loss(self, x_adv_batch: Tensor, x_hat: Tensor, v_batch: Tensor) -> Tensor:
         """ℓ(f(x_adv ∪ x̂_target), v) + Ω — Algorithm 2 lines 9-10.
 
         Hot-path formulation: one scatter assembles x_full (backward is a
@@ -308,13 +309,13 @@ class GenerativeRegressionNetwork(FeatureInferenceAttack):
         return loss
 
     def _prediction_loss_reference(
-        self, x_adv_batch: np.ndarray, x_hat: Tensor, v_batch: np.ndarray
+        self, x_adv_batch: Tensor, x_hat: Tensor, v_batch: Tensor
     ) -> Tensor:
         """Seed reference: the op-by-op composed autodiff graph."""
-        x_full = concat([Tensor(x_adv_batch), x_hat], axis=1)
+        x_full = concat([x_adv_batch, x_hat], axis=1)
         x_full = x_full[:, self._perm]
         v_hat = self.model.forward_tensor(x_full)
-        loss = F.mse_loss(v_hat, Tensor(v_batch))
+        loss = F.mse_loss(v_hat, v_batch)
         if self.variance_penalty > 0.0 and x_hat.shape[0] > 1:
             excess = (x_hat.var(axis=0) - self.variance_threshold).relu()
             loss = loss + excess.mean() * self.variance_penalty
@@ -417,16 +418,13 @@ class GenerativeRegressionNetwork(FeatureInferenceAttack):
             (min(self.batch_size, n), self._generator_input_width())
         )
         start_epoch = self._resume_epoch(optimizer, X_adv, V)
+        step = TrainStep(self._generator_loss, optimizer)
         for epoch in range(start_epoch, self.epochs):
             epoch_loss, n_batches = 0.0, 0
             for idx in batch_indices(n, self.batch_size, rng=self.rng):
-                optimizer.zero_grad()
                 x_adv_batch = X_adv[idx]
-                x_hat = self.generator_(self._generator_batch_input(x_adv_batch))
-                loss = self._prediction_loss(x_adv_batch, x_hat, V[idx])
-                loss.backward()
-                optimizer.step()
-                epoch_loss += loss.item()
+                z = self._generator_batch_input(x_adv_batch)
+                epoch_loss += step(z, x_adv_batch, V[idx])
                 n_batches += 1
             self.loss_history_.append(epoch_loss / max(n_batches, 1))
             self._trace_epoch(epoch)
@@ -448,15 +446,11 @@ class GenerativeRegressionNetwork(FeatureInferenceAttack):
         )
         self.loss_history_ = []
         start_epoch = self._resume_epoch(optimizer, X_adv, V)
+        step = TrainStep(self._direct_loss, optimizer)
         for epoch in range(start_epoch, self.epochs):
             epoch_loss, n_batches = 0.0, 0
             for idx in batch_indices(n, self.batch_size, rng=self.rng):
-                optimizer.zero_grad()
-                x_hat = self._direct_estimate[idx]
-                loss = self._prediction_loss(X_adv[idx], x_hat, V[idx])
-                loss.backward()
-                optimizer.step()
-                epoch_loss += loss.item()
+                epoch_loss += step(idx, X_adv[idx], V[idx])
                 n_batches += 1
             self.loss_history_.append(epoch_loss / max(n_batches, 1))
             self._trace_epoch(epoch)
@@ -466,6 +460,16 @@ class GenerativeRegressionNetwork(FeatureInferenceAttack):
                     self._traced_fragments(optimizer, epoch),
                     meta={"epoch": epoch},
                 )
+
+    def _generator_loss(self, z: Tensor, x_adv_batch: Tensor, v_batch: Tensor) -> Tensor:
+        """One generator batch's loss: G(z) scored through the frozen model."""
+        return self._prediction_loss(x_adv_batch, self.generator_(z), v_batch)
+
+    def _direct_loss(self, idx: Tensor, x_adv_batch: Tensor, v_batch: Tensor) -> Tensor:
+        """One direct-estimate batch's loss: the ``idx`` rows of x̂_target."""
+        return self._prediction_loss(
+            x_adv_batch, self._direct_estimate.take_rows(idx), v_batch
+        )
 
     def _trace_epoch(self, epoch: int) -> None:
         if self.tracer is not None:
@@ -503,7 +507,7 @@ class GenerativeRegressionNetwork(FeatureInferenceAttack):
                     f"X_adv has {X_adv.shape[1]} columns, expected {self.view.d_adv}"
                 )
             self.generator_.eval()
-            x_hat = self.generator_(self._generator_batch_input(X_adv)).numpy()
+            x_hat = self.generator_(Tensor(self._generator_batch_input(X_adv))).numpy()
             self.generator_.train()
         else:
             if self._direct_estimate is None:

@@ -5,7 +5,8 @@ their retained seed references — the per-sample tree walk
 (:meth:`~repro.models.tree.DecisionTreeClassifier._predict_slow`), the
 per-feature split scan (``_best_split_slow``), the per-tree vote loop
 (``_predict_proba_slow``), the per-node PRA BFS (``_restrict_slow``), and
-GRNA's composed-graph loss (``_prediction_loss_reference``) — plus the
+GRNA's composed-graph loss (``_prediction_loss_reference``) replayed
+from a recorded tape against the dynamic one — plus the
 end-to-end :class:`~repro.serving.PredictionService` throughput with seed
 vs vectorized kernels. Every reference is bit-identical to its fast
 kernel (regression-tested), so a bench run measures *speed only*.
@@ -226,6 +227,7 @@ def _grna_setup(sizes: dict):
 
     def epoch_time(fast: bool) -> float:
         from repro.nn.optim import Adam
+        from repro.nn.train import TrainStep
 
         attack = GenerativeRegressionNetwork(
             vfl.model,
@@ -236,16 +238,16 @@ def _grna_setup(sizes: dict):
             rng=7,
         )
         # The seed column runs the full retained reference: composed-graph
-        # loss AND the allocating optimizer step.
+        # loss, the allocating optimizer step AND the dynamic tape.
         attack._fast_loss = fast
-        previous_step = Adam._fast_step
-        Adam._fast_step = fast
+        previous_step, previous_static = Adam._fast_step, TrainStep.static
+        Adam._fast_step = TrainStep.static = fast
         try:
             start = time.perf_counter()
             attack.fit(X_adv, V)
             return (time.perf_counter() - start) / sizes["grna_epochs"]
         finally:
-            Adam._fast_step = previous_step
+            Adam._fast_step, TrainStep.static = previous_step, previous_static
 
     return epoch_time
 

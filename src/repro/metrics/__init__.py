@@ -10,6 +10,7 @@ from repro.metrics.branching import (
     path_branch_decisions,
     path_cbr,
     reconstruction_cbr,
+    reconstruction_cbr_batch,
 )
 from repro.metrics.correlation import (
     CorrelationReport,
@@ -23,6 +24,7 @@ __all__ = [
     "esa_mse_upper_bound",
     "path_cbr",
     "reconstruction_cbr",
+    "reconstruction_cbr_batch",
     "path_branch_decisions",
     "aggregate_cbr",
     "CorrelationReport",

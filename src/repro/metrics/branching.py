@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.exceptions import ValidationError
 from repro.models.tree import TreeStructure
-from repro.utils.validation import check_vector
+from repro.utils.validation import check_matrix, check_vector
 
 
 def path_branch_decisions(
@@ -96,6 +96,47 @@ def reconstruction_cbr(
         n_total += 1
         if (x_true[feature] <= threshold) == (x_rec[feature] <= threshold):
             n_correct += 1
+    return n_correct, n_total
+
+
+def reconstruction_cbr_batch(
+    structure: TreeStructure,
+    X_true: np.ndarray,
+    X_reconstructed_full: np.ndarray,
+    target_features: np.ndarray,
+) -> tuple[int, int]:
+    """:func:`reconstruction_cbr` pooled over every row, one pass per tree level.
+
+    All true samples descend the tree together (the frontier descent of
+    :meth:`TreeStructure.leaf_slots`); at each level the rows standing at
+    an internal node that tests a target feature are scored at once.
+    Returns the summed ``(n_correct, n_total)`` — exactly the sums of the
+    per-row counts, so :func:`aggregate_cbr` gives the same rate.
+    """
+    X_true = check_matrix(X_true, name="X_true")
+    X_rec = check_matrix(X_reconstructed_full, name="X_reconstructed_full")
+    if X_true.shape != X_rec.shape:
+        raise ValidationError(f"shape mismatch: {X_true.shape} vs {X_rec.shape}")
+    targets = np.asarray(target_features, dtype=np.int64).ravel()
+    is_target = np.zeros(X_true.shape[1], dtype=bool)
+    is_target[targets[(targets >= 0) & (targets < X_true.shape[1])]] = True
+    rows = np.arange(X_true.shape[0])
+    node = np.zeros(X_true.shape[0], dtype=np.int64)
+    n_correct = n_total = 0
+    for _ in range(structure.depth):
+        active = ~structure.is_leaf[node]
+        if not active.any():
+            break
+        # feature is -1 at leaves; those rows are masked out by `active`.
+        feature = structure.feature[node]
+        threshold = structure.threshold[node]
+        truth_left = X_true[rows, feature] <= threshold
+        scored = active & is_target[feature]
+        n_total += int(np.count_nonzero(scored))
+        n_correct += int(
+            np.count_nonzero(scored & (truth_left == (X_rec[rows, feature] <= threshold)))
+        )
+        node = np.where(active, np.where(truth_left, 2 * node + 1, 2 * node + 2), node)
     return n_correct, n_total
 
 

@@ -20,6 +20,7 @@ from repro.models.base import BaseClassifier, DifferentiableClassifier
 from repro.nn.data import iterate_batches
 from repro.nn.layers import mlp
 from repro.nn.optim import make_optimizer
+from repro.nn.train import TrainStep
 from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor
 from repro.utils.random import check_random_state
@@ -113,17 +114,18 @@ class RandomForestDistiller(DifferentiableClassifier):
         sizes = [n_features, *self.hidden_sizes, self.n_classes_]
         self.network_ = mlp(sizes, activation="relu", init="kaiming", rng=self.rng)
         optimizer = make_optimizer("adam", self.network_.parameters(), self.lr)
+        step = TrainStep(self._imitation_loss, optimizer)
         for _ in range(self.epochs):
             for xb, vb in iterate_batches((X_dummy, V_dummy), self.batch_size, rng=self.rng):
-                optimizer.zero_grad()
-                logits = self.network_(Tensor(xb))
-                if self.loss == "soft_ce":
-                    loss = F.soft_cross_entropy(logits, vb)
-                else:
-                    loss = F.mse_loss(F.softmax(logits, axis=1), Tensor(vb))
-                loss.backward()
-                optimizer.step()
+                step(xb, vb)
         return self
+
+    def _imitation_loss(self, x: Tensor, v: Tensor) -> Tensor:
+        """How far the surrogate's confidences on ``x`` are from the teacher's ``v``."""
+        logits = self.network_(x)
+        if self.loss == "soft_ce":
+            return F.soft_cross_entropy(logits, v)
+        return F.mse_loss(F.softmax(logits, axis=1), v)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestDistiller":
         raise NotImplementedError(

@@ -14,6 +14,7 @@ from repro.models.base import DifferentiableClassifier
 from repro.nn.data import iterate_batches
 from repro.nn.layers import mlp
 from repro.nn.optim import make_optimizer
+from repro.nn.train import TrainStep
 from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor
 from repro.utils.random import check_random_state
@@ -66,14 +67,11 @@ class MLPClassifier(DifferentiableClassifier):
             sizes, activation="relu", dropout=self.dropout, init="kaiming", rng=self.rng
         )
         optimizer = make_optimizer(self.optimizer_name, self.network_.parameters(), self.lr)
+        step = TrainStep(lambda x, labels: F.cross_entropy(self.network_(x), labels), optimizer)
         self.network_.train()
         for _ in range(self.epochs):
             for xb, yb in iterate_batches((X, y), self.batch_size, rng=self.rng):
-                optimizer.zero_grad()
-                logits = self.network_(Tensor(xb))
-                loss = F.cross_entropy(logits, yb)
-                loss.backward()
-                optimizer.step()
+                step(xb, yb)
         self.network_.eval()
         return self
 

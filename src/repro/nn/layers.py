@@ -144,10 +144,7 @@ class LayerNorm(Module):
             raise ShapeError(
                 f"LayerNorm({self.normalized_shape}) got input shape {x.shape}"
             )
-        mu = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        normalized = (x - mu) / (var + self.eps).sqrt()
-        return normalized * self.gamma + self.beta
+        return F.layer_norm(x, self.gamma, self.beta, self.eps)
 
 
 class Dropout(Module):

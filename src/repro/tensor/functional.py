@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ShapeError, ValidationError
-from repro.tensor.tensor import Tensor, concat
+from repro.tensor.tensor import Function, Tensor, apply, concat, unbroadcast
 
 
 def relu(x: Tensor) -> Tensor:
@@ -39,14 +39,14 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     The max-shift is treated as a constant, which leaves both the value and
     the gradient of softmax unchanged.
     """
-    shifted = x - Tensor(x.max_detached(axis=axis, keepdims=True))
+    shifted = x - x.detached_max(axis=axis, keepdims=True)
     ez = shifted.exp()
     return ez / ez.sum(axis=axis, keepdims=True)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax along ``axis``."""
-    shifted = x - Tensor(x.max_detached(axis=axis, keepdims=True))
+    shifted = x - x.detached_max(axis=axis, keepdims=True)
     return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
 
 
@@ -63,6 +63,24 @@ def mse_loss(prediction: Tensor, target: Tensor | np.ndarray) -> Tensor:
         )
     diff = prediction - target
     return (diff * diff).mean()
+
+
+class _FusedMSE(Function):
+    __slots__ = ()
+    name = "fused_mse"
+
+    def forward(self, prediction, target):
+        diff = prediction + (target * -1.0)
+        inv_n = 1.0 / diff.size
+        return (diff * diff).sum() * inv_n, (diff, inv_n)
+
+    def backward(self, grad, saved, parents):
+        diff, inv_n = saved
+        g = (grad * inv_n) * diff
+        return (g + g, None)
+
+
+_FUSED_MSE = _FusedMSE()
 
 
 def fused_mse_loss(prediction: Tensor, target: Tensor | np.ndarray) -> Tensor:
@@ -82,17 +100,40 @@ def fused_mse_loss(prediction: Tensor, target: Tensor | np.ndarray) -> Tensor:
         )
     if target.requires_grad:  # pragma: no cover - not used on the hot path
         return mse_loss(prediction, target)
-    diff = prediction.data + (target.data * -1.0)
-    inv_n = 1.0 / diff.size
-    out_data = (diff * diff).sum() * inv_n
-    requires = prediction.requires_grad
+    return apply(_FUSED_MSE, prediction, target)
 
-    def backward(grad: np.ndarray) -> None:
-        if prediction.requires_grad:
-            g = (grad * inv_n) * diff
-            prediction._accumulate(g + g)
 
-    return Tensor(out_data, requires, (prediction,), backward if requires else None, "fused_mse")
+class _HingedVariance(Function):
+    __slots__ = ("threshold", "weight")
+    name = "fused_var_penalty"
+
+    def __init__(self, threshold: float, weight: float) -> None:
+        self.threshold, self.weight = threshold, weight
+
+    def forward(self, x):
+        m, d = x.shape
+        inv_m = 1.0 / m
+        inv_d = 1.0 / d
+        mu = x.sum(axis=0, keepdims=True) * inv_m
+        diff = x + (mu * -1.0)
+        var = (diff * diff).sum(axis=0) * inv_m
+        excess = var + (float(self.threshold) * -1.0)
+        mask = excess > 0
+        out = np.where(mask, excess, 0.0).sum() * inv_d * self.weight
+        return out, (mask, diff)
+
+    def backward(self, grad, saved, parents):
+        mask, diff = saved
+        m, d = diff.shape
+        inv_m = 1.0 / m
+        inv_d = 1.0 / d
+        g_col = np.broadcast_to((grad * self.weight) * inv_d, mask.shape).copy() * mask
+        g_rows = np.broadcast_to(np.expand_dims(g_col * inv_m, 0), (m, d)).copy()
+        g_center = g_rows * diff
+        g_center = g_center + g_center
+        g_mean = (g_center.sum(axis=(0,), keepdims=True) * -1.0) * inv_m
+        # Two accumulations into x, in the composition's order.
+        return ((g_center, np.broadcast_to(g_mean, (m, d)).copy()),)
 
 
 def hinged_variance_penalty(x: Tensor, threshold: float, weight: float) -> Tensor:
@@ -108,29 +149,65 @@ def hinged_variance_penalty(x: Tensor, threshold: float, weight: float) -> Tenso
     """
     if x.ndim != 2:
         raise ShapeError(f"hinged_variance_penalty requires a 2-D tensor, got {x.shape}")
-    m, d = x.shape
-    inv_m = 1.0 / m
-    inv_d = 1.0 / d
-    mu = x.data.sum(axis=0, keepdims=True) * inv_m
-    diff = x.data + (mu * -1.0)
-    var = (diff * diff).sum(axis=0) * inv_m
-    excess = var + (float(threshold) * -1.0)
-    mask = excess > 0
-    out_data = np.where(mask, excess, 0.0).sum() * inv_d * weight
-    requires = x.requires_grad
+    return apply(_HingedVariance(threshold, weight), x)
 
-    def backward(grad: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        g_col = np.broadcast_to((grad * weight) * inv_d, mask.shape).copy() * mask
-        g_rows = np.broadcast_to(np.expand_dims(g_col * inv_m, 0), (m, d)).copy()
-        g_center = g_rows * diff
-        g_center = g_center + g_center
-        x._accumulate(g_center)
-        g_mean = (g_center.sum(axis=(0,), keepdims=True) * -1.0) * inv_m
-        x._accumulate(np.broadcast_to(g_mean, (m, d)).copy())
 
-    return Tensor(out_data, requires, (x,), backward if requires else None, "fused_var_penalty")
+class _LayerNorm(Function):
+    __slots__ = ("eps",)
+    name = "layer_norm"
+
+    def __init__(self, eps: float) -> None:
+        self.eps = eps
+
+    def forward(self, x, gamma, beta):
+        # The composition's two means of x are the same reduction of the
+        # same data, so x - mean(x) is computed once for both uses.
+        scale = 1.0 / x.shape[-1]
+        centered = x + ((x.sum(axis=-1, keepdims=True) * scale) * -1.0)
+        var = (centered * centered).sum(axis=-1, keepdims=True) * scale
+        shifted = var + self.eps
+        std = shifted ** 0.5
+        inv = std ** -1.0
+        normalized = centered * inv
+        return normalized * gamma + beta, (centered, shifted, std, inv, normalized, scale)
+
+    def backward(self, grad, saved, parents):
+        x, gamma, beta = parents
+        centered, shifted, std, inv, normalized, scale = saved
+        g_norm = grad * gamma.data
+        g_centered = g_norm * inv
+        g_inv = unbroadcast(g_norm * centered, inv.shape)
+        g_std = g_inv * -1.0 * std ** (-1.0 - 1.0)
+        g_var = g_std * 0.5 * shifted ** (0.5 - 1.0)
+        g_sq = (g_var * scale) * centered
+        g_diff = g_sq + g_sq
+        parts = (
+            g_centered,
+            np.broadcast_to((unbroadcast(g_centered, inv.shape) * -1.0) * scale, x.data.shape),
+            g_diff,
+            np.broadcast_to((unbroadcast(g_diff, inv.shape) * -1.0) * scale, x.data.shape),
+        )
+        return (
+            parts if x.requires_grad else None,
+            grad * normalized if gamma.requires_grad else None,
+            grad if beta.requires_grad else None,
+        )
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
+    """``(x - mean) / sqrt(var + eps) * gamma + beta`` over the last axis, one node.
+
+    The composed expression (``x.mean``, ``x.var``, subtraction, ``sqrt``,
+    division, affine) builds 17 graph nodes per call; this kernel runs the
+    same numpy operations forward and hand-writes the gradients the
+    composition produces, in its order: four accumulations into ``x`` —
+    the centered term, the mean path, the variance's centered term, the
+    variance's mean path — and one each into ``gamma`` and ``beta``. The
+    values are bit-identical to the composition wherever ``x`` feeds only
+    this normalization (as in the GRNA generator), since then no other
+    gradient interleaves with those four.
+    """
+    return apply(_LayerNorm(float(eps)), x, gamma, beta)
 
 
 def binary_cross_entropy(prediction: Tensor, target: Tensor | np.ndarray, eps: float = 1e-12) -> Tensor:
@@ -145,9 +222,14 @@ def binary_cross_entropy(prediction: Tensor, target: Tensor | np.ndarray, eps: f
     return loss.mean()
 
 
-def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean cross-entropy of raw ``logits`` against integer ``labels``."""
-    labels = np.asarray(labels, dtype=np.int64)
+def cross_entropy(logits: Tensor, labels: np.ndarray | Tensor) -> Tensor:
+    """Mean cross-entropy of raw ``logits`` against integer ``labels``.
+
+    ``labels`` may be a tensor holding the class indices (a graph input
+    of a recorded training step); it receives no gradient.
+    """
+    label_tensor = labels if isinstance(labels, Tensor) else None
+    labels = np.asarray(labels.data if label_tensor is not None else labels, dtype=np.int64)
     if logits.ndim != 2:
         raise ShapeError(f"logits must be 2-D, got shape {logits.shape}")
     if labels.ndim != 1 or labels.shape[0] != logits.shape[0]:
@@ -157,7 +239,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[1]):
         raise ValidationError("labels out of range for the given logits")
     logp = log_softmax(logits, axis=1)
-    picked = logp[np.arange(labels.shape[0]), labels]
+    picked = logp.pick(label_tensor if label_tensor is not None else Tensor(labels))
     return -picked.mean()
 
 
@@ -183,8 +265,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True
         raise ValidationError(f"dropout probability must be in [0, 1), got {p}")
     if not training or p == 0.0:
         return x
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
-    return x * Tensor(mask)
+    return x.dropout(p, rng)
 
 
 __all__ = [
@@ -194,6 +275,7 @@ __all__ = [
     "leaky_relu",
     "softmax",
     "log_softmax",
+    "layer_norm",
     "mse_loss",
     "binary_cross_entropy",
     "cross_entropy",

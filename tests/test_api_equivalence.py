@@ -192,14 +192,16 @@ def _force_seed_kernels(monkeypatch):
 
     Covers tree growing (`_best_split_slow`), tree/forest prediction
     (`_predict_slow` / `_predict_proba_slow`), PRA restriction
-    (`_restrict_slow`), GRNA's composed-graph loss, and the allocating
-    Adam step — i.e. the complete pre-PR model layer.
+    (`_restrict_slow`), GRNA's composed-graph loss, the allocating
+    Adam step and the dynamic autodiff tape (no recorded step replays)
+    — i.e. the complete pre-PR model layer.
     """
     from repro.attacks.grna import GenerativeRegressionNetwork
     from repro.attacks.pra import PathRestrictionAttack
     from repro.models.forest import RandomForestClassifier
     from repro.models.tree import DecisionTreeClassifier
     from repro.nn.optim import Adam
+    from repro.nn.train import TrainStep
     from repro.utils.numeric import one_hot
 
     def slow_proba(self, X):
@@ -225,6 +227,7 @@ def _force_seed_kernels(monkeypatch):
     monkeypatch.setattr(PathRestrictionAttack, "restrict_batch", slow_restrict_batch)
     monkeypatch.setattr(GenerativeRegressionNetwork, "_fast_loss", False)
     monkeypatch.setattr(Adam, "_fast_step", False)
+    monkeypatch.setattr(TrainStep, "static", False)
 
 
 class TestKernelEquivalence:
