@@ -42,7 +42,7 @@ from repro.api.attacks import ATTACKS, ScenarioAttack
 from repro.api.datasets import DATASETS
 from repro.api.defenses import Defense, DefenseStack, unwrap_model
 from repro.api.models import MODELS, make_model
-from repro.attacks import AttackResult, RandomGuessAttack, random_path
+from repro.attacks import AttackResult, RandomGuessAttack
 from repro.checkpoint import CheckpointPlan
 from repro.config import ScaleConfig, get_scale
 from repro.datasets import Dataset, load_dataset
@@ -54,7 +54,12 @@ from repro.federated import (
     train_vertical_model,
 )
 from repro.federation import SCHEDULERS, FederationRuntime, TopologyConfig
-from repro.metrics import aggregate_cbr, mse_per_feature, path_cbr, reconstruction_cbr_batch
+from repro.metrics import (
+    aggregate_cbr,
+    mse_per_feature,
+    path_cbr_batch,
+    reconstruction_cbr_batch,
+)
 from repro.models import BaseClassifier
 from repro.nn.data import train_test_split
 from repro.resilience import DEGRADATIONS, BreakerPolicy, RetryPolicy
@@ -880,17 +885,15 @@ def _compute_metrics(
     # PRA path metrics: branch agreement of the selected candidate paths.
     if "selected_paths" in result.info:
         structure = structures[0] if structures else _tree_structures(scenario.model)[0]
-        counts = [
-            path_cbr(
-                structure,
-                path,
-                scenario.X_pred_full[i],
-                scenario.view.target_indices,
-            )
-            for i, path in enumerate(result.info["selected_paths"])
-            if path is not None
-        ]
-        metrics["pra_cbr"] = float(aggregate_cbr(counts))
+        paths = result.info["selected_paths"]
+        rows = [i for i, path in enumerate(paths) if path is not None]
+        counts = path_cbr_batch(
+            structure,
+            [paths[i][-1] for i in rows],
+            scenario.X_pred_full[rows],
+            scenario.view.target_indices,
+        )
+        metrics["pra_cbr"] = float(aggregate_cbr([counts]))
         total = result.info["n_paths_total"]
         metrics["restricted_fractions"] = [
             float(n / total) for n in result.info["n_paths_restricted"]
@@ -932,16 +935,15 @@ def _compute_metrics(
     if "path" in config.baselines:
         _, guess_rng = spawn_rngs(config.seed, 2)
         structure = structures[0]
-        counts = [
-            path_cbr(
-                structure,
-                random_path(structure, guess_rng),
-                scenario.X_pred_full[i],
-                scenario.view.target_indices,
-            )
-            for i in range(scenario.X_pred_full.shape[0])
-        ]
-        metrics["rg_path_cbr"] = float(aggregate_cbr(counts))
+        # One vector draw consumes the stream exactly as one `random_path`
+        # draw per row would (pinned in tests/test_closed_form_kernels.py).
+        leaves = guess_rng.choice(
+            structure.leaf_indices(), size=scenario.X_pred_full.shape[0]
+        )
+        counts = path_cbr_batch(
+            structure, leaves, scenario.X_pred_full, scenario.view.target_indices
+        )
+        metrics["rg_path_cbr"] = float(aggregate_cbr([counts]))
     return metrics
 
 

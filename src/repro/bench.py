@@ -3,8 +3,9 @@
 Times the vectorized hot-path kernels introduced by the perf PR against
 their retained seed references — the per-sample tree walk
 (:meth:`~repro.models.tree.DecisionTreeClassifier._predict_slow`), the
-per-feature split scan (``_best_split_slow``), the per-tree vote loop
-(``_predict_proba_slow``), the per-node PRA BFS (``_restrict_slow``), and
+per-node sort and split scan (``_best_split_slow``), the per-tree vote loop
+(``_predict_proba_slow``), the per-node PRA BFS (``_restrict_slow``), the
+per-path CBR loop (``path_cbr``), and
 GRNA's composed-graph loss (``_prediction_loss_reference``) replayed
 from a recorded tape against the dynamic one — plus the
 end-to-end :class:`~repro.serving.PredictionService` throughput with seed
@@ -202,6 +203,32 @@ def bench_pra_restrict(sizes: dict, repeats: int) -> KernelResult:
     )
 
 
+def bench_path_cbr(sizes: dict, repeats: int) -> KernelResult:
+    from repro.metrics import path_cbr, path_cbr_batch
+    from repro.models.tree import DecisionTreeClassifier
+
+    rng = np.random.default_rng(0)
+    d = sizes["fit_features"]
+    X = rng.random((sizes["fit_samples"], d))
+    y = rng.integers(0, 2, size=sizes["fit_samples"])
+    tree = DecisionTreeClassifier(max_depth=sizes["pra_depth"], rng=0).fit(X, y)
+    structure = tree.tree_structure()
+    Xq = rng.random((sizes["pra_samples"], d))
+    leaves = rng.choice(structure.leaf_indices(), size=sizes["pra_samples"])
+    paths = [structure.path_to(int(leaf)) for leaf in leaves]
+    targets = np.arange(0, d, 2)
+
+    def slow():
+        for path, x in zip(paths, Xq):
+            path_cbr(structure, path, x, targets)
+
+    return KernelResult(
+        seconds=timed(lambda: path_cbr_batch(structure, leaves, Xq, targets), repeats),
+        baseline_seconds=timed(slow, repeats),
+        meta={"pra_samples": sizes["pra_samples"], "depth": sizes["pra_depth"]},
+    )
+
+
 def _grna_setup(sizes: dict):
     from repro.attacks.grna import GenerativeRegressionNetwork
     from repro.datasets import load_dataset
@@ -314,6 +341,7 @@ KERNELS = {
     "dt_predict": bench_dt_predict,
     "rf_predict_proba": bench_rf_predict_proba,
     "pra_restrict": bench_pra_restrict,
+    "path_cbr": bench_path_cbr,
     "grna_epoch": bench_grna_epoch,
     "service_throughput": bench_service_throughput,
 }

@@ -180,6 +180,10 @@ def _rank_transform_marginals(X: np.ndarray, gamma: float) -> np.ndarray:
     cross-party structure) are preserved exactly.
     """
     n = X.shape[0]
-    ranks = np.argsort(np.argsort(X, axis=0), axis=0)
+    order = np.argsort(X, axis=0)
+    # Each column of `order` is a permutation; scattering 0..n-1 through
+    # it inverts it, which is what argsort(order) computes with a sort.
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.arange(n)[:, None], axis=0)
     uniform = (ranks + 1.0) / (n + 1.0)
     return uniform ** gamma

@@ -9,6 +9,7 @@ from repro.metrics.branching import (
     aggregate_cbr,
     path_branch_decisions,
     path_cbr,
+    path_cbr_batch,
     reconstruction_cbr,
     reconstruction_cbr_batch,
 )
@@ -23,6 +24,7 @@ __all__ = [
     "feature_wise_mse",
     "esa_mse_upper_bound",
     "path_cbr",
+    "path_cbr_batch",
     "reconstruction_cbr",
     "reconstruction_cbr_batch",
     "path_branch_decisions",

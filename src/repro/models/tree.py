@@ -47,6 +47,53 @@ def entropy_impurity(counts: np.ndarray) -> np.ndarray:
 _CRITERIA = {"gini": gini_impurity, "entropy": entropy_impurity}
 
 
+def _class_sum(q: np.ndarray) -> np.ndarray:
+    """Sum over the leading class axis in the order ``q.sum(axis=-1)`` adds.
+
+    NumPy reduces a contiguous class axis with pairwise summation: a
+    left fold below 8 terms; eight strided accumulators combined as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` plus a left-folded tail up to
+    128. Replaying that association on whole ``(k, m)`` class planes gives
+    the same bits as the per-row reduction at a fraction of its per-row
+    overhead; wider class axes defer to NumPy itself.
+    """
+    c = q.shape[0]
+    if c > 128:
+        return np.ascontiguousarray(np.moveaxis(q, 0, -1)).sum(axis=-1)
+    if c < 8:
+        total, tail = q[0].copy(), 1
+    else:
+        tail = c - c % 8
+        acc = q[:8].copy()
+        for i in range(8, tail, 8):
+            acc += q[i : i + 8]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for j in range(tail, c):
+        total += q[j]
+    return total
+
+
+def _split_impurity(criterion: str, counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """:data:`_CRITERIA` impurity of class-major ``counts`` ``(c, ...)``.
+
+    ``sizes`` is the (exact, positive) row total of every count vector,
+    so the per-row total and its zero guard drop out; every remaining
+    operation matches the row-major criterion bit for bit. ``counts`` is
+    overwritten (it is the caller's scratch workspace).
+    """
+    p = np.divide(counts, sizes, out=counts)
+    if criterion == "gini":
+        return 1.0 - _class_sum(np.multiply(p, p, out=p))
+    logp = np.where(p > 0, np.log2(np.where(p > 0, p, 1.0)), 0.0)
+    return -_class_sum(np.multiply(p, logp, out=p))
+
+
+#: Element bound on the ``(classes, features, rows)`` cumulative-count
+#: workspace of one presorted split pass; wider nodes split their
+#: candidate features into blocks.
+_SPLIT_WORKSPACE = 250_000
+
+
 @dataclass
 class _Node:
     """Internal recursive tree node."""
@@ -197,7 +244,8 @@ class DecisionTreeClassifier(BaseClassifier):
         self._flat: TreeStructure | None = None
 
     #: Flip to False (per instance or class-wide in tests) to grow with the
-    #: retained per-feature scan (`_best_split_slow`); node-for-node equal.
+    #: retained per-node sort and per-feature scan (`_grow` +
+    #: `_best_split_slow`); node-for-node equal.
     _fast_split = True
 
     # ------------------------------------------------------------------
@@ -210,7 +258,13 @@ class DecisionTreeClassifier(BaseClassifier):
         self._n_split_features = self._resolve_max_features(X.shape[1])
         Y = one_hot(y, self.n_classes_)
         self._flat = None
-        self.root_ = self._grow(X, y, Y, depth=0)
+        if not self._fast_split:
+            self.root_ = self._grow(X, y, Y, depth=0)
+            return self
+        XT = np.ascontiguousarray(X.T)
+        order = np.argsort(XT, axis=1, kind="stable")
+        go_left = np.empty(X.shape[0], dtype=bool)
+        self.root_ = self._grow_presorted(XT, Y.T.copy(), order, go_left, depth=0)
         return self
 
     def _resolve_max_features(self, d: int) -> int:
@@ -223,77 +277,98 @@ class DecisionTreeClassifier(BaseClassifier):
             raise ValidationError(f"max_features={k} exceeds n_features={d}")
         return k
 
-    def _grow(self, X: np.ndarray, y: np.ndarray, Y: np.ndarray, depth: int) -> _Node:
-        counts = Y.sum(axis=0)
-        label = int(counts.argmax())
-        node = _Node(label=label, n_samples=X.shape[0], depth=depth)
+    def _grow_presorted(
+        self,
+        XT: np.ndarray,
+        YT: np.ndarray,
+        order: np.ndarray,
+        go_left: np.ndarray,
+        depth: int,
+    ) -> _Node:
+        """Grow from a ``(d, m)`` block of per-feature sorted row indices.
+
+        Row ``j`` of ``order`` lists the node's rows in ascending
+        ``XT[j]`` order, ties by row position: the fit-wide stable argsort
+        filtered to the node, which equals the node's own stable argsort.
+        Each child keeps its rows with one boolean compress of the block,
+        so no node sorts. ``XT`` and ``YT`` are the feature-major inputs and one-hot
+        labels; ``go_left`` is a fit-wide scratch mask.
+        """
+        rows = order[0]
+        m = rows.shape[0]
+        counts = np.take(YT, rows, axis=1).sum(axis=1)
+        node = _Node(label=int(counts.argmax()), n_samples=m, depth=depth)
         if (
             depth >= self.max_depth
-            or X.shape[0] < self.min_samples_split
+            or m < self.min_samples_split
             or np.count_nonzero(counts) <= 1
         ):
             return node
-        split = self._best_split(X, Y)
+        split = self._presorted_split(XT, YT, order, counts)
         if split is None:
             return node
         feature, threshold = split
-        mask = X[:, feature] <= threshold
         node.feature = feature
         node.threshold = threshold
-        node.left = self._grow(X[mask], y[mask], Y[mask], depth + 1)
-        node.right = self._grow(X[~mask], y[~mask], Y[~mask], depth + 1)
+        go_left[rows] = XT[feature, rows] <= threshold
+        # Children at max_depth are leaves: they only need their rows.
+        block = order if depth + 1 < self.max_depth else order[:1]
+        keep = np.take(go_left, block).ravel()
+        left = np.compress(keep, block).reshape(block.shape[0], -1)
+        right = np.compress(~keep, block).reshape(block.shape[0], -1)
+        node.left = self._grow_presorted(XT, YT, left, go_left, depth + 1)
+        node.right = self._grow_presorted(XT, YT, right, go_left, depth + 1)
         return node
 
-    def _best_split(self, X: np.ndarray, Y: np.ndarray) -> tuple[int, float] | None:
+    def _presorted_split(
+        self,
+        XT: np.ndarray,
+        YT: np.ndarray,
+        order: np.ndarray,
+        total_counts: np.ndarray,
+    ) -> tuple[int, float] | None:
         """Exhaustive best (feature, threshold) by weighted impurity decrease.
 
-        Sort-based exact search vectorized *across* features: one stable
-        column argsort, one cumulative class-count pass, and one gain
-        argmax replace the per-feature Python loop. Tie-breaking is
-        identical to :meth:`_best_split_slow` (first boundary attaining a
-        feature's max gain, first feature attaining the global max, strict
-        ``> 1e-12`` improvement), so grown trees are node-for-node equal.
+        Exact search vectorized across features over the presorted rows:
+        one value gather, one cumulative class-count pass and one gain
+        argmax per feature block. Tie-breaking is identical to
+        :meth:`_best_split_slow` (first boundary attaining a feature's max
+        gain, first feature attaining the global max, strict ``> 1e-12``
+        improvement), so grown trees are node-for-node equal.
         """
-        m, d = X.shape
-        # Above the crossover the per-feature scan's larger 2-D reductions
-        # amortize its Python loop; below it (the bulk of recursive calls)
-        # the cross-feature kernel is several times faster. Both paths are
-        # bit-identical, so the dispatch is purely a speed choice.
-        if not self._fast_split or m >= 512:
-            return self._best_split_slow(X, Y)
-        total_counts = Y.sum(axis=0)
+        d, m = order.shape
         parent_impurity = float(self._impurity(total_counts))
         if self._n_split_features < d:
             features = self.rng.choice(d, size=self._n_split_features, replace=False)
         else:
             features = np.arange(d)
         min_leaf = self.min_samples_leaf
-        if m < 2:
-            return None
         sizes = np.arange(1, m, dtype=np.int64)  # left size at split position i
         size_valid = (sizes >= min_leaf) & (m - sizes >= min_leaf)
-        left_sizes = sizes.astype(np.float64)[None, :]
+        left_sizes = sizes.astype(np.float64)
         right_sizes = m - left_sizes
-        c = Y.shape[1]
-        # Feature blocks bound the (block, m, c) cumulative-count workspace.
-        block = max(1, int(2_000_000 // max(m * c, 1)))
+        c = YT.shape[0]
+        parent_counts = total_counts[:, None, None]
+        # Feature blocks bound the (c, block, m) cumulative-count workspace.
+        block = max(1, _SPLIT_WORKSPACE // max(m * c, 1))
         n_feat = features.shape[0]
         per_gain = np.full(n_feat, -np.inf)
         per_threshold = np.zeros(n_feat)
         for start in range(0, n_feat, block):
             cols = features[start : start + block]
-            Xf = X.T[cols]  # (k, m): one contiguous row per candidate feature
-            order = np.argsort(Xf, axis=1, kind="stable")
-            values = np.take_along_axis(Xf, order, axis=1)
-            prefix = np.cumsum(Y[order], axis=1)  # (k, m, c) left counts
-            valid = (values[:, :-1] < values[:, 1:]) & size_valid[None, :]
+            idx = order[cols]  # (k, m): rows in ascending value per feature
+            # Flat gather of XT[cols[i], idx[i, j]]: ascending values per row.
+            values = np.take(XT, idx + (cols * XT.shape[1])[:, None])
+            valid = (values[:, :-1] < values[:, 1:]) & size_valid
             if not valid.any():
                 continue
-            left_counts = prefix[:, :-1]
-            right_counts = total_counts - left_counts
+            # (c, k, m-1) class counts left of each split position
+            prefix = np.take(YT, idx, axis=1)
+            left_counts = np.cumsum(prefix, axis=2, out=prefix)[:, :, :-1]
+            right_counts = parent_counts - left_counts
             weighted = (
-                left_sizes * self._impurity(left_counts)
-                + right_sizes * self._impurity(right_counts)
+                left_sizes * _split_impurity(self.criterion, left_counts, left_sizes)
+                + right_sizes * _split_impurity(self.criterion, right_counts, right_sizes)
             ) / m
             gains = np.where(valid, parent_impurity - weighted, -np.inf)
             pos = gains.argmax(axis=1)  # first max per feature row
@@ -307,8 +382,30 @@ class DecisionTreeClassifier(BaseClassifier):
             return None
         return int(features[j]), float(per_threshold[j])
 
+    def _grow(self, X: np.ndarray, y: np.ndarray, Y: np.ndarray, depth: int) -> _Node:
+        """Seed reference: recursive growth that re-sorts at every node."""
+        counts = Y.sum(axis=0)
+        label = int(counts.argmax())
+        node = _Node(label=label, n_samples=X.shape[0], depth=depth)
+        if (
+            depth >= self.max_depth
+            or X.shape[0] < self.min_samples_split
+            or np.count_nonzero(counts) <= 1
+        ):
+            return node
+        split = self._best_split_slow(X, Y)
+        if split is None:
+            return node
+        feature, threshold = split
+        mask = X[:, feature] <= threshold
+        node.feature = feature
+        node.threshold = threshold
+        node.left = self._grow(X[mask], y[mask], Y[mask], depth + 1)
+        node.right = self._grow(X[~mask], y[~mask], Y[~mask], depth + 1)
+        return node
+
     def _best_split_slow(self, X: np.ndarray, Y: np.ndarray) -> tuple[int, float] | None:
-        """Seed reference: per-feature scan; kept as the fitting oracle."""
+        """Seed reference: per-feature sort and scan; kept as the fitting oracle."""
         m, d = X.shape
         total_counts = Y.sum(axis=0)
         parent_impurity = float(self._impurity(total_counts))
@@ -316,17 +413,6 @@ class DecisionTreeClassifier(BaseClassifier):
             features = self.rng.choice(d, size=self._n_split_features, replace=False)
         else:
             features = np.arange(d)
-        return self._best_split_scan(X, Y, features, total_counts, parent_impurity)
-
-    def _best_split_scan(
-        self,
-        X: np.ndarray,
-        Y: np.ndarray,
-        features: np.ndarray,
-        total_counts: np.ndarray,
-        parent_impurity: float,
-    ) -> tuple[int, float] | None:
-        m = X.shape[0]
         best_gain = 1e-12  # require a strictly positive improvement
         best: tuple[int, float] | None = None
         min_leaf = self.min_samples_leaf
