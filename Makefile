@@ -1,7 +1,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint smoke docs-check examples-smoke bench bench-smoke bench-baseline bench-serving bench-resilience bench-telemetry resume-smoke storm-smoke trace-smoke
+.PHONY: test lint smoke docs-check examples-smoke bench bench-smoke bench-baseline bench-serving bench-resilience bench-telemetry bench-correct resume-smoke storm-smoke trace-smoke
 
 ## test: run the full test suite (tier-1 gate)
 test:
@@ -49,6 +49,10 @@ bench-smoke:
 	$(PY) benchmarks/bench_serving_scale.py --tiny
 	$(PY) benchmarks/bench_resilience.py --tiny
 	$(PY) benchmarks/bench_telemetry.py --tiny
+
+## bench-correct: one short perfbench run per workload; fails unless the committed digests match
+bench-correct:
+	$(PY) scripts/bench_correct.py
 
 ## resume-smoke: SIGKILL a GRNA run mid-epoch, resume it, assert bit-identical report
 resume-smoke:

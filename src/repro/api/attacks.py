@@ -304,8 +304,7 @@ class GrnaScenarioAttack(ScenarioAttack):
         # re-derived per call so run() is idempotent.
         grna_rng, distill_rng, dummy_rng = spawn_rngs(self._seed + 1, 3)
         kwargs = {**grna_kwargs_from_scale(scale, grna_rng), **self.params}
-        if self._tracer is not None:
-            kwargs.setdefault("tracer", self._tracer)
+        kwargs.setdefault("tracer", self._tracer)
         if isinstance(self._model, RandomForestClassifier):
             distiller = RandomForestDistiller(
                 hidden_sizes=scale.distiller_hidden,

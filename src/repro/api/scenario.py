@@ -64,7 +64,7 @@ from repro.models import BaseClassifier
 from repro.nn.data import train_test_split
 from repro.resilience import DEGRADATIONS, BreakerPolicy, RetryPolicy
 from repro.serving import PredictionService
-from repro.telemetry import TRACE_SINKS, make_tracer
+from repro.telemetry import NULL_TRACER, check_telemetry_spec, make_tracer
 from repro.utils.random import check_random_state, spawn_rngs
 
 __all__ = [
@@ -128,32 +128,6 @@ def _check_quorum_spec(value: "int | float | None") -> None:
         )
 
 
-def _check_telemetry_spec(value: "bool | dict | None") -> None:
-    """Shape validation for the ``telemetry`` knob.
-
-    ``None``/``False`` disables tracing, ``True`` traces into a memory
-    sink, a dict selects the sink (``{"sink": "jsonl", "path": ...,
-    "wall": ...}``). Same vocabulary as
-    :func:`~repro.telemetry.make_tracer`, validated before any work.
-    """
-    if value is None or isinstance(value, bool):
-        return
-    if not isinstance(value, dict):
-        raise ScenarioError(
-            f"telemetry must be True/False/None or a sink dict, got {value!r}"
-        )
-    unknown = set(value) - {"sink", "path", "wall"}
-    if unknown:
-        raise ScenarioError(
-            f"unknown telemetry key(s) {sorted(unknown)}; allowed: "
-            "sink, path, wall"
-        )
-    sink = value.get("sink", "memory")
-    TRACE_SINKS.get(sink)
-    if sink == "jsonl" and not value.get("path"):
-        raise ScenarioError("telemetry sink 'jsonl' needs a 'path'")
-
-
 @dataclass
 class VFLScenario:
     """Everything one attack experiment needs.
@@ -186,8 +160,9 @@ class VFLScenario:
         communication cost.
     tracer:
         The deployment's :class:`~repro.telemetry.Tracer`, shared by the
-        service, the runtime, and any attack prepared on this scenario.
-        ``None`` when the scenario was built without telemetry.
+        service, the runtime, and any attack prepared on this scenario;
+        :data:`~repro.telemetry.NULL_TRACER` when the scenario was built
+        without telemetry.
     """
 
     dataset: Dataset
@@ -202,7 +177,7 @@ class VFLScenario:
     meta: dict[str, Any] = field(default_factory=dict)
     service: "PredictionService | None" = None
     runtime: "FederationRuntime | None" = None
-    tracer: Any = None
+    tracer: Any = NULL_TRACER
 
 
 def build_scenario(
@@ -329,8 +304,11 @@ def build_scenario(
         Optional :class:`~repro.telemetry.Tracer`, attached to both the
         federation runtime (round/retry/degradation records) and the
         serving layer (query/chunk/breaker records). ``None`` (default)
-        leaves every byte of the untraced construction untouched.
+        stores :data:`~repro.telemetry.NULL_TRACER` everywhere: the
+        same code runs, no record is kept, and the untraced
+        construction's bytes are unchanged.
     """
+    tracer = tracer or NULL_TRACER
     n_streams = 4 if defense_stack is None or not len(defense_stack) else 5
     streams = spawn_rngs(seed, n_streams)
     data_rng, part_rng, model_rng, pick_rng = streams[:4]
@@ -862,7 +840,7 @@ def _validate(config: ScenarioConfig, attack: ScenarioAttack, stack: DefenseStac
     RetryPolicy.from_spec(config.retry)
     BreakerPolicy.from_spec(config.breaker)
     _check_quorum_spec(config.quorum)
-    _check_telemetry_spec(config.telemetry)
+    check_telemetry_spec(config.telemetry)
     DEGRADATIONS.get(config.degradation)
     if config.topology is not None:
         config.topology.validate()
@@ -1021,14 +999,18 @@ def run_scenario(
     # CheckpointPause suspension) unwinds past this frame the caller has
     # no handle to it, so close its sink on the way out. Records are
     # fsync'd per emit — nothing is lost, and a resumed run reopens the
-    # file in skip-by-seq mode.
-    owned_tracer = None
+    # file in skip-by-seq mode. A prebuilt scenario implies no telemetry
+    # knob (refused above), so its owned tracer is the null one.
+    tracer = make_tracer(config.telemetry)
     try:
         if scenario is None:
-            owned_tracer = tracer = make_tracer(config.telemetry)
-
-            def build() -> VFLScenario:
-                return build_scenario(
+            with tracer.span(
+                "scenario.build",
+                dataset=config.dataset,
+                model=config.model,
+                attack=config.attack,
+            ) as span:
+                scenario = build_scenario(
                     config.dataset,
                     config.model,
                     config.target_fraction,
@@ -1053,24 +1035,12 @@ def run_scenario(
                     breaker=config.breaker,
                     tracer=tracer,
                 )
-
-            if tracer is None:
-                scenario = build()
-            else:
-                with tracer.span(
-                    "scenario.build",
-                    dataset=config.dataset,
-                    model=config.model,
-                    attack=config.attack,
-                ) as span:
-                    scenario = build()
-                    span["predictions"] = int(scenario.V.shape[0])
+                span["predictions"] = int(scenario.V.shape[0])
         attack.prepare(scenario, scale=scale, seed=config.seed)
         result = attack.run(scenario.X_adv, scenario.V)
         metrics = _compute_metrics(config, scenario, result)
     except BaseException:
-        if owned_tracer is not None:
-            owned_tracer.close()
+        tracer.close()
         raise
     queries_used = (
         scenario.service.ledger.queries_used
@@ -1085,7 +1055,7 @@ def run_scenario(
     )
     # Summarized after the attack ran, so grna.epoch records count too;
     # a prebuilt traced scenario contributes its own tracer.
-    tracer = getattr(scenario, "tracer", None)
+    tracer = getattr(scenario, "tracer", NULL_TRACER)
     return ScenarioReport(
         config=config,
         scenario=scenario,
@@ -1094,5 +1064,5 @@ def run_scenario(
         queries_used=queries_used,
         comm_cost=comm_cost,
         availability=availability,
-        telemetry=tracer.summary() if tracer is not None else {},
+        telemetry=tracer.summary(),
     )

@@ -43,6 +43,7 @@ from repro.nn.data import batch_indices
 from repro.nn.module import Parameter
 from repro.nn.optim import make_optimizer
 from repro.nn.train import TrainStep
+from repro.telemetry import NULL_TRACER
 from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor, assemble_columns, concat
 from repro.utils.random import check_random_state
@@ -99,11 +100,12 @@ class GenerativeRegressionNetwork(FeatureInferenceAttack):
         comes from the restored rng position, including the fresh noise
         draw :meth:`reconstruct` makes after training.
     tracer:
-        Optional :class:`~repro.telemetry.Tracer`. When attached, the
-        epoch loop emits a ``grna.epoch`` event per epoch and each
-        snapshot a ``checkpoint.snapshot`` event; the tracer's own
-        counters ride the snapshot, so a resumed run's trace continues
-        the interrupted one record for record.
+        Optional :class:`~repro.telemetry.Tracer`. The epoch loop emits
+        a ``grna.epoch`` event per epoch and each snapshot a
+        ``checkpoint.snapshot`` event; a real tracer's counters ride the
+        snapshot, so a resumed run's trace continues the interrupted one
+        record for record. ``None`` (default) stores
+        :data:`~repro.telemetry.NULL_TRACER`, which records nothing.
     """
 
     def __init__(
@@ -164,7 +166,7 @@ class GenerativeRegressionNetwork(FeatureInferenceAttack):
         self.output_activation = output_activation
         self.clip_to_unit = bool(clip_to_unit)
         self.checkpoint = checkpoint
-        self.tracer = tracer
+        self.tracer = tracer or NULL_TRACER
         self.rng = check_random_state(rng)
         self.generator_ = None
         self._direct_estimate: Parameter | None = None
@@ -194,10 +196,7 @@ class GenerativeRegressionNetwork(FeatureInferenceAttack):
         X_adv, V = self._validate_inputs(X_adv, V)
         frozen = self._freeze_model()
         try:
-            if self.use_generator:
-                self._fit_generator(X_adv, V)
-            else:
-                self._fit_direct(X_adv, V)
+            self._train(X_adv, V)
         finally:
             self._restore_model(frozen)
         return self
@@ -328,7 +327,7 @@ class GenerativeRegressionNetwork(FeatureInferenceAttack):
         return content_fingerprint(
             {
                 "attack": "grna",
-                "telemetry": self.tracer is not None,
+                "telemetry": self.tracer.enabled,
                 "model": {
                     "class": type(self.model).__name__,
                     "n_features": self.model.n_features_,
@@ -350,14 +349,20 @@ class GenerativeRegressionNetwork(FeatureInferenceAttack):
             }
         )
 
-    def _fit_fragments(self, optimizer) -> dict:
-        """Everything the epoch loop needs to continue bit-identically."""
+    def _fit_fragments(self, optimizer, epoch: int) -> dict:
+        """Everything the epoch loop needs to continue bit-identically.
+
+        Logs the ``checkpoint.snapshot`` event *before* capturing the
+        tracer, so the captured seq counts it and a resumed run's trace
+        lines up record for record with the interrupted one.
+        """
+        self.tracer.event("checkpoint.snapshot", scope="grna", epoch=epoch)
         fragments = {
             "rng": capture_state(self.rng),
             "optimizer": capture_state(optimizer),
             "progress": raw_fragment(meta={"loss_history": list(self.loss_history_)}),
         }
-        if self.tracer is not None:
+        if self.tracer.enabled:
             fragments["telemetry"] = capture_state(self.tracer)
         if self.use_generator:
             fragments["generator"] = raw_fragment(
@@ -398,7 +403,7 @@ class GenerativeRegressionNetwork(FeatureInferenceAttack):
             float(x) for x in snapshot.fragment("progress")["meta"]["loss_history"]
         ]
         if "telemetry" in snapshot.fragments:
-            if self.tracer is None:
+            if not self.tracer.enabled:
                 raise CheckpointError(
                     "snapshot holds tracer state but this attack has no "
                     "tracer attached; rerun with the same telemetry knob "
@@ -407,59 +412,49 @@ class GenerativeRegressionNetwork(FeatureInferenceAttack):
             restore_state(self.tracer, snapshot.fragment("telemetry"))
         return int(snapshot.meta["epoch"]) + 1
 
-    def _fit_generator(self, X_adv: np.ndarray, V: np.ndarray) -> None:
-        self.generator_ = self._build_generator()
-        optimizer = make_optimizer(
-            self.optimizer_name, self.generator_.parameters(), self.lr
-        )
-        self.loss_history_ = []
+    def _train(self, X_adv: np.ndarray, V: np.ndarray) -> None:
+        """The epoch loop, shared by the generator and the direct estimate.
+
+        Table III case 4 (``use_generator=False``) optimizes x̂_target
+        directly: one free row per sample, no generator network.
+        """
         n = X_adv.shape[0]
-        self._input_buffer = np.empty(
-            (min(self.batch_size, n), self._generator_input_width())
-        )
+        if self.use_generator:
+            self.generator_ = self._build_generator()
+            params = self.generator_.parameters()
+            loss = self._generator_loss
+            self._input_buffer = np.empty(
+                (min(self.batch_size, n), self._generator_input_width())
+            )
+        else:
+            self._direct_estimate = Parameter(
+                self.rng.normal(0.0, 1.0, size=(n, self.view.d_target))
+            )
+            params = [self._direct_estimate]
+            loss = self._direct_loss
+        optimizer = make_optimizer(self.optimizer_name, params, self.lr)
+        self.loss_history_ = []
         start_epoch = self._resume_epoch(optimizer, X_adv, V)
-        step = TrainStep(self._generator_loss, optimizer)
+        step = TrainStep(loss, optimizer)
         for epoch in range(start_epoch, self.epochs):
             epoch_loss, n_batches = 0.0, 0
             for idx in batch_indices(n, self.batch_size, rng=self.rng):
-                x_adv_batch = X_adv[idx]
-                z = self._generator_batch_input(x_adv_batch)
-                epoch_loss += step(z, x_adv_batch, V[idx])
+                epoch_loss += step(*self._step_inputs(idx, X_adv, V))
                 n_batches += 1
             self.loss_history_.append(epoch_loss / max(n_batches, 1))
-            self._trace_epoch(epoch)
+            self.tracer.event("grna.epoch", epoch=epoch, loss=self.loss_history_[-1])
             if self.checkpoint is not None:
                 self.checkpoint.maybe_emit(
                     epoch,
-                    self._traced_fragments(optimizer, epoch),
+                    lambda: self._fit_fragments(optimizer, epoch),
                     meta={"epoch": epoch},
                 )
 
-    def _fit_direct(self, X_adv: np.ndarray, V: np.ndarray) -> None:
-        """Table III case 4: optimize x̂_target directly, no generator."""
-        n = X_adv.shape[0]
-        self._direct_estimate = Parameter(
-            self.rng.normal(0.0, 1.0, size=(n, self.view.d_target))
-        )
-        optimizer = make_optimizer(
-            self.optimizer_name, [self._direct_estimate], self.lr
-        )
-        self.loss_history_ = []
-        start_epoch = self._resume_epoch(optimizer, X_adv, V)
-        step = TrainStep(self._direct_loss, optimizer)
-        for epoch in range(start_epoch, self.epochs):
-            epoch_loss, n_batches = 0.0, 0
-            for idx in batch_indices(n, self.batch_size, rng=self.rng):
-                epoch_loss += step(idx, X_adv[idx], V[idx])
-                n_batches += 1
-            self.loss_history_.append(epoch_loss / max(n_batches, 1))
-            self._trace_epoch(epoch)
-            if self.checkpoint is not None:
-                self.checkpoint.maybe_emit(
-                    epoch,
-                    self._traced_fragments(optimizer, epoch),
-                    meta={"epoch": epoch},
-                )
+    def _step_inputs(self, idx: np.ndarray, X_adv: np.ndarray, V: np.ndarray) -> tuple:
+        """One batch's step inputs: ``(z | idx, x_adv, v)`` for the loss."""
+        x_adv_batch = X_adv[idx]
+        head = self._generator_batch_input(x_adv_batch) if self.use_generator else idx
+        return head, x_adv_batch, V[idx]
 
     def _generator_loss(self, z: Tensor, x_adv_batch: Tensor, v_batch: Tensor) -> Tensor:
         """One generator batch's loss: G(z) scored through the frozen model."""
@@ -470,28 +465,6 @@ class GenerativeRegressionNetwork(FeatureInferenceAttack):
         return self._prediction_loss(
             x_adv_batch, self._direct_estimate.take_rows(idx), v_batch
         )
-
-    def _trace_epoch(self, epoch: int) -> None:
-        if self.tracer is not None:
-            self.tracer.event(
-                "grna.epoch", epoch=epoch, loss=self.loss_history_[-1]
-            )
-
-    def _traced_fragments(self, optimizer, epoch: int):
-        """Snapshot builder that logs the snapshot it rides in.
-
-        The ``checkpoint.snapshot`` event fires inside the lazily-called
-        closure *before* the fragments (and the tracer's own counters)
-        are captured, so the captured seq counts it and a resumed run's
-        trace lines up record for record with the interrupted one.
-        """
-
-        def fragments() -> dict:
-            if self.tracer is not None:
-                self.tracer.event("checkpoint.snapshot", scope="grna", epoch=epoch)
-            return self._fit_fragments(optimizer)
-
-        return fragments
 
     # ------------------------------------------------------------------
     # Inference

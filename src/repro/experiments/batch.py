@@ -34,6 +34,7 @@ from repro.experiments.spec import (
     get_experiment_spec,
 )
 from repro.experiments.store import ResultsStore, RunSummary
+from repro.telemetry import NULL_TRACER
 
 ProgressFn = Callable[[str], None]
 
@@ -107,11 +108,12 @@ def run_batch(
     scale = get_scale(scale)
     units = ensure_unique_unit_ids(experiment.trial_units(scale))
 
+    tracer = tracer or NULL_TRACER
+
     def trace_unit(unit_id: str, status: str) -> None:
-        if tracer is not None:
-            tracer.event("batch.unit", unit=unit_id, status=status)
-            if status == "hit":
-                tracer.count("batch.cache_hits")
+        tracer.event("batch.unit", unit=unit_id, status=status)
+        if status == "hit":
+            tracer.count("batch.cache_hits")
 
     def lookup(spec: TrialSpec, digest: str) -> "dict | None":
         if store is None or force:

@@ -51,6 +51,7 @@ from repro.federation.scheduler import RoundScheduler, make_scheduler
 from repro.federation.transport import Transport
 from repro.models.base import BaseClassifier
 from repro.resilience import DEGRADATIONS, ResilienceState, RetryPolicy
+from repro.telemetry import NULL_TRACER
 
 __all__ = ["FederationRuntime", "train_vertical_runtime"]
 
@@ -159,7 +160,8 @@ class FederationRuntime:
         quorum-degraded rounds. When the resilient exchange is engaged,
         the simulated clock is bound as the tracer's time source, so
         span ``sim`` seconds track protocol latency. ``None`` (default)
-        traces nothing.
+        stores :data:`~repro.telemetry.NULL_TRACER`: the same calls, no
+        records.
     """
 
     def __init__(
@@ -204,12 +206,12 @@ class FederationRuntime:
         self.resilience: "ResilienceState | None" = (
             ResilienceState() if engaged else None
         )
-        self.tracer = tracer
-        if tracer is not None and self.resilience is not None:
+        self.tracer = tracer or NULL_TRACER
+        if self.resilience is not None:
             # Read through self.resilience on every tick: a checkpoint
             # restore replaces the SimClock object, and a captured
             # reference would keep reporting the dead clock.
-            tracer.bind_clock(lambda: self.resilience.clock.now)
+            self.tracer.bind_clock(lambda: self.resilience.clock.now)
         self._active = ActivePartyNode(vfl.parties[0], self.transport, self.faults)
         self._passives = [
             PassivePartyNode(party, self.transport, self.faults)
@@ -289,21 +291,18 @@ class FederationRuntime:
     # ------------------------------------------------------------------
     def _exchange(self, kind: str, rows: np.ndarray) -> dict[int, np.ndarray]:
         """One protocol round over this deployment (see :func:`_exchange_round`)."""
-        if self.tracer is None:
-            return self._exchange_inner(kind, rows)
         with self.tracer.span(
             "federation.round", message=kind, rows=int(rows.size)
         ) as span:
-            blocks = self._exchange_inner(kind, rows)
+            if self.resilience is not None:
+                blocks = self._resilient_round(kind, rows)
+            else:
+                blocks = _exchange_round(
+                    self.transport, self.scheduler, self._active, self._passives,
+                    rows, kind,
+                )
             span["parties"] = len(blocks)
             return blocks
-
-    def _exchange_inner(self, kind: str, rows: np.ndarray) -> dict[int, np.ndarray]:
-        if self.resilience is not None:
-            return self._resilient_round(kind, rows)
-        return _exchange_round(
-            self.transport, self.scheduler, self._active, self._passives, rows, kind
-        )
 
     def _resilient_round(self, kind: str, rows: np.ndarray) -> dict[int, np.ndarray]:
         """One request/reply exchange under retries, timeouts, and quorum.
@@ -333,13 +332,12 @@ class FederationRuntime:
                     break
                 if attempt > 0:
                     transport.ledger.record_retries(len(pending))
-                    if self.tracer is not None:
-                        self.tracer.event(
-                            "resilience.retry_wave",
-                            round=int(round_id),
-                            attempt=attempt,
-                            pending=[int(p) for p in pending],
-                        )
+                    self.tracer.event(
+                        "resilience.retry_wave",
+                        round=int(round_id),
+                        attempt=attempt,
+                        pending=[int(p) for p in pending],
+                    )
                     resilience.clock.advance(
                         max(policy.backoff(p, round_id, attempt) for p in pending)
                     )
@@ -484,13 +482,12 @@ class FederationRuntime:
                 "strategy": self.degradation,
             }
         )
-        if self.tracer is not None:
-            self.tracer.event(
-                "federation.degraded",
-                round=int(round_id),
-                missing=[int(p) for p in missing],
-                strategy=self.degradation,
-            )
+        self.tracer.event(
+            "federation.degraded",
+            round=int(round_id),
+            missing=[int(p) for p in missing],
+            strategy=self.degradation,
+        )
         return blocks
 
     def _passive_by_id(self, party_id: int) -> PassivePartyNode:
@@ -542,7 +539,7 @@ class FederationRuntime:
         self.scheduler.close()
 
     def __repr__(self) -> str:
-        spans = 0 if self.tracer is None else self.tracer.records_emitted
+        spans = self.tracer.records_emitted
         degraded = (
             0 if self.resilience is None else len(self.resilience.availability)
         )

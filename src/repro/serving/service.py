@@ -83,6 +83,7 @@ from repro.models.base import BaseClassifier
 from repro.resilience import BreakerPolicy, CircuitBreaker
 from repro.serving.cache import ResponseCache
 from repro.serving.ledger import QueryLedger
+from repro.telemetry import NULL_TRACER
 from repro.utils.validation import check_positive_int
 
 __all__ = ["PredictionService", "QueryContext"]
@@ -187,8 +188,9 @@ class PredictionService:
         per protocol round, ``breaker.transition`` events whenever a
         consumer's breaker changes state, ``checkpoint.snapshot``
         events on checkpointed accumulation, and cache-hit/refusal
-        counters. ``None`` (default) traces nothing and adds no work
-        on the hot path.
+        counters. ``None`` (default) stores
+        :data:`~repro.telemetry.NULL_TRACER`, whose spans and events do
+        nothing, so traced and untraced queries run the same code.
     """
 
     def __init__(
@@ -246,7 +248,7 @@ class PredictionService:
         self.exhaustion = exhaustion
         self.breaker_policy = BreakerPolicy.from_spec(breaker)
         self._breakers: dict[str, CircuitBreaker] = {}
-        self.tracer = tracer
+        self.tracer = tracer or NULL_TRACER
         # Fingerprint chunks once, here, when any stacked defense consumes
         # hashes (e.g. query_audit) — not once per defense per chunk.
         self._wants_hashes = defense_stack is not None and any(
@@ -345,63 +347,44 @@ class PredictionService:
         indices = np.asarray(sample_indices, dtype=np.int64).ravel()
         if indices.size == 0:
             raise ProtocolError("prediction request with no sample ids")
-        if self.tracer is None:
-            return self._query_gated(indices, consumer, checkpoint)
         with self.tracer.span(
             "serving.query", consumer=consumer, rows=int(indices.size)
         ) as span:
-            result = self._query_gated(indices, consumer, checkpoint)
+            if self.breaker_policy is None:
+                result = self._query_dispatch(indices, consumer, checkpoint)
+            else:
+                breaker = self._breaker_for(consumer)
+                if not self._trace_breaker(consumer, breaker, breaker.allow):
+                    self.tracer.count("serving.refusals")
+                    raise ServiceUnavailableError(
+                        f"circuit breaker for consumer {consumer!r} is open after "
+                        f"{breaker.failures} consecutive runtime failure(s); "
+                        f"{breaker.cooldown_left} more refusal(s) before a half-open "
+                        "probe is allowed"
+                    )
+                try:
+                    result = self._query_dispatch(indices, consumer, checkpoint)
+                except PartyUnavailableError as exc:
+                    self._trace_breaker(consumer, breaker, breaker.record_failure)
+                    raise ServiceUnavailableError(
+                        f"query for consumer {consumer!r} failed against the "
+                        f"federation runtime ({exc}); the circuit breaker is now "
+                        f"{breaker.state!r}"
+                    ) from exc
+                self._trace_breaker(consumer, breaker, breaker.record_success)
             span["served"] = int(result.shape[0])
             return result
 
-    def _query_gated(
-        self,
-        indices: np.ndarray,
-        consumer: str,
-        checkpoint: "CheckpointPlan | None",
-    ) -> np.ndarray:
-        """The breaker gate in front of the query body."""
-        if self.breaker_policy is None:
-            return self._query_dispatch(indices, consumer, checkpoint)
-        breaker = self._breaker_for(consumer)
-        before = breaker.state
-        allowed = breaker.allow()
-        self._trace_breaker(consumer, breaker, before)
-        if not allowed:
-            if self.tracer is not None:
-                self.tracer.count("serving.refusals")
-            raise ServiceUnavailableError(
-                f"circuit breaker for consumer {consumer!r} is open after "
-                f"{breaker.failures} consecutive runtime failure(s); "
-                f"{breaker.cooldown_left} more refusal(s) before a half-open "
-                "probe is allowed"
-            )
-        try:
-            result = self._query_dispatch(indices, consumer, checkpoint)
-        except PartyUnavailableError as exc:
-            before = breaker.state
-            breaker.record_failure()
-            self._trace_breaker(consumer, breaker, before)
-            raise ServiceUnavailableError(
-                f"query for consumer {consumer!r} failed against the "
-                f"federation runtime ({exc}); the circuit breaker is now "
-                f"{breaker.state!r}"
-            ) from exc
-        before = breaker.state
-        breaker.record_success()
-        self._trace_breaker(consumer, breaker, before)
-        return result
-
-    def _trace_breaker(
-        self, consumer: str, breaker: CircuitBreaker, before: str
-    ) -> None:
-        """Emit a ``breaker.transition`` event when the state moved.
+    def _trace_breaker(self, consumer: str, breaker: CircuitBreaker, operation):
+        """Run one breaker ``operation``; emit ``breaker.transition`` if it moved.
 
         The breaker lives one DAG rank below telemetry, so the serving
         layer observes transitions from outside rather than having the
         breaker report upward.
         """
-        if self.tracer is not None and breaker.state != before:
+        before = breaker.state
+        outcome = operation()
+        if breaker.state != before:
             self.tracer.event(
                 "breaker.transition",
                 consumer=consumer,
@@ -409,6 +392,7 @@ class PredictionService:
                 to_state=breaker.state,
                 failures=breaker.failures,
             )
+        return outcome
 
     def _breaker_for(self, consumer: str) -> CircuitBreaker:
         """The (lazily created) breaker gating ``consumer``'s queries."""
@@ -423,25 +407,37 @@ class PredictionService:
         consumer: str,
         checkpoint: "CheckpointPlan | None",
     ) -> np.ndarray:
-        """The pre-breaker query body: batching, metering, caching."""
-        if checkpoint is not None:
-            return self._query_checkpointed(indices, consumer, checkpoint)
+        """The pre-breaker query body: batching, metering, caching.
+
+        The one accumulation loop: a plan, when given, resumes it and
+        snapshots each chunk boundary; without one it is never consulted.
+        """
         blocks: list[np.ndarray] = []
         step = self.max_batch or indices.size
-        for start in range(0, indices.size, step):
+        start_pos = 0
+        if checkpoint is not None:
+            blocks, start_pos = self._resume_query(indices, consumer, checkpoint)
+        for start in range(start_pos, indices.size, step):
             try:
                 block, exhausted = self._serve_chunk(
                     indices[start : start + step], consumer
                 )
             except CommBudgetExceededError:
-                if self.exhaustion == "truncate":
-                    # The refused round's query charge was refunded by
-                    # _serve_chunk; bytes already moved stay on the comm
-                    # ledger — partial traffic is genuinely spent.
-                    break
-                raise
+                if self.exhaustion != "truncate":
+                    raise
+                # The refused round's query charge was refunded by
+                # _serve_chunk; bytes already moved stay on the comm
+                # ledger — partial traffic is genuinely spent.
+                block, exhausted = np.empty((0, self.n_classes)), True
             if block.size:
                 blocks.append(block)
+            if checkpoint is not None:
+                chunk_index = start // step
+                checkpoint.maybe_emit(
+                    chunk_index,
+                    lambda: self._chunk_fragments(chunk_index, blocks),
+                    meta={"next_start": start + step, "done": exhausted},
+                )
             if exhausted:
                 break
         if not blocks:
@@ -470,7 +466,7 @@ class PredictionService:
             serving["breaker"] = self.breaker_policy.to_payload()
         # Same rule for telemetry: traced and untraced runs may not
         # share snapshots (the trace would silently lose records).
-        if self.tracer is not None:
+        if self.tracer.enabled:
             serving["telemetry"] = True
         return content_fingerprint(
             {
@@ -502,7 +498,7 @@ class PredictionService:
         if self.breaker_policy is not None:
             for name, breaker in self._breakers.items():
                 fragments[f"breaker:{name}"] = capture_state(breaker)
-        if self.tracer is not None:
+        if self.tracer.enabled:
             fragments["telemetry"] = capture_state(self.tracer)
         return fragments
 
@@ -559,7 +555,7 @@ class PredictionService:
                 )
             restore_state(self.rng, fragments["rng"])
         if "telemetry" in fragments:
-            if self.tracer is None:
+            if not self.tracer.enabled:
                 raise CheckpointError(
                     "snapshot holds tracer state but this service has no "
                     "tracer attached; rerun with the same telemetry knob "
@@ -567,8 +563,11 @@ class PredictionService:
                 )
             restore_state(self.tracer, fragments["telemetry"])
 
-    def _query_fragments(self, blocks: "list[np.ndarray]") -> dict:
+    def _chunk_fragments(self, chunk_index: int, blocks: "list[np.ndarray]") -> dict:
         """Snapshot fragments for one chunk boundary of an accumulation."""
+        # The snapshot event precedes the tracer capture, so the captured
+        # seq counts it and a resumed trace lines up record for record.
+        self.tracer.event("checkpoint.snapshot", scope="serving", chunk=chunk_index)
         rows = (
             np.vstack(blocks) if blocks else np.empty((0, self.n_classes))
         )
@@ -577,16 +576,10 @@ class PredictionService:
             "rows": raw_fragment(arrays={"rows": rows}),
         }
 
-    def _restore_query_snapshot(self, snapshot) -> "tuple[list[np.ndarray], int, bool]":
-        """Reinstate a mid-accumulation snapshot onto this service."""
-        self.restore_serving_fragments(snapshot.fragments)
-        rows = snapshot.fragment("rows")["arrays"]["rows"]
-        blocks = [rows] if rows.size else []
-        return blocks, int(snapshot.meta["next_start"]), bool(snapshot.meta["done"])
-
-    def _query_checkpointed(
+    def _resume_query(
         self, indices: np.ndarray, consumer: str, checkpoint: CheckpointPlan
-    ) -> np.ndarray:
+    ) -> "tuple[list[np.ndarray], int]":
+        """Bind the plan and restore its latest snapshot: ``(blocks, start)``."""
         if self.defense_stack is not None and len(self.defense_stack):
             raise CheckpointError(
                 "checkpointed accumulation refuses a non-empty defense "
@@ -595,46 +588,14 @@ class PredictionService:
             )
         checkpoint.bind_fingerprint(self._query_fingerprint(indices, consumer))
         snapshot = checkpoint.latest()
-        blocks: list[np.ndarray] = []
-        start_pos, done = 0, False
-        if snapshot is not None:
-            blocks, start_pos, done = self._restore_query_snapshot(snapshot)
-        step = self.max_batch or indices.size
-        for chunk_index, start in enumerate(range(0, indices.size, step)):
-            if done or start < start_pos:
-                continue
-            exhausted = False
-            try:
-                block, exhausted = self._serve_chunk(
-                    indices[start : start + step], consumer
-                )
-            except CommBudgetExceededError:
-                if self.exhaustion != "truncate":
-                    raise
-                block = np.empty((0, self.n_classes))
-                exhausted = True
-            if block.size:
-                blocks.append(block)
-            done = exhausted
-
-            def fragments(chunk_index: int = chunk_index) -> dict:
-                # The snapshot event precedes the tracer capture inside
-                # _query_fragments, so the captured seq counts it and a
-                # resumed trace lines up record for record.
-                if self.tracer is not None:
-                    self.tracer.event(
-                        "checkpoint.snapshot", scope="serving", chunk=chunk_index
-                    )
-                return self._query_fragments(blocks)
-
-            checkpoint.maybe_emit(
-                chunk_index,
-                fragments,
-                meta={"next_start": start + step, "done": done},
-            )
-        if not blocks:
-            return np.empty((0, self.n_classes))
-        return np.vstack(blocks)
+        if snapshot is None:
+            return [], 0
+        self.restore_serving_fragments(snapshot.fragments)
+        rows = snapshot.fragment("rows")["arrays"]["rows"]
+        blocks = [rows] if rows.size else []
+        # A snapshot taken once the budget bound resumes past the end.
+        done = snapshot.meta["done"]
+        return blocks, indices.size if done else int(snapshot.meta["next_start"])
 
     def query_all(self, *, consumer: str = "anonymous") -> np.ndarray:
         """Query every sample of the prediction dataset."""
@@ -644,104 +605,97 @@ class PredictionService:
         self, chunk: np.ndarray, consumer: str
     ) -> tuple[np.ndarray, bool]:
         """Serve one ``max_batch``-sized chunk; True means budget exhausted."""
-        if self.tracer is None:
-            return self._serve_chunk_inner(chunk, consumer)
         with self.tracer.span(
             "serving.chunk", consumer=consumer, rows=int(chunk.size)
         ) as span:
-            block, exhausted = self._serve_chunk_inner(chunk, consumer)
-            span["served"] = int(block.shape[0])
-            span["exhausted"] = bool(exhausted)
-            return block, exhausted
-
-    def _serve_chunk_inner(
-        self, chunk: np.ndarray, consumer: str
-    ) -> tuple[np.ndarray, bool]:
-        hashes = (
-            self.vfl.sample_hashes(chunk)
-            if self._caches is not None or self._wants_hashes
-            else None
-        )
-        cache = None if self._caches is None else self._cache_for(consumer)
-        if cache is not None:
-            # A repeated sample id (or repeated content) within one chunk
-            # is a single chargeable computation; later occurrences replay.
-            miss_pos: list[int] = []
-            pending: set[str] = set()
-            for i, digest in enumerate(hashes):
-                if digest in cache or digest in pending:
-                    continue
-                miss_pos.append(i)
-                pending.add(digest)
-        else:
-            miss_pos = list(range(chunk.size))
-
-        granted = 0
-        if miss_pos:
-            if self.exhaustion == "raise":
-                granted = self.ledger.charge(len(miss_pos), consumer)
+            hashes = (
+                self.vfl.sample_hashes(chunk)
+                if self._caches is not None or self._wants_hashes
+                else None
+            )
+            cache = None if self._caches is None else self._cache_for(consumer)
+            if cache is not None:
+                # A repeated sample id (or repeated content) within one chunk
+                # is a single chargeable computation; later occurrences replay.
+                miss_pos: list[int] = []
+                pending: set[str] = set()
+                for i, digest in enumerate(hashes):
+                    if digest in cache or digest in pending:
+                        continue
+                    miss_pos.append(i)
+                    pending.add(digest)
             else:
-                granted = self.ledger.grant(len(miss_pos), consumer)
+                miss_pos = list(range(chunk.size))
 
-        # Positions past the first unserved miss are withheld (truncation).
-        cutoff = chunk.size if granted == len(miss_pos) else miss_pos[granted]
-        served_miss = miss_pos[:granted]
-        hit_pos = (
-            []
-            if cache is None
-            else sorted(set(range(cutoff)) - set(served_miss))
-        )
+            granted = 0
+            if miss_pos:
+                if self.exhaustion == "raise":
+                    granted = self.ledger.charge(len(miss_pos), consumer)
+                else:
+                    granted = self.ledger.grant(len(miss_pos), consumer)
 
-        computed = np.empty((0, self.n_classes))
-        if granted or hit_pos:
-            released = False
-            try:
-                if granted:
-                    computed = self._protocol_predict(chunk[served_miss])
-                computed = self._apply_on_query(
-                    computed, chunk, served_miss, hit_pos, hashes, consumer
-                )
-                released = True
-            finally:
-                # A refused batch released nothing; un-charge it so the
-                # ledger keeps meaning "responses the consumer received".
-                # try/finally instead of a broad except: the defense's
-                # refusal (or any genuine bug) propagates untouched.
-                if not released:
-                    self.ledger.refund(granted, consumer)
+            # Positions past the first unserved miss are withheld (truncation).
+            cutoff = chunk.size if granted == len(miss_pos) else miss_pos[granted]
+            served_miss = miss_pos[:granted]
+            hit_pos = (
+                []
+                if cache is None
+                else sorted(set(range(cutoff)) - set(served_miss))
+            )
 
-        if cache is None:
-            # No cache: the computed block is the response (hot path).
-            return computed, granted < chunk.size
+            computed = np.empty((0, self.n_classes))
+            if granted or hit_pos:
+                released = False
+                try:
+                    if granted:
+                        computed = self._protocol_predict(chunk[served_miss])
+                    computed = self._apply_on_query(
+                        computed, chunk, served_miss, hit_pos, hashes, consumer
+                    )
+                    released = True
+                finally:
+                    # A refused batch released nothing; un-charge it so the
+                    # ledger keeps meaning "responses the consumer received".
+                    # try/finally instead of a broad except: the defense's
+                    # refusal (or any genuine bug) propagates untouched.
+                    if not released:
+                        self.ledger.refund(granted, consumer)
 
-        # Stage every row this chunk releases before any insert: with an
-        # LRU bound, writing the computed rows could evict an entry a
-        # later position of this very chunk still replays.
-        staged: dict[str, np.ndarray] = {}
-        for position in hit_pos:
-            digest = hashes[position]
-            if digest not in staged and digest in cache:
-                staged[digest] = cache.get(digest)
-        rows = np.empty((cutoff, self.n_classes))
-        evicted = 0
-        next_miss = 0
-        for position in range(cutoff):
-            digest = hashes[position]
-            if next_miss < granted and position == served_miss[next_miss]:
-                row = computed[next_miss].copy()
-                staged[digest] = row
-                evicted += cache.put(digest, row)
-                next_miss += 1
-            # A non-miss position replays a stored row — or, for an
-            # intra-chunk duplicate, the row its first occurrence staged.
-            rows[position] = staged[digest]
-        if evicted:
-            self.ledger.record_evictions(evicted, consumer)
-        if hit_pos:
-            self.ledger.record_cache_hits(len(hit_pos), consumer)
-            if self.tracer is not None:
-                self.tracer.count("serving.cache_hits", len(hit_pos))
-        return rows, cutoff < chunk.size
+            if cache is None:
+                # No cache: the computed block is the response (hot path);
+                # every position is a miss, so cutoff == granted.
+                block = computed
+            else:
+                # Stage every row this chunk releases before any insert: with an
+                # LRU bound, writing the computed rows could evict an entry a
+                # later position of this very chunk still replays.
+                staged: dict[str, np.ndarray] = {}
+                for position in hit_pos:
+                    digest = hashes[position]
+                    if digest not in staged and digest in cache:
+                        staged[digest] = cache.get(digest)
+                block = np.empty((cutoff, self.n_classes))
+                evicted = 0
+                next_miss = 0
+                for position in range(cutoff):
+                    digest = hashes[position]
+                    if next_miss < granted and position == served_miss[next_miss]:
+                        row = computed[next_miss].copy()
+                        staged[digest] = row
+                        evicted += cache.put(digest, row)
+                        next_miss += 1
+                    # A non-miss position replays a stored row — or, for an
+                    # intra-chunk duplicate, the row its first occurrence staged.
+                    block[position] = staged[digest]
+                if evicted:
+                    self.ledger.record_evictions(evicted, consumer)
+                if hit_pos:
+                    self.ledger.record_cache_hits(len(hit_pos), consumer)
+                    self.tracer.count("serving.cache_hits", len(hit_pos))
+            exhausted = cutoff < chunk.size
+            span["served"] = int(block.shape[0])
+            span["exhausted"] = exhausted
+            return block, exhausted
 
     def _protocol_predict(self, indices: np.ndarray) -> np.ndarray:
         """Execute one protocol round at the service's canonical shape.
@@ -797,7 +751,7 @@ class PredictionService:
         return stack.on_query(responses, context)
 
     def __repr__(self) -> str:
-        spans = 0 if self.tracer is None else self.tracer.records_emitted
+        spans = self.tracer.records_emitted
         breakers = (
             "off"
             if self.breaker_policy is None

@@ -10,7 +10,8 @@ on the sequential and the threaded scheduler, or across shard counts,
 or killed and resumed, produces the same records. Wall-clock durations
 ride in a quarantined ``wall`` field sourced exclusively from
 :mod:`repro.telemetry.wall` (the lint timing tier's only telemetry
-member) and ignored by every determinism check.
+member) and ignored by every determinism check. Untraced code holds
+the do-nothing :data:`NULL_TRACER`, so instrumented code has one path.
 
 Records flow into a sink from :data:`TRACE_SINKS` — ``"memory"`` for
 tests and benchmarks, ``"jsonl"`` for durable traces (append-only,
@@ -29,19 +30,24 @@ from repro.telemetry.sinks import (
     TraceSink,
     load_trace,
 )
-from repro.telemetry.tracer import Tracer, TraceSpan, make_tracer
+from repro.telemetry.tracer import (
+    NULL_TRACER, NullTracer, Tracer, TraceSpan, check_telemetry_spec, make_tracer,
+)
 
 # Register the tracer checkpoint codec on package import, mirroring the
 # serving/resilience state modules.
 from repro.telemetry import state as _state  # noqa: F401
 
 __all__ = [
+    "NULL_TRACER",
+    "NullTracer",
     "TRACE_SINKS",
     "JsonlSink",
     "MemorySink",
     "TraceSink",
     "TraceSpan",
     "Tracer",
+    "check_telemetry_spec",
     "load_trace",
     "make_tracer",
 ]

@@ -15,6 +15,9 @@ Every record a tracer emits is a plain dict with a fixed schema::
      "attrs":  {<deterministic key/values set by the instrumentation>},
      "wall":   <wall-clock duration in seconds, or None>}
 
+Untraced code holds :data:`NULL_TRACER`, whose every call does
+nothing, so instrumented loops have one code path.
+
 Everything except ``wall`` is a pure function of (config, seed): ticks
 are a monotone counter advanced on every open/close/event, ``sim``
 seconds come from whatever clock callable the owner binds (the
@@ -37,11 +40,13 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.exceptions import CheckpointPause
+from repro.exceptions import CheckpointPause, ValidationError
 from repro.telemetry import wall as _wall
 from repro.telemetry.sinks import TRACE_SINKS, JsonlSink, MemorySink, TraceSink
 
-__all__ = ["Tracer", "TraceSpan", "make_tracer"]
+__all__ = [
+    "NULL_TRACER", "NullTracer", "Tracer", "TraceSpan", "check_telemetry_spec", "make_tracer",
+]
 
 
 class TraceSpan:
@@ -115,6 +120,10 @@ class Tracer:
         None on every record and no wall clock is ever consulted.
     """
 
+    #: Whether records are kept. Snapshot fingerprints and fragments
+    #: branch on it: traced state must never resume untraced.
+    enabled = True
+
     def __init__(self, sink: "TraceSink | None" = None, *, wall: bool = False) -> None:
         self.sink = sink if sink is not None else MemorySink()
         self.wall = bool(wall)
@@ -148,6 +157,10 @@ class Tracer:
     @step.setter
     def step(self, value: int) -> None:
         self._step = int(value)
+
+    def fork(self) -> "Tracer":
+        """A fresh memory-sink tracer with this ``wall`` flag, for a worker."""
+        return Tracer(MemorySink(), wall=self.wall)
 
     def _sim(self) -> "float | None":
         if self._clock is None:
@@ -270,19 +283,112 @@ class Tracer:
         self.sink.close()
 
 
-def make_tracer(spec: "bool | dict[str, Any] | None") -> "Tracer | None":
-    """Build a tracer from a ``ScenarioConfig.telemetry`` knob value.
+class _NullSpan:
+    """The one shared no-op span: attrs vanish, exceptions propagate."""
 
-    ``None``/``False`` → no tracer; ``True`` → memory sink, no wall;
-    a dict → ``{"sink": "memory" | "jsonl", "path": <jsonl file>,
-    "wall": <bool>}`` with memory/False defaults.
+    __slots__ = ()
+
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        pass  # returns None: never swallows, CheckpointPause included
+
+    def __setitem__(self, key: str, value: Any) -> None:
+        pass
+
+
+class _NullSink(TraceSink):
+    """The null tracer's sink: never receives a record."""
+
+    records: tuple = ()
+
+
+_NULL_SPAN = _NullSpan()
+
+
+class NullTracer:
+    """The untraced default: :class:`Tracer`'s surface, doing nothing.
+
+    Every ``tracer=None`` parameter stores the singleton
+    :data:`NULL_TRACER`, so instrumented code calls it unconditionally;
+    only snapshot fingerprints and fragments look at :attr:`enabled`.
     """
+
+    enabled = False
+    sink = _NullSink()
+    records_emitted = 0
+
+    @property
+    def step(self) -> int:
+        return 0
+
+    @step.setter
+    def step(self, value: int) -> None:
+        pass
+
+    def span(self, kind: str, **attrs: Any) -> _NullSpan:
+        return _NULL_SPAN
+
+    def event(self, kind: str, **attrs: Any) -> None:
+        pass
+
+    def count(self, name: str, n: int = 1) -> None:
+        pass
+
+    def bind_clock(self, clock: "Callable[[], float] | None") -> None:
+        pass
+
+    def fork(self) -> "NullTracer":
+        return self
+
+    def summary(self) -> dict[str, Any]:
+        return {}
+
+    def close(self) -> None:
+        pass
+
+
+#: The untraced default every ``tracer=None`` parameter stores.
+NULL_TRACER = NullTracer()
+
+
+def check_telemetry_spec(spec: Any) -> None:
+    """Validate a ``ScenarioConfig.telemetry`` knob value, building nothing.
+
+    ``None``/``False`` → untraced; ``True`` → memory sink, no wall; a
+    dict → ``{"sink": "memory" | "jsonl", "path": <jsonl file>,
+    "wall": <bool>}`` with memory/False defaults. Anything else raises
+    :class:`~repro.exceptions.ValidationError` naming the bad key.
+    """
+    if spec is None or isinstance(spec, bool):
+        return
+    if not isinstance(spec, dict):
+        raise ValidationError(
+            f"telemetry must be True/False/None or a sink dict, got {spec!r}"
+        )
+    unknown = sorted(set(spec) - {"sink", "path", "wall"})
+    if unknown:
+        raise ValidationError(
+            f"unknown telemetry key(s) {unknown}; allowed: sink, path, wall"
+        )
+    sink = spec.get("sink", "memory")
+    TRACE_SINKS.get(sink)  # choices-listing error on typos
+    if sink == "jsonl" and not spec.get("path"):
+        raise ValidationError("telemetry sink 'jsonl' needs a 'path'")
+
+
+def make_tracer(spec: "bool | dict[str, Any] | None") -> "Tracer | NullTracer":
+    """Build a tracer from a :func:`check_telemetry_spec`-valid knob value.
+
+    ``None``/``False`` → :data:`NULL_TRACER`; anything else → a :class:`Tracer`.
+    """
+    check_telemetry_spec(spec)
     if spec is None or spec is False:
-        return None
+        return NULL_TRACER
     if spec is True:
         return Tracer(MemorySink())
-    name = spec.get("sink", "memory")
-    sink_cls = TRACE_SINKS.get(name)
+    sink_cls = TRACE_SINKS.get(spec.get("sink", "memory"))
     if sink_cls is JsonlSink:
         sink: TraceSink = JsonlSink(spec["path"])
     else:

@@ -50,7 +50,7 @@ from repro.exceptions import (
 from repro.federated.model import VerticalFLModel
 from repro.serving.ledger import QueryLedger
 from repro.serving.service import PredictionService
-from repro.telemetry import MemorySink, Tracer
+from repro.telemetry import NULL_TRACER
 from repro.utils.random import spawn_rngs
 from repro.utils.validation import check_positive_int
 from repro.workload.trace import TrafficTrace
@@ -228,13 +228,14 @@ class ShardedPredictionService:
         refusal — the shard keeps serving its other consumers.
     tracer:
         Coordinator :class:`~repro.telemetry.Tracer` for the
-        ``workload.replay`` span. When given, every shard additionally
-        gets its **own** memory-sink tracer (share-nothing, like the
-        ledgers), stamped with the global trace event index as the
+        ``workload.replay`` span. Every shard gets its **own**
+        ``tracer.fork()`` (share-nothing, like the ledgers; same
+        ``wall`` flag), stamped with the global trace event index as the
         record ``step`` — :meth:`merged_trace` merges them back in
         ``(step, seq)`` order, which is invariant to both the replay
         mode and (on consumer-scoped ``(step, kind, attrs)`` content)
-        the shard count.
+        the shard count. ``None`` (default) means
+        :data:`~repro.telemetry.NULL_TRACER` for coordinator and shards.
     """
 
     def __init__(
@@ -256,7 +257,7 @@ class ShardedPredictionService:
         self.vfl = vfl
         self.n_shards = check_positive_int(n_shards, name="n_shards")
         self.defense_specs = tuple(defense_specs)
-        self.tracer = tracer
+        self.tracer = tracer or NULL_TRACER
         rngs = spawn_rngs(seed, self.n_shards)
         self.shards: list[PredictionService] = []
         for shard_rng in rngs:
@@ -279,7 +280,7 @@ class ShardedPredictionService:
                     breaker=breaker,
                     # Share-nothing telemetry: concurrent shard workers
                     # must never race one tracer's counters.
-                    tracer=Tracer(MemorySink()) if tracer is not None else None,
+                    tracer=self.tracer.fork(),
                 )
             )
 
@@ -340,75 +341,57 @@ class ShardedPredictionService:
                     "tallies are not snapshotted, so a resumed replay could "
                     "diverge silently"
                 )
-        if self.tracer is None:
-            return self._replay_inner(trace, mode, checkpoint)
         # The replay mode is deliberately not a span attr: the threaded
         # and the serial replay of one trace produce identical records.
         with self.tracer.span("workload.replay", events=int(trace.n_events)) as span:
-            report = self._replay_inner(trace, mode, checkpoint)
-            span["refused"] = int(sum(report.refusals.values()))
-            return report
+            pins = np.fromiter(
+                (shard_of(name, self.n_shards) for name in trace.names),
+                dtype=np.int64,
+                count=len(trace.names),
+            )
+            event_shards = pins[trace.consumer_ids]
+            shard_events = [
+                np.flatnonzero(event_shards == s) for s in range(self.n_shards)
+            ]
 
-    def _replay_inner(
-        self,
-        trace: TrafficTrace,
-        mode: str,
-        checkpoint: "CheckpointPlan | None",
-    ) -> WorkloadReport:
-        pins = np.fromiter(
-            (shard_of(name, self.n_shards) for name in trace.names),
-            dtype=np.int64,
-            count=len(trace.names),
-        )
-        event_shards = pins[trace.consumer_ids]
-        shard_events = [
-            np.flatnonzero(event_shards == s) for s in range(self.n_shards)
-        ]
-
-        was_logging = self.vfl.log_predictions
-        self.vfl.log_predictions = False
-        try:
-            self._warm_kernels()
-            start = time.perf_counter()
-            if checkpoint is not None:
-                refusal_maps = self._replay_checkpointed(
-                    trace, shard_events, checkpoint
-                )
-            elif mode == "serial" or self.n_shards == 1:
-                refusal_maps = [
-                    self._replay_shard(trace, s, shard_events[s])
-                    for s in range(self.n_shards)
-                ]
-            else:
-                with ThreadPoolExecutor(max_workers=self.n_shards) as pool:
-                    refusal_maps = list(
-                        pool.map(
-                            lambda s: self._replay_shard(
-                                trace, s, shard_events[s]
-                            ),
-                            range(self.n_shards),
+            was_logging = self.vfl.log_predictions
+            self.vfl.log_predictions = False
+            try:
+                self._warm_kernels()
+                start = time.perf_counter()
+                if mode == "serial" or self.n_shards == 1:
+                    refusal_maps = self._replay_serial(trace, shard_events, checkpoint)
+                else:
+                    with ThreadPoolExecutor(max_workers=self.n_shards) as pool:
+                        refusal_maps = list(
+                            pool.map(
+                                lambda s: self._replay_shard(
+                                    trace, s, shard_events[s]
+                                ),
+                                range(self.n_shards),
+                            )
                         )
-                    )
-            elapsed = time.perf_counter() - start
-        finally:
-            self.vfl.log_predictions = was_logging
+                elapsed = time.perf_counter() - start
+            finally:
+                self.vfl.log_predictions = was_logging
 
-        refusals: dict[str, int] = {}
-        for shard_refusals in refusal_maps:
-            refusals.update(shard_refusals)  # consumers pinned -> disjoint
-        return WorkloadReport(
-            n_shards=self.n_shards,
-            mode=mode,
-            trace=trace.as_dict(),
-            ledger=QueryLedger.merged(s.ledger for s in self.shards).as_dict(),
-            shard_ledgers=[s.ledger.as_dict() for s in self.shards],
-            refusals=refusals,
-            audit=self.audit_report(),
-            elapsed_s=elapsed,
-        )
+            refusals: dict[str, int] = {}
+            for shard_refusals in refusal_maps:
+                refusals.update(shard_refusals)  # consumers pinned -> disjoint
+            span["refused"] = int(sum(refusals.values()))
+            return WorkloadReport(
+                n_shards=self.n_shards,
+                mode=mode,
+                trace=trace.as_dict(),
+                ledger=QueryLedger.merged(s.ledger for s in self.shards).as_dict(),
+                shard_ledgers=[s.ledger.as_dict() for s in self.shards],
+                refusals=refusals,
+                audit=self.audit_report(),
+                elapsed_s=elapsed,
+            )
 
     # ------------------------------------------------------------------
-    # Checkpointed serial replay
+    # Serial (optionally checkpointed) replay
     # ------------------------------------------------------------------
     def _replay_fingerprint(self, trace: TrafficTrace) -> str:
         """Bind snapshots to this exact trace against this shard layout."""
@@ -432,7 +415,7 @@ class ShardedPredictionService:
                     ),
                     # Only when traced: the shard fragments then carry
                     # tracer counters an untraced resume would drop.
-                    **({"telemetry": True} if self.tracer is not None else {}),
+                    **({"telemetry": True} if self.tracer.enabled else {}),
                 },
                 "trace": {
                     "times": trace.times,
@@ -452,17 +435,23 @@ class ShardedPredictionService:
                 fragments[f"shard{s}:{name}"] = fragment
         return fragments
 
-    def _replay_checkpointed(
+    def _replay_serial(
         self,
         trace: TrafficTrace,
         shard_events: "list[np.ndarray]",
-        checkpoint: CheckpointPlan,
+        checkpoint: "CheckpointPlan | None",
     ) -> "list[dict[str, int]]":
-        """Serial replay with per-event snapshot boundaries and resume."""
-        checkpoint.bind_fingerprint(self._replay_fingerprint(trace))
-        snapshot = checkpoint.latest()
+        """Shard-by-shard replay on the calling thread; returns refusals.
+
+        A plan, when given, resumes from its latest snapshot and may
+        snapshot every event boundary; without one it is never consulted.
+        """
         refusal_maps: list[dict[str, int]] = [{} for _ in range(self.n_shards)]
         resume_shard, resume_cursor = 0, 0
+        snapshot = None
+        if checkpoint is not None:
+            checkpoint.bind_fingerprint(self._replay_fingerprint(trace))
+            snapshot = checkpoint.latest()
         if snapshot is not None:
             for s, service in enumerate(self.shards):
                 prefix = f"shard{s}:"
@@ -499,7 +488,7 @@ class ShardedPredictionService:
                 s,
                 shard_events[s],
                 start=start_cursor,
-                on_event=on_event,
+                on_event=None if checkpoint is None else on_event,
                 refused=refusal_maps[s],
             )
         return refusal_maps
@@ -532,11 +521,10 @@ class ShardedPredictionService:
             refused = {}
         for cursor in range(start, events.size):
             i = events[cursor]
-            if tracer is not None:
-                # Stamp the *global* trace event index, not the
-                # shard-local cursor: it survives re-pinning, so merged
-                # records can be compared across shard counts.
-                tracer.step = int(i)
+            # Stamp the *global* trace event index, not the shard-local
+            # cursor: it survives re-pinning, so merged records can be
+            # compared across shard counts.
+            tracer.step = int(i)
             name = names[consumer_ids[i]]
             try:
                 query(sample_ids[offsets[i] : offsets[i + 1]], consumer=name)
@@ -560,8 +548,7 @@ class ShardedPredictionService:
         """
         records: list[dict[str, Any]] = []
         for service in self.shards:
-            if service.tracer is not None:
-                records.extend(service.tracer.sink.records)
+            records.extend(service.tracer.sink.records)
         records.sort(key=lambda r: (r["step"], r["seq"]))
         return records
 

@@ -30,7 +30,9 @@ from repro.exceptions import (
     ScenarioError,
     ValidationError,
 )
+from repro.checkpoint import CheckpointPause, CheckpointPlan
 from repro.federated import FeaturePartition, train_vertical_model
+from repro.federation import FederationRuntime
 from repro.serving import PredictionService, QueryLedger
 from repro.utils.random import spawn_rngs
 
@@ -580,3 +582,56 @@ class TestScenarioIntegration:
                     batch_size=8,
                 )
             )
+
+
+class TestCheckpointedTruncation:
+    """One accumulation loop: checkpointed == plain when a budget truncates.
+
+    80 rows in chunks of 8. The query budget (30) binds mid-chunk 3 —
+    the ``exhausted`` return; the comm budget (five rounds of bytes)
+    binds on chunk 5 — the refused-round :class:`CommBudgetExceededError`.
+    ``halt_after`` either pauses mid-accumulation or exactly at the
+    binding chunk, whose snapshot records ``done``.
+    """
+
+    ROWS = np.arange(80)
+
+    @staticmethod
+    def service(bind):
+        X, y = make_blobs(n=240, seed=0)
+        partition = FeaturePartition.adversary_target(6, 0.4, rng=0)
+        model = make_model("lr", TINY, spawn_rngs(0, 1)[0])
+        vfl = train_vertical_model(model, X[:120], y[:120], X[120:], y[120:], partition)
+        runtime = FederationRuntime(vfl)
+        runtime.ledger.byte_budget = (
+            runtime.estimate_predict_bytes(40, max_batch=8) if bind == "comm" else None
+        )
+        return PredictionService(
+            vfl,
+            runtime=runtime,
+            query_budget=30 if bind == "query" else None,
+            max_batch=8,
+            exhaustion="truncate",
+        )
+
+    def run(self, bind, plan=None):
+        service = self.service(bind)
+        rows = service.query(self.ROWS, consumer="adv", checkpoint=plan)
+        return rows, service.ledger.as_dict(), service.runtime.ledger.as_dict()
+
+    @pytest.mark.parametrize(
+        "bind, halt_after", [("query", 2), ("query", 4), ("comm", 2), ("comm", 6)]
+    )
+    def test_fresh_checkpointed_and_resumed_agree(self, bind, halt_after, tmp_path):
+        plain = self.run(bind)
+        # The binding chunk is the last protocol round attempted.
+        assert plain[0].shape[0] == (30 if bind == "query" else 40)
+        assert plain[2]["rounds"] == (4 if bind == "query" else 6)
+        checkpointed = self.run(bind, CheckpointPlan(tmp_path / "fresh"))
+        with pytest.raises(CheckpointPause):
+            self.run(bind, CheckpointPlan(tmp_path / "halted", halt_after=halt_after))
+        resumed = self.run(bind, CheckpointPlan(tmp_path / "halted"))
+        for other in (checkpointed, resumed):
+            assert np.array_equal(other[0], plain[0])
+            assert other[1] == plain[1]
+            assert other[2] == plain[2]

@@ -7,6 +7,7 @@ ignored by every comparison.
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -22,14 +23,17 @@ from repro.exceptions import (
     CheckpointPause,
     ScenarioError,
     TelemetryError,
+    ValidationError,
 )
 from repro.experiments import ResultsStore, run_batch
 from repro.federation import FederationRuntime
 from repro.serving import PredictionService
 from repro.telemetry import (
+    NULL_TRACER,
     TRACE_SINKS,
     JsonlSink,
     MemorySink,
+    NullTracer,
     Tracer,
     load_trace,
     make_tracer,
@@ -131,18 +135,95 @@ class TestTracerCore:
         assert list(summary["by_kind"]) == ["a.kind", "b.kind"]  # sorted
 
     def test_make_tracer_specs(self, tmp_path):
-        assert make_tracer(None) is None
-        assert make_tracer(False) is None
+        assert make_tracer(None) is NULL_TRACER
+        assert make_tracer(False) is NULL_TRACER
         assert isinstance(make_tracer(True).sink, MemorySink)
         jsonl = make_tracer({"sink": "jsonl", "path": tmp_path / "t.jsonl"})
         assert isinstance(jsonl.sink, JsonlSink)
         jsonl.close()
         assert make_tracer({"wall": True}).wall is True
-        with pytest.raises(Exception):
+        with pytest.raises(ValidationError, match="nope"):
             make_tracer({"sink": "nope"})
+
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ({"sink": "jsonl"}, "path"),
+            ({"sinc": "jsonl", "wal": True}, "sinc"),
+            ({"sinc": "jsonl", "wal": True}, "wal"),
+            ("yes", "telemetry"),
+        ],
+    )
+    def test_make_tracer_names_the_bad_key(self, spec, key):
+        with pytest.raises(ValidationError, match=key):
+            make_tracer(spec)
 
     def test_sink_registry_names(self):
         assert set(TRACE_SINKS.names()) >= {"memory", "jsonl"}
+
+
+# ----------------------------------------------------------------------
+# Null tracer
+# ----------------------------------------------------------------------
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+
+def instrumented_tracer_attrs():
+    """Every ``tracer.<attr>`` that code outside the telemetry layer uses."""
+    attrs = set()
+    for path in SRC.rglob("*.py"):
+        if "telemetry" not in path.parts:
+            attrs.update(re.findall(r"\btracer\.(\w+)", path.read_text()))
+    return attrs
+
+
+class TestNullTracer:
+    def test_covers_every_instrumented_call(self):
+        attrs = instrumented_tracer_attrs()
+        assert {"span", "event", "count", "step", "enabled"} <= attrs
+        for name in attrs:
+            assert hasattr(Tracer(), name), name
+            assert hasattr(NULL_TRACER, name), name
+
+    def test_does_nothing(self):
+        tracer = NullTracer()
+        with tracer.span("work", x=1) as span:
+            span["served"] = 3
+            tracer.event("ping", n=1)
+            tracer.count("hits", 2)
+        tracer.bind_clock(lambda: 1.0)
+        tracer.step = 9
+        tracer.close()
+        assert tracer.step == 0
+        assert tracer.records_emitted == 0
+        assert tracer.summary() == {}
+        assert tracer.sink.records == ()
+        assert tracer.fork() is tracer
+        assert not tracer.enabled and Tracer().enabled
+
+    def test_one_shared_span(self):
+        assert NULL_TRACER.span("a") is NULL_TRACER.span("b", x=1)
+
+    @pytest.mark.parametrize("exc", [ValueError, CheckpointPause])
+    def test_exceptions_propagate(self, exc):
+        with pytest.raises(exc):
+            with NULL_TRACER.span("work"):
+                raise exc("boom")
+
+    def test_no_tracer_none_forks_left(self):
+        forks = [
+            f"{path.relative_to(SRC)}:{n}"
+            for path in SRC.rglob("*.py")
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(r"tracer is (not )?None", line)
+        ]
+        assert forks == []
+
+    def test_none_stores_the_null_tracer(self):
+        vfl = served_vfl()
+        runtime = FederationRuntime(vfl)
+        assert runtime.tracer is NULL_TRACER
+        assert PredictionService(vfl, runtime=runtime).tracer is NULL_TRACER
 
 
 # ----------------------------------------------------------------------
@@ -245,7 +326,7 @@ class TestScenarioTelemetry:
         off = run_scenario(ScenarioConfig(**CFG))
         on = run_scenario(ScenarioConfig(**CFG, telemetry=True))
         assert off.telemetry == {}
-        assert off.scenario.tracer is None
+        assert off.scenario.tracer is NULL_TRACER
         assert on.metrics == off.metrics
         assert on.queries_used == off.queries_used
 
@@ -308,7 +389,7 @@ class TestScenarioTelemetry:
         "spec", ["yes", {"sink": "nope"}, {"sink": "jsonl"}, {"bogus": 1}]
     )
     def test_bad_specs_fail_fast(self, spec):
-        with pytest.raises(Exception):
+        with pytest.raises(ValidationError):
             run_scenario(ScenarioConfig(**CFG, telemetry=spec))
 
     def test_resumed_trace_concatenates_bit_identically(self, tmp_path):
@@ -348,11 +429,11 @@ def served_vfl():
     return _VFL_CACHE["vfl"]
 
 
-def replay_traced(n_shards, mode="serial"):
+def replay_traced(n_shards, mode="serial", wall=False):
     vfl = served_vfl()
     trace = make_trace(5, 40, n_samples=vfl.n_samples, batch_size=4, seed=7)
     service = ShardedPredictionService(
-        vfl, n_shards=n_shards, cache=True, tracer=Tracer()
+        vfl, n_shards=n_shards, cache=True, tracer=Tracer(wall=wall)
     )
     report = service.replay(trace, mode=mode)
     return report, service
@@ -380,11 +461,22 @@ class TestShardedTelemetry:
         key = lambda recs: [(r["step"], r["kind"], r["attrs"]) for r in recs]
         assert key(sharded.merged_trace()) == key(baseline.merged_trace())
 
+    @pytest.mark.parametrize("n_shards", [1, 3])
+    def test_shards_inherit_the_wall_flag(self, n_shards):
+        _, walled = replay_traced(n_shards, wall=True)
+        _, plain = replay_traced(n_shards)
+        spans = [r for r in walled.merged_trace() if r["type"] == "span"]
+        assert spans and all(isinstance(r["wall"], float) for r in spans)
+        key = lambda recs: [(r["step"], r["kind"], r["attrs"]) for r in recs]
+        assert key(walled.merged_trace()) == key(plain.merged_trace())
+        _, single = replay_traced(1, wall=True)
+        assert key(walled.merged_trace()) == key(single.merged_trace())
+
     def test_untraced_replay_has_no_tracers(self):
         vfl = served_vfl()
         service = ShardedPredictionService(vfl, n_shards=2)
-        assert service.tracer is None
-        assert all(shard.tracer is None for shard in service.shards)
+        assert service.tracer is NULL_TRACER
+        assert all(shard.tracer is NULL_TRACER for shard in service.shards)
         assert service.merged_trace() == []
 
 
