@@ -9,7 +9,8 @@ this is a regression gate, not a printout::
 
 Modes benchmarked (4-party LR deployment, batched prediction rounds):
 
-- ``fault-free``: the legacy exchange, no resilience engaged;
+- ``fault-free``: the fail-fast default round (one attempt, no quorum),
+  nothing engaged;
 - ``storm-sequential``: flaky+timeout storm, retries and quorum
   degradation on the sequential scheduler;
 - ``storm-threaded``: the same storm on the threaded scheduler.

@@ -1,4 +1,4 @@
-"""Fault-storm smoke: the resilient exchange is deterministic end to end.
+"""Fault-storm smoke: the protocol round is deterministic end to end.
 
 Two claims, checked in seconds on tiny data (the CI ``fault-storm`` job):
 
@@ -120,7 +120,7 @@ def main() -> int:
     print("PASS: mid-storm suspend/resume is bit-identical")
 
     # Guard the engagement rule itself: an all-defaults config must not
-    # carry an availability report (the resilient path never engaged).
+    # carry an availability report (the fail-fast round reports nothing).
     plain = run_scenario(
         dataclasses.replace(
             config, topology=None, retry=None, quorum=None, degradation="zero_fill"
@@ -129,7 +129,7 @@ def main() -> int:
     if plain.availability != {}:
         print(f"FAIL: defaults engaged resilience: {plain.availability}")
         return 1
-    print("PASS: all-defaults config leaves the legacy exchange untouched")
+    print("PASS: all-defaults config reports no availability (fail-fast)")
     return 0
 
 

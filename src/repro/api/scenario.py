@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 import numpy as np
@@ -54,6 +54,7 @@ from repro.federated import (
     train_vertical_model,
 )
 from repro.federation import SCHEDULERS, FederationRuntime, TopologyConfig
+from repro.federation.runtime import check_quorum
 from repro.metrics import (
     aggregate_cbr,
     mse_per_feature,
@@ -98,32 +99,6 @@ def _check_comm_budget(value: "int | float | None") -> None:
     elif not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise ScenarioError(
             "comm_budget must be positive bytes (int), a fraction in "
-            f"(0, 1], or None, got {value!r}"
-        )
-
-
-def _check_quorum_spec(value: "int | float | None") -> None:
-    """Shape-only validation for the ``quorum`` knob.
-
-    ``None`` fails fast on any lost party, an ``int`` is an absolute
-    surviving-party count, a ``float`` is a fraction in ``(0, 1]`` of the
-    deployment's parties. The *upper* bound of an integer quorum depends
-    on the topology's party count, which only exists once the scenario is
-    built — :class:`~repro.federation.FederationRuntime` enforces it
-    there; this helper catches the shape errors early.
-    """
-    if value is None:
-        return
-    if isinstance(value, bool):
-        raise ScenarioError(f"quorum {value!r} is not a party count or fraction")
-    if isinstance(value, float):
-        if not 0.0 < value <= 1.0:
-            raise ScenarioError(
-                f"a fractional quorum must lie in (0, 1], got {value}"
-            )
-    elif not isinstance(value, int) or value < 1:
-        raise ScenarioError(
-            "quorum must be a positive party count (int), a fraction in "
             f"(0, 1], or None, got {value!r}"
         )
 
@@ -188,8 +163,6 @@ def build_scenario(
     seed: int,
     *,
     n_predictions: int | None = None,
-    dropout: float = 0.0,
-    model_wrapper=None,
     model_params: dict[str, Any] | None = None,
     defense_stack: DefenseStack | None = None,
     query_budget: int | None = None,
@@ -223,13 +196,10 @@ def build_scenario(
         independent derived stream).
     n_predictions:
         Override the number of accumulated predictions.
-    dropout:
-        Dropout probability for the NN model (Fig. 11e-f countermeasure).
-    model_wrapper:
-        Legacy hook: optional callable applied to the fitted model before
-        serving. Prefer ``defense_stack``.
     model_params:
-        Extra keyword overrides for the model builder.
+        Extra keyword overrides for the model builder;
+        ``{"dropout": p}`` sets the NN dropout (the Fig. 11e-f
+        countermeasure).
     defense_stack:
         Composable §VII defenses: screening runs before training, output
         wrappers before serving, online hooks while serving, verification
@@ -284,14 +254,14 @@ def build_scenario(
         Resilience knobs forwarded to the
         :class:`~repro.federation.FederationRuntime`. ``retry`` (a
         :class:`~repro.resilience.RetryPolicy`, an int attempt count, or
-        a payload dict) engages the resilient exchange: failed parties
-        are retried with metered request frames, seeded backoff accrues
-        on a simulated clock, and slow replies become metered timeouts.
-        ``quorum`` (int party count or float fraction) lets a round
-        proceed degraded when enough parties survive, imputing the
-        missing blocks via the ``degradation`` strategy
-        (:data:`~repro.resilience.DEGRADATIONS`). All ``None``/default
-        keeps the legacy fail-fast exchange bit-identical.
+        a payload dict) gives failed parties more attempts: retries are
+        metered request frames, seeded backoff accrues on a simulated
+        clock, and slow replies become metered timeouts. ``quorum`` (int
+        party count or float fraction) lets a round proceed degraded
+        when enough parties survive, imputing the missing blocks via the
+        ``degradation`` strategy (:data:`~repro.resilience.DEGRADATIONS`).
+        All ``None``/default runs the same round fail-fast: one attempt,
+        every party required.
     breaker:
         Per-consumer circuit-breaker policy for the deployment's
         :class:`~repro.serving.PredictionService` (a
@@ -355,17 +325,8 @@ def build_scenario(
         X, y, test_fraction=0.5, rng=data_rng
     )
 
-    overrides = dict(model_params or {})
-    model = make_model(
-        model_kind,
-        scale,
-        model_rng,
-        dropout=overrides.pop("dropout", dropout),
-        **overrides,
-    )
+    model = make_model(model_kind, scale, model_rng, **(model_params or {}))
     vfl = train_vertical_model(model, X_train, y_train, X_pool, y_pool, partition)
-    if model_wrapper is not None:
-        vfl.model = model_wrapper(model)
     if defense_rng is not None:
         vfl.model = defense_stack.wrap(vfl.model, rng=defense_rng)
 
@@ -520,6 +481,9 @@ class ScenarioConfig:
     attack_params: dict[str, Any] = field(default_factory=dict)
     baselines: tuple[str, ...] = ()
     compute_cbr: bool = False
+    # Deployment knobs — every field from here on configures the serving,
+    # federation, resilience or telemetry layer as the scenario is built
+    # (see _DEPLOYMENT_KNOBS).
     query_budget: int | None = None
     batch_size: int | None = None
     cache: bool = False
@@ -533,6 +497,13 @@ class ScenarioConfig:
     degradation: str = "zero_fill"
     breaker: "int | dict | None" = None
     telemetry: "bool | dict | None" = None
+
+
+#: The deployment knobs, derived from the dataclass: a prebuilt scenario
+#: refuses any of them set away from its default.
+_DEPLOYMENT_KNOBS = fields(ScenarioConfig)[
+    [knob.name for knob in fields(ScenarioConfig)].index("query_budget"):
+]
 
 
 @dataclass
@@ -570,8 +541,9 @@ class ScenarioReport:
         The runtime's
         :meth:`~repro.federation.FederationRuntime.availability_report`:
         degraded-round log plus retry/timeout counts and simulated
-        seconds. Empty whenever the resilient exchange never engaged
-        (no ``retry``/``quorum`` knob and no stochastic faults) — its
+        seconds. Empty unless the runtime is
+        :attr:`~repro.federation.FederationRuntime.engaged` (a
+        ``retry``/``quorum`` knob or stochastic faults) — its
         presence is itself the signal that the deployment weathered a
         storm.
     telemetry:
@@ -839,7 +811,7 @@ def _validate(config: ScenarioConfig, attack: ScenarioAttack, stack: DefenseStac
     # integer's upper bound waits for the built topology's party count.
     RetryPolicy.from_spec(config.retry)
     BreakerPolicy.from_spec(config.breaker)
-    _check_quorum_spec(config.quorum)
+    check_quorum(config.quorum)
     check_telemetry_spec(config.telemetry)
     DEGRADATIONS.get(config.degradation)
     if config.topology is not None:
@@ -948,10 +920,11 @@ def run_scenario(
         config's dataset/model/defenses; the config is still validated,
         but its defenses are *not* re-applied to the prebuilt scenario,
         and the deployment's ledger keeps accumulating across attacks.
-        Serving knobs configure a deployment at build time, so a config
-        that sets any (``query_budget``/``batch_size``/``cache``/
-        ``on_budget_exhausted``) alongside a prebuilt scenario is
-        rejected rather than silently unmetered.
+        Deployment knobs (every :class:`ScenarioConfig` field from
+        ``query_budget`` on) configure a deployment at build time, so a
+        config that sets any of them away from its default alongside a
+        prebuilt scenario is rejected, naming the knobs, rather than
+        silently ignored.
     serving_checkpoint:
         A :class:`~repro.checkpoint.CheckpointPlan` for the serving
         accumulation, forwarded to :func:`build_scenario`; the attack's
@@ -971,29 +944,19 @@ def run_scenario(
             "serving_checkpoint snapshots the accumulation while the "
             "scenario is built; a prebuilt scenario has already accumulated"
         )
-    if scenario is not None and (
-        config.query_budget is not None
-        or config.batch_size is not None
-        or config.cache
-        or config.cache_size is not None
-        or config.on_budget_exhausted != "raise"
-        or config.topology is not None
-        or config.comm_budget is not None
-        or config.scheduler != "sequential"
-        or config.retry is not None
-        or config.quorum is not None
-        or config.degradation != "zero_fill"
-        or config.breaker is not None
-        or config.telemetry is not None
-    ):
-        raise ScenarioError(
-            "serving and federation knobs (query_budget/batch_size/cache/"
-            "cache_size/on_budget_exhausted/topology/comm_budget/scheduler/"
-            "retry/quorum/degradation/breaker/telemetry) configure the "
-            "deployment when the scenario is built and cannot apply to a "
-            "prebuilt scenario; set them on build_scenario (or on its "
-            "service) instead"
-        )
+    if scenario is not None:
+        knobs = [
+            knob.name
+            for knob in _DEPLOYMENT_KNOBS
+            if getattr(config, knob.name) != knob.default
+        ]
+        if knobs:
+            raise ScenarioError(
+                f"serving and federation knobs ({', '.join(knobs)}) configure "
+                "the deployment when the scenario is built and cannot apply "
+                "to a prebuilt scenario; set them on build_scenario (or on "
+                "its service) instead"
+            )
 
     # A tracer built here is owned here: when an exception (including a
     # CheckpointPause suspension) unwinds past this frame the caller has

@@ -91,7 +91,7 @@ class PartyTimeoutError(PartyUnavailableError):
     """A party's reply exceeded the retry policy's per-attempt timeout.
 
     Raised (and counted on the :class:`~repro.federation.CommLedger`)
-    by the resilient exchange when a ``timeout`` fault makes a reply's
+    by the protocol round when a ``timeout`` fault makes a reply's
     simulated latency cross :attr:`~repro.resilience.RetryPolicy.timeout`.
     A timed-out attempt is retried like any other failure; this error
     surfaces only when every attempt of a round timed out and no quorum
@@ -102,7 +102,7 @@ class PartyTimeoutError(PartyUnavailableError):
 class QuorumLostError(PartyUnavailableError):
     """Too few parties survived a round for even degraded service.
 
-    Raised by the resilient exchange when retries are exhausted and the
+    Raised by the protocol round when retries are exhausted and the
     surviving coalition is smaller than the configured ``quorum`` — the
     round cannot be served even with imputed contributions. Subclasses
     :class:`PartyUnavailableError` so callers that fail fast on dropped

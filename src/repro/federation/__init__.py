@@ -24,10 +24,11 @@ message-passing:
 - :mod:`~repro.federation.runtime` — :class:`FederationRuntime`, the
   façade the serving layer drives: ``predict`` is byte-identical to
   :meth:`~repro.federated.model.VerticalFLModel.predict` while every
-  transferred float lands in the ledger; with ``retry``/``quorum``
-  knobs it runs the *resilient exchange* — retry waves on a simulated
-  clock, metered timeouts, and quorum-degraded rounds with imputed
-  blocks (see :mod:`repro.resilience`);
+  transferred float lands in the ledger; every round, prediction or
+  training, is one exchange that fails fast by default and, with
+  ``retry``/``quorum`` knobs, runs retry waves on a simulated clock,
+  metered timeouts, and quorum-degraded rounds with imputed blocks
+  (see :mod:`repro.resilience`);
 - :mod:`~repro.federation.topology` — :class:`TopologyConfig`, the
   declarative N-party/colluder/partition-strategy/fault knob consumed by
   :class:`~repro.api.ScenarioConfig`.

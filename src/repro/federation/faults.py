@@ -23,7 +23,7 @@ consult it at response time:
     engine's pure per-cell streams, so they are scheduler-independent.
 ``("crash_after", {"party": p, "round": r})``
     Party ``p`` answers rounds ``0..r-1`` then permanently crashes —
-    retrying is pointless and the resilient exchange knows it.
+    retrying is pointless and the protocol round knows it.
 ``("corrupt", {"party": p, "p": prob, "seed": s})``
     With probability ``prob`` the reply frame is bit-flipped in flight;
     the wire codec's crc32 catches it and the attempt counts as failed.

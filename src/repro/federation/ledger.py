@@ -77,7 +77,7 @@ class CommLedger:
 
     @property
     def retries(self) -> int:
-        """Retry attempts issued by the resilient exchange.
+        """Retry attempts issued by the protocol round.
 
         Each retried party per wave counts once; the retried request
         frames themselves are charged like any other traffic, so retry

@@ -12,8 +12,8 @@ through :meth:`~repro.federation.transport.Transport.receive` and
 everything they reveal leaves through a returned
 :class:`~repro.federation.message.Message` that the runtime sends (and
 the ledger meters). Fault injection hooks in here — a dropped party
-raises :class:`~repro.exceptions.PartyUnavailableError` instead of
-replying, a straggler sleeps first — so both schedulers exercise the
+returns a :class:`~repro.exceptions.PartyUnavailableError` instead of
+a reply, a straggler sleeps first — so both schedulers exercise the
 identical failure surface.
 """
 
@@ -67,15 +67,19 @@ class PartyNode:
 class PassivePartyNode(PartyNode):
     """A feature-contributing party's protocol behaviour."""
 
-    def respond(self, attempt: int = 0) -> Message:
+    def respond(self, attempt: int = 0) -> "Message | PartyUnavailableError":
         """Answer the oldest pending request with this party's block.
 
         The unit of work a scheduler runs on its own thread: pop the
         request from this node's inbox, honour any injected fault, gather
         the local columns, and return the reply message for the runtime
-        to send. Only this node's own state is touched — the stochastic
-        fault decision for ``(party, round, attempt)`` is a pure chaos
-        function — which is what makes the threaded scheduler race-free.
+        to send. An injected failure is *returned* as the
+        :class:`PartyUnavailableError` describing it, not raised: the
+        round needs every party's outcome for the wave, and a raise
+        would make the scheduler cancel the sibling responders. Only
+        this node's own state is touched — the stochastic fault decision
+        for ``(party, round, attempt)`` is a pure chaos function — which
+        is what makes the threaded scheduler race-free.
         """
         request = self.transport.receive(self.party_id)
         if request.kind not in _REQUEST_TO_REPLY:
@@ -84,20 +88,20 @@ class PassivePartyNode(PartyNode):
                 f"{request.kind!r}"
             )
         if self.party_id in self.faults.dropped:
-            raise PartyUnavailableError(
+            return PartyUnavailableError(
                 f"party {self.party_id} dropped out of round "
                 f"{request.round_id}; the {request.kind!r} request has no "
                 "responder"
             )
         outcome = self.faults.outcome(self.party_id, request.round_id, attempt)
         if outcome.kind == "crash":
-            raise PartyUnavailableError(
+            return PartyUnavailableError(
                 f"party {self.party_id} crashed before round "
                 f"{request.round_id}; it will not answer this or any later "
                 "round"
             )
         if outcome.kind == "flaky":
-            raise PartyUnavailableError(
+            return PartyUnavailableError(
                 f"party {self.party_id} failed attempt {attempt} of round "
                 f"{request.round_id} (flaky); a retry may succeed"
             )
@@ -141,34 +145,6 @@ class ActivePartyNode(PartyNode):
             payload=np.asarray(sample_indices, dtype=np.int64).ravel(),
             round_id=round_id,
         )
-
-    def collect_blocks(
-        self, n_expected: int, round_id: "int | None" = None
-    ) -> dict[int, np.ndarray]:
-        """Drain ``n_expected`` reply blocks from this node's inbox.
-
-        Replies were sent in party order by the runtime, so the drain is
-        deterministic; keyed by sender id for the assembly scatter. With
-        ``round_id`` given, a reply from any other round is rejected —
-        the belt to the runtime's braces of clearing the transport when
-        a round aborts.
-        """
-        blocks: dict[int, np.ndarray] = {}
-        for _ in range(n_expected):
-            reply = self.transport.receive(self.party_id)
-            if reply.kind not in (FEATURE_BLOCK, TRAIN_BLOCK):
-                raise ProtocolError(
-                    f"active party expected a block reply, got {reply.kind!r} "
-                    f"from party {reply.sender}"
-                )
-            if round_id is not None and reply.round_id != round_id:
-                raise ProtocolError(
-                    f"active party received a round-{reply.round_id} block "
-                    f"from party {reply.sender} while collecting round "
-                    f"{round_id}; a previous round leaked state"
-                )
-            blocks[int(reply.sender)] = reply.payload
-        return blocks
 
     def assemble(
         self,

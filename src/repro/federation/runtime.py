@@ -18,11 +18,17 @@ runtime round, so ``bytes/round`` is well-defined for any batching.
 Training can run as a round too (:func:`train_vertical_runtime`): the
 passive training blocks cross the metered wire once and the fit itself
 stays central, matching the paper's perfectly-protected training phase.
+
+There is one round implementation. Its defaults — one attempt, every
+party required — are fail-fast; ``retry``/``quorum`` widen the same
+round into retry waves and quorum-degraded service.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -51,67 +57,45 @@ from repro.federation.scheduler import RoundScheduler, make_scheduler
 from repro.federation.transport import Transport
 from repro.models.base import BaseClassifier
 from repro.resilience import DEGRADATIONS, ResilienceState, RetryPolicy
+from repro.resilience.chaos import OK
 from repro.telemetry import NULL_TRACER
 
-__all__ = ["FederationRuntime", "train_vertical_runtime"]
+__all__ = ["FederationRuntime", "check_quorum", "train_vertical_runtime"]
 
 
-def _guarded_respond(node: PassivePartyNode, attempt: int):
-    """Wrap one responder so a failing party returns its error.
+def check_quorum(
+    quorum: "int | float | None", n_parties: "int | None" = None
+) -> "int | float | None":
+    """Validate a ``quorum`` knob; returns it unchanged.
 
-    The resilient exchange needs *every* party's outcome for the wave —
-    a raised :class:`PartyUnavailableError` would make the scheduler
-    cancel the sibling tasks — so failures travel back as values and the
-    runtime sorts survivors from casualties afterwards.
+    ``None`` fails a round fast on any lost party, an ``int`` is an
+    absolute surviving-party count, a ``float`` a fraction in ``(0, 1]``
+    of the deployment's parties. An integer's upper bound is the party
+    count, so with ``n_parties=None`` (no topology built yet) only the
+    shape is checked.
     """
-
-    def task() -> object:
-        try:
-            return node.respond(attempt)
-        except PartyUnavailableError as exc:
-            return exc
-
-    return task
-
-
-def _exchange_round(
-    transport: Transport,
-    scheduler: RoundScheduler,
-    active: ActivePartyNode,
-    passives: "list[PassivePartyNode]",
-    rows: np.ndarray,
-    kind: str,
-) -> dict[int, np.ndarray]:
-    """One request/reply exchange: blocks from every passive party.
-
-    The single definition of a protocol round, shared by prediction and
-    training: requests go out in party order, the scheduler runs the
-    passive responders (serially or on threads), and replies are sent
-    and drained in party order — the deterministic barrier that keeps
-    both schedulers bit-identical. On any failure (budget, dropped
-    party) the transport is cleared so delivered-but-unconsumed frames
-    cannot poison a later round.
-    """
-    round_id = transport.ledger.begin_round()
-    completed = False
-    try:
-        for node in passives:
-            transport.send(
-                active.make_request(node.party_id, rows, round_id, kind=kind)
+    if quorum is None:
+        return None
+    if isinstance(quorum, bool):
+        raise ValidationError(f"quorum {quorum!r} is not a party count or fraction")
+    if isinstance(quorum, int):
+        if quorum < 1 or (n_parties is not None and quorum > n_parties):
+            bound = "" if n_parties is None else f"..{n_parties}"
+            raise ValidationError(
+                f"integer quorum must name 1{bound} surviving parties, "
+                f"got {quorum}"
             )
-        replies = scheduler.run_round([node.respond for node in passives])
-        for reply in replies:
-            transport.send(reply)
-        blocks = active.collect_blocks(len(passives), round_id)
-        completed = True
-        return blocks
-    finally:
-        # Cleanup-on-failure without a broad catch: any exception —
-        # budget, dropped party, or a genuine bug — propagates untouched
-        # while delivered-but-unconsumed frames are cleared so they
-        # cannot poison a later round.
-        if not completed:
-            transport.clear()
+        return quorum
+    if isinstance(quorum, float):
+        if not 0.0 < quorum <= 1.0:
+            raise ValidationError(
+                f"fractional quorum must lie in (0, 1], got {quorum}"
+            )
+        return quorum
+    raise ValidationError(
+        f"quorum must be an int party count, a float fraction, or None, "
+        f"got {type(quorum).__name__}"
+    )
 
 
 class FederationRuntime:
@@ -137,18 +121,17 @@ class FederationRuntime:
         validated against the deployment's party count.
     retry:
         A :class:`~repro.resilience.RetryPolicy`, an int attempt count,
-        a policy payload dict, or ``None``. Anything but ``None``
-        engages the *resilient exchange*: failed parties are retried
-        (each retry metered as real request frames plus a ledger retry
-        count), reply latencies accrue on a simulated clock, and replies
-        slower than the policy timeout are discarded as metered
-        timeouts.
+        a policy payload dict, or ``None`` (the default policy: one
+        attempt, no timeout). With more than one attempt, failed parties
+        are retried in waves, each retry metered as real request frames
+        plus a ledger retry count; replies slower than the policy
+        timeout are discarded as metered timeouts.
     quorum:
         ``None`` (default) fails a round fast when any party stays
-        missing after retries — today's behaviour. A float in ``(0, 1]``
-        or an int party count degrades instead: if at least that many
-        parties (active included) survive, the missing blocks are
-        imputed and the round is recorded as degraded.
+        missing after its attempts. A float in ``(0, 1]`` or an int
+        party count degrades instead: if at least that many parties
+        (active included) survive, the missing blocks are imputed and
+        the round is recorded as degraded.
     degradation:
         Imputation strategy key from
         :data:`~repro.resilience.DEGRADATIONS` (``"zero_fill"``,
@@ -157,11 +140,15 @@ class FederationRuntime:
         A :class:`~repro.telemetry.Tracer` to report into: one
         ``federation.round`` span per exchange, ``resilience.retry_wave``
         events per retry wave, and ``federation.degraded`` events for
-        quorum-degraded rounds. When the resilient exchange is engaged,
-        the simulated clock is bound as the tracer's time source, so
-        span ``sim`` seconds track protocol latency. ``None`` (default)
-        stores :data:`~repro.telemetry.NULL_TRACER`: the same calls, no
+        quorum-degraded rounds. When :attr:`engaged`, the simulated
+        clock is bound as the tracer's time source, so span ``sim``
+        seconds track protocol latency. ``None`` (default) stores
+        :data:`~repro.telemetry.NULL_TRACER`: the same calls, no
         records.
+
+    Every round runs the same exchange whatever the knobs. Whether its
+    resilience bookkeeping (:attr:`resilience`: simulated clock,
+    degraded-round log, reply cache) is *reported* is :attr:`engaged`.
     """
 
     def __init__(
@@ -194,20 +181,15 @@ class FederationRuntime:
         self.faults = faults if faults is not None else FaultPlan()
         self.faults.validate_parties(len(vfl.parties))
         self.retry_policy = RetryPolicy.from_spec(retry)
-        self.quorum = self._check_quorum(quorum, len(vfl.parties))
+        self.quorum = check_quorum(quorum, len(vfl.parties))
         DEGRADATIONS.get(degradation)  # choices-listing error on typos
         self.degradation = degradation
-        # The resilient exchange engages only when asked for (or when
-        # stochastic faults make it necessary); otherwise the legacy
-        # round path runs untouched, bit-identical to prior releases.
-        engaged = (
+        self._engaged = (
             retry is not None or quorum is not None or self.faults.has_stochastic
         )
-        self.resilience: "ResilienceState | None" = (
-            ResilienceState() if engaged else None
-        )
+        self.resilience = ResilienceState()
         self.tracer = tracer or NULL_TRACER
-        if self.resilience is not None:
+        if self._engaged:
             # Read through self.resilience on every tick: a checkpoint
             # restore replaces the SimClock object, and a captured
             # reference would keep reporting the dead clock.
@@ -217,34 +199,24 @@ class FederationRuntime:
             PassivePartyNode(party, self.transport, self.faults)
             for party in vfl.parties[1:]
         ]
-
-    @staticmethod
-    def _check_quorum(quorum: "int | float | None", n_parties: int) -> "int | float | None":
-        if quorum is None:
-            return None
-        if isinstance(quorum, bool):
-            raise ValidationError(f"quorum {quorum!r} is not a party count or fraction")
-        if isinstance(quorum, int):
-            if not 1 <= quorum <= n_parties:
-                raise ValidationError(
-                    f"integer quorum must name 1..{n_parties} surviving "
-                    f"parties, got {quorum}"
-                )
-            return quorum
-        if isinstance(quorum, float):
-            if not 0.0 < quorum <= 1.0:
-                raise ValidationError(
-                    f"fractional quorum must lie in (0, 1], got {quorum}"
-                )
-            return quorum
-        raise ValidationError(
-            f"quorum must be an int party count, a float fraction, or None, "
-            f"got {type(quorum).__name__}"
-        )
+        self._passive_by_id = {node.party_id: node for node in self._passives}
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    @property
+    def engaged(self) -> bool:
+        """Whether the resilience bookkeeping is reported.
+
+        True when ``retry`` or ``quorum`` was given, or the fault plan
+        holds stochastic kinds. Only then does
+        :meth:`availability_report` fill in, is the simulated clock the
+        tracer's ``sim`` source, and do serving snapshots carry the
+        ``"resilience"`` fragment; a fail-fast runtime keeps all three
+        empty. The rounds themselves run the same exchange either way.
+        """
+        return self._engaged
+
     @property
     def ledger(self) -> CommLedger:
         """The communication ledger every protocol message is charged to."""
@@ -290,55 +262,59 @@ class FederationRuntime:
     # Protocol rounds
     # ------------------------------------------------------------------
     def _exchange(self, kind: str, rows: np.ndarray) -> dict[int, np.ndarray]:
-        """One protocol round over this deployment (see :func:`_exchange_round`)."""
+        """One traced protocol round over this deployment (see :meth:`_round`)."""
         with self.tracer.span(
             "federation.round", message=kind, rows=int(rows.size)
         ) as span:
-            if self.resilience is not None:
-                blocks = self._resilient_round(kind, rows)
-            else:
-                blocks = _exchange_round(
-                    self.transport, self.scheduler, self._active, self._passives,
-                    rows, kind,
-                )
+            blocks = self._round(kind, rows)
             span["parties"] = len(blocks)
             return blocks
 
-    def _resilient_round(self, kind: str, rows: np.ndarray) -> dict[int, np.ndarray]:
-        """One request/reply exchange under retries, timeouts, and quorum.
+    def _round(self, kind: str, rows: np.ndarray) -> dict[int, np.ndarray]:
+        """One request/reply exchange: a block from every passive party.
 
-        Structured as retry *waves*: every still-pending party gets a
-        fresh (metered) request, the scheduler runs the responders with
-        failures returned as values, the wave's replies are delivered
-        and drained in party order, and the simulated clock pays the
-        slowest surviving reply plus any backoff. Every stochastic
-        decision is a pure chaos function of ``(party, round, attempt)``,
-        so the whole storm is bit-identical across schedulers and
-        resumable mid-storm.
+        The single definition of a protocol round, shared by prediction
+        and training. Structured as retry *waves*: every still-pending
+        party gets a fresh (metered) request, the scheduler runs the
+        responders with failures returned as values, the wave's replies
+        are delivered and drained in party order — the deterministic
+        barrier that keeps both schedulers bit-identical — and the
+        simulated clock pays the slowest surviving reply plus any
+        backoff. Every stochastic decision is a pure chaos function of
+        ``(party, round, attempt)``, so a storm is bit-identical across
+        schedulers and resumable mid-storm. With the default policy
+        there is one wave and a lost party fails the round (see
+        :meth:`_degrade_round`). On any failure the transport is
+        cleared so delivered-but-unconsumed frames cannot poison a
+        later round.
         """
         transport = self.transport
+        ledger = transport.ledger
         policy = self.retry_policy
-        resilience = self.resilience
-        round_id = transport.ledger.begin_round()
-        node_by_id = {node.party_id: node for node in self._passives}
+        faults = self.faults
+        stochastic = faults.has_stochastic
+        clock = self.resilience.clock
+        receiver = self._active.party_id
+        round_id = ledger.begin_round()
         blocks: dict[int, np.ndarray] = {}
-        last_failure: dict[int, str] = {}
+        # Each party's latest failure, quoted if the round is lost.
+        failures: dict[int, PartyUnavailableError] = {}
         crashed: set[int] = set()
-        pending = [node.party_id for node in self._passives]
+        pending = list(self._passive_by_id)
         completed = False
         try:
             for attempt in range(policy.max_attempts):
                 if not pending:
                     break
                 if attempt > 0:
-                    transport.ledger.record_retries(len(pending))
+                    ledger.record_retries(len(pending))
                     self.tracer.event(
                         "resilience.retry_wave",
                         round=int(round_id),
                         attempt=attempt,
                         pending=[int(p) for p in pending],
                     )
-                    resilience.clock.advance(
+                    clock.advance(
                         max(policy.backoff(p, round_id, attempt) for p in pending)
                     )
                 for party in pending:
@@ -346,20 +322,26 @@ class FederationRuntime:
                         self._active.make_request(party, rows, round_id, kind=kind)
                     )
                 replies = self.scheduler.run_round(
-                    [_guarded_respond(node_by_id[p], attempt) for p in pending]
+                    [partial(self._passive_by_id[p].respond, attempt) for p in pending]
                 )
                 wave_latency = 0.0
                 still_pending: list[int] = []
                 delivered: list[int] = []
                 for party, reply in zip(pending, replies):
-                    outcome = self.faults.outcome(party, round_id, attempt)
                     if isinstance(reply, PartyUnavailableError):
-                        last_failure[party] = outcome.kind
-                        if outcome.permanent:
+                        failures[party] = reply
+                        if faults.outcome(party, round_id, attempt).permanent:
                             crashed.add(party)
                         else:
                             still_pending.append(party)
                         continue
+                    # Without stochastic kinds every reply is clean: skip
+                    # the per-party chaos lookup on the fault-free path.
+                    outcome = (
+                        faults.outcome(party, round_id, attempt)
+                        if stochastic
+                        else OK
+                    )
                     if (
                         outcome.kind == "timeout"
                         and policy.timeout is not None
@@ -369,9 +351,13 @@ class FederationRuntime:
                         # deadline: the request bytes are spent, the
                         # reply never crosses the wire, and the clock
                         # pays only up to the timeout.
-                        transport.ledger.record_timeouts(1)
+                        ledger.record_timeouts(1)
                         wave_latency = max(wave_latency, policy.timeout)
-                        last_failure[party] = "timeout"
+                        failures[party] = PartyTimeoutError(
+                            f"party {party}'s attempt {attempt} reply took "
+                            f"{outcome.latency}s, past the {policy.timeout}s "
+                            "timeout"
+                        )
                         still_pending.append(party)
                         continue
                     wave_latency = max(wave_latency, outcome.latency)
@@ -383,22 +369,27 @@ class FederationRuntime:
                         transport.send_raw(
                             bytes(data),
                             sender=party,
-                            receiver=self._active.party_id,
+                            receiver=receiver,
                             kind=reply.kind,
                             round_id=round_id,
                         )
                     else:
                         transport.send(reply)
                     delivered.append(party)
-                resilience.clock.advance(wave_latency)
+                clock.advance(wave_latency)
                 # Drain this wave's frames in delivery (party) order; a
                 # decode failure is attributable by position because the
-                # inbox preserves it.
+                # inbox preserves it. The one place replies are checked.
                 for party in delivered:
                     try:
-                        message = transport.receive(self._active.party_id)
-                    except WireFormatError:
-                        last_failure[party] = "corrupt"
+                        message = transport.receive(receiver)
+                    except WireFormatError as exc:
+                        lost = PartyUnavailableError(
+                            f"party {party}'s attempt {attempt} reply was "
+                            f"corrupted in flight ({exc})"
+                        )
+                        lost.__cause__ = exc
+                        failures[party] = lost
                         still_pending.append(party)
                         continue
                     if message.kind not in (FEATURE_BLOCK, TRAIN_BLOCK):
@@ -414,13 +405,14 @@ class FederationRuntime:
                             "leaked state"
                         )
                     blocks[int(message.sender)] = message.payload
-                    resilience.cache.put(int(message.sender), message.payload)
+                    if self._engaged:
+                        # Feeds only ``last_known`` imputation and the
+                        # snapshot fragment, both of which need engaging.
+                        self.resilience.cache.put(int(message.sender), message.payload)
                 pending = sorted(still_pending)
-            missing = sorted(crashed | set(pending))
-            if missing:
-                blocks = self._degrade_round(
-                    kind, rows, round_id, blocks, missing, last_failure
-                )
+            if crashed or pending:
+                missing = sorted(crashed | set(pending))
+                blocks = self._degrade_round(rows, round_id, blocks, missing, failures)
             completed = True
             return blocks
         finally:
@@ -429,34 +421,36 @@ class FederationRuntime:
 
     def _degrade_round(
         self,
-        kind: str,
         rows: np.ndarray,
         round_id: int,
         blocks: dict[int, np.ndarray],
         missing: list[int],
-        last_failure: dict[int, str],
+        failures: "dict[int, PartyUnavailableError]",
     ) -> dict[int, np.ndarray]:
         """Impute the missing parties' blocks, or fail the round.
 
-        Without a quorum policy this is today's fail-fast behaviour
-        (timeout-only losses surface as the more specific
-        :class:`PartyTimeoutError`). With one, a surviving coalition at
-        or above quorum proceeds on imputed blocks and the round is
-        recorded in the availability log.
+        Without a quorum policy the round fails fast, chained from and
+        quoting the last party's own failure (timeout-only losses
+        surface as the more specific :class:`PartyTimeoutError`). With
+        one, a surviving coalition at or above quorum proceeds on
+        imputed blocks and the round is recorded in the availability
+        log.
         """
         attempts = self.retry_policy.max_attempts
         if self.quorum is None:
             names = ", ".join(str(p) for p in missing)
-            if all(last_failure.get(p) == "timeout" for p in missing):
+            reasons = "; ".join(str(failures[p]) for p in missing)
+            if all(isinstance(failures[p], PartyTimeoutError) for p in missing):
                 raise PartyTimeoutError(
                     f"round {round_id} lost party(ies) {names}: every reply "
                     f"exceeded the {self.retry_policy.timeout}s timeout across "
                     f"{attempts} attempt(s)"
-                )
+                ) from failures[missing[-1]]
             raise PartyUnavailableError(
                 f"round {round_id} lost party(ies) {names} after {attempts} "
-                f"attempt(s); no quorum policy allows degraded service"
-            )
+                f"attempt(s); no quorum policy allows degraded service "
+                f"[{reasons}]"
+            ) from failures[missing[-1]]
         if isinstance(self.quorum, int):
             required = self.quorum
         else:
@@ -470,9 +464,10 @@ class FederationRuntime:
             )
         strategy = DEGRADATIONS.get(self.degradation)
         for party in missing:
-            node = self._passive_by_id(party)
             blocks[party] = strategy(
-                party, (rows.size, node.party.n_features), self.resilience.cache
+                party,
+                (rows.size, self._passive_by_id[party].party.n_features),
+                self.resilience.cache,
             )
         self.resilience.availability.append(
             {
@@ -490,19 +485,14 @@ class FederationRuntime:
         )
         return blocks
 
-    def _passive_by_id(self, party_id: int) -> PassivePartyNode:
-        for node in self._passives:
-            if node.party_id == party_id:
-                return node
-        raise ProtocolError(f"no passive node with party id {party_id}")
-
     def availability_report(self) -> dict:
         """JSON-ready summary of degraded rounds and retry/timeout costs.
 
-        Empty when the resilient exchange never engaged — the report's
-        presence is itself the signal that resilience knobs were active.
+        Empty unless :attr:`engaged` — the report's presence is itself
+        the signal that resilience knobs (or a stochastic storm) were
+        active.
         """
-        if self.resilience is None:
+        if not self._engaged:
             return {}
         return {
             "rounds_total": self.ledger.rounds,
@@ -540,13 +530,10 @@ class FederationRuntime:
 
     def __repr__(self) -> str:
         spans = self.tracer.records_emitted
-        degraded = (
-            0 if self.resilience is None else len(self.resilience.availability)
-        )
         return (
             f"FederationRuntime(parties={self.n_parties}, "
             f"scheduler={self.scheduler.name!r}, rounds={self.ledger.rounds}, "
-            f"degraded={degraded}, spans={spans})"
+            f"degraded={len(self.resilience.availability)}, spans={spans})"
         )
 
 
@@ -580,11 +567,16 @@ def train_vertical_runtime(
     The fitted model is bit-identical to the in-process path: the
     assembled matrix carries the exact float64 bytes of ``X_train``.
 
-    The resilience knobs (``retry``/``quorum``/``degradation``) apply to
-    the *deployed* runtime's prediction rounds. The single training
-    exchange itself is deliberately fail-fast: a model fitted on an
-    imputed training block would silently differ from the central
-    oracle, so a party lost during training aborts rather than degrades.
+    The training exchange is the same protocol round prediction uses,
+    run over the training parties under the default policy: one attempt,
+    no quorum. The resilience knobs (``retry``/``quorum``/``degradation``)
+    apply only to the *deployed* runtime's prediction rounds, because a
+    model fitted on an imputed training block would silently differ from
+    the central oracle. So a party lost during training aborts rather
+    than degrades: a dropped, crashed or flaky party, and a ``corrupt``
+    fault whose flipped frame fails to decode, all raise
+    :class:`~repro.exceptions.PartyUnavailableError`. A ``timeout``
+    fault still trains, since the default policy has no timeout.
     """
     X_train = np.asarray(X_train, dtype=np.float64)
     y_train = np.asarray(y_train, dtype=np.int64)
@@ -592,17 +584,19 @@ def train_vertical_runtime(
     transport = Transport(CommLedger(comm_budget, message_budget=message_budget))
     round_scheduler = make_scheduler(scheduler)
     fault_plan = faults if faults is not None else FaultPlan()
-    fault_plan.validate_parties(len(train_parties))
-
-    active = ActivePartyNode(train_parties[0], transport, fault_plan)
-    passives = [
-        PassivePartyNode(party, transport, fault_plan) for party in train_parties[1:]
-    ]
-    rows = np.arange(X_train.shape[0])
-    blocks = _exchange_round(
-        transport, round_scheduler, active, passives, rows, TRAIN_REQUEST
+    # No model is deployed yet, so the training runtime stands on the
+    # parties alone; it runs one round and never predicts.
+    trainer = FederationRuntime(
+        SimpleNamespace(parties=train_parties),
+        scheduler=round_scheduler,
+        faults=fault_plan,
+        _transport=transport,
     )
-    joint = active.assemble(rows, blocks, train_parties, partition.n_features)
+    rows = np.arange(X_train.shape[0])
+    blocks = trainer._round(TRAIN_REQUEST, rows)
+    joint = trainer._active.assemble(
+        rows, blocks, train_parties, partition.n_features
+    )
     model.fit(joint, y_train)
 
     vfl = VerticalFLModel(model, partition, build_parties(X_pred, y_pred, partition))

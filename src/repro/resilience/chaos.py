@@ -47,7 +47,7 @@ class FaultOutcome:
         (this attempt fails, another may succeed), or ``"corrupt"``
         (the reply frame is bit-flipped in flight).
     latency:
-        Simulated seconds the reply takes; the resilient exchange
+        Simulated seconds the reply takes; the protocol round
         advances its :class:`~repro.resilience.SimClock` by the wave's
         slowest reply and compares each latency against the retry
         policy's per-attempt timeout.
@@ -87,7 +87,7 @@ def party_stream_base(seed: int, party: int) -> int:
     The ``party``-th integer of :func:`spawn_rngs`' seed draw for
     ``seed`` — prefix-stable, so adding parties to a topology never
     changes the fault streams of the existing ones. Cached: the draw is
-    O(party) and the resilient exchange asks per attempt.
+    O(party) and the protocol round asks per attempt.
     """
     draws = check_random_state(int(seed)).integers(0, 2**63 - 1, size=int(party) + 1)
     return int(draws[party])

@@ -4,7 +4,7 @@ A storm scenario must be able to model timeouts, backoff delays, and
 straggling replies without costing wall-clock time or reading wall-clock
 sources (the ``wallclock-entropy`` lint rule confines those to the
 timing tier). :class:`SimClock` is the whole answer: a monotone float
-counter the resilient exchange advances by the *declared* latency of
+counter the protocol round advances by the *declared* latency of
 each wave — the slowest surviving reply, plus any backoff between retry
 attempts. Because advancing is pure arithmetic over deterministic
 inputs, the clock reading after any round is bit-identical across

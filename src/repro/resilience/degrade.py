@@ -1,7 +1,7 @@
 """Degradation strategies: serving a round without one of its parties.
 
 When retries are exhausted but the surviving coalition still meets the
-configured quorum, the resilient exchange *imputes* the missing party's
+configured quorum, the protocol round *imputes* the missing party's
 feature block instead of failing the round. The imputation strategies
 live in the :data:`DEGRADATIONS` registry so scenarios select them by
 name (``degradation="zero_fill"``) and extensions can register new ones

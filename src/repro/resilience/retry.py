@@ -1,7 +1,7 @@
 """Retry policies: bounded attempts, seeded backoff, simulated timeouts.
 
 A :class:`RetryPolicy` is plain frozen data consumed by the federation
-runtime's resilient exchange: how many attempts a party gets per round,
+runtime's protocol round: how many attempts a party gets per round,
 how long (in *simulated* seconds) the exchange backs off between retry
 waves, how much seeded jitter decorrelates the backoffs, and the
 per-attempt latency bound past which a reply counts as timed out. The
@@ -29,7 +29,7 @@ __all__ = ["RetryPolicy"]
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How the resilient exchange spends attempts on a failing party.
+    """How the protocol round spends attempts on a failing party.
 
     Attributes
     ----------

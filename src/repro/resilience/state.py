@@ -24,7 +24,7 @@ __all__ = ["CircuitBreakerCodec", "ResilienceState", "ResilienceStateCodec"]
 
 
 class ResilienceState:
-    """The mutable companion of a resilient exchange.
+    """The mutable companion of a runtime's protocol rounds.
 
     Attributes
     ----------

@@ -491,7 +491,7 @@ class PredictionService:
                 fragments[f"cache:{key}"] = capture_state(cache)
         if self.runtime is not None:
             fragments["comm"] = capture_state(self.runtime.ledger)
-            if self.runtime.resilience is not None:
+            if self.runtime.engaged:
                 fragments["resilience"] = capture_state(self.runtime.resilience)
         if self.rng is not None:
             fragments["rng"] = capture_state(self.rng)
@@ -530,11 +530,11 @@ class PredictionService:
                 )
             restore_state(self.runtime.ledger, fragments["comm"])
         if "resilience" in fragments:
-            if self.runtime is None or self.runtime.resilience is None:
+            if self.runtime is None or not self.runtime.engaged:
                 raise CheckpointError(
                     "snapshot holds resilience state (clock/availability/"
-                    "reply cache) but this service's runtime has no "
-                    "resilient exchange engaged"
+                    "reply cache) but this service's runtime is fail-fast "
+                    "(no retry, quorum or stochastic fault engaged)"
                 )
             restore_state(self.runtime.resilience, fragments["resilience"])
         for name, fragment in fragments.items():

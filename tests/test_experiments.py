@@ -164,10 +164,10 @@ class TestBuildScenario:
         from repro.api import DefenseStack
         from repro.defenses import RoundedModel
 
-        wrap = DefenseStack.from_specs([("rounding", {"digits": 1})]).wrap
+        stack = DefenseStack.from_specs([("rounding", {"digits": 1})])
         scenario = build_scenario(
             "bank", "lr", 0.4, TINY, seed=0,
-            model_wrapper=wrap,
+            defense_stack=stack,
         )
         assert isinstance(scenario.model, RoundedModel)
         v_digits = scenario.V * 10

@@ -342,10 +342,25 @@ class TestBenchHarness:
         assert len(regression_failures({"kernels": {}}, reference)) == 1
 
     def test_cli_smoke_gate_roundtrip(self, tmp_path, monkeypatch):
+        """The gate's verdicts, on stubbed timings.
+
+        A single ~1 ms wall-clock sample swings the live speedup several
+        fold between runs, so real timings are gated by
+        ``make bench-smoke``; here ``timed`` still runs each kernel once
+        but reports fixed seconds (fast 1 ms, reference 10 ms).
+        """
         import json
 
-        from repro.bench import main
+        import repro.bench as bench
 
+        calls = []
+
+        def timed(fn, repeats):
+            fn()
+            calls.append(fn)
+            return 0.001 if len(calls) % 2 else 0.010
+
+        monkeypatch.setattr(bench, "timed", timed)
         monkeypatch.chdir(tmp_path)
         baseline = tmp_path / "BENCH_smoke.json"
         out = tmp_path / "BENCH_live.json"
@@ -353,11 +368,16 @@ class TestBenchHarness:
             "--smoke", "--kernels", "dt_predict", "--repeats", "1",
             "--baseline", str(baseline), "--out", str(out),
         ]
-        assert main(argv) == 1  # gate fails: no baseline checked in yet
+        assert bench.main(argv) == 1  # gate fails: no baseline checked in yet
         baseline.write_text(out.read_text())
-        assert main(argv) == 0  # same machine, fresh run passes the gate
+        assert bench.main(argv) == 0  # its own fresh baseline passes the gate
         summary = json.loads(out.read_text())
-        assert summary["kernels"]["dt_predict"]["speedup"] > 1.0
+        live = summary["kernels"]["dt_predict"]["speedup"]
+        assert live == pytest.approx(10.0)
+        # A baseline claiming more than GATE_MARGIN x the live speedup fails.
+        summary["kernels"]["dt_predict"]["speedup"] = live * bench.GATE_MARGIN * 1.01
+        baseline.write_text(json.dumps(summary))
+        assert bench.main(argv) == 1
 
     def test_cli_refuses_to_clobber_its_own_baseline(self, tmp_path, monkeypatch):
         from repro.bench import main

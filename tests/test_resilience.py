@@ -10,10 +10,11 @@ The load-bearing contracts:
   ledger, timeouts are counted, and ledger bytes equal the transport's
   delivered frame bytes even when frames are corrupted in flight;
 - **backward compatibility** — with every resilience knob at its
-  default, the legacy exchange runs untouched and reports stay
+  default, the one exchange runs fail-fast and reports stay
   byte-identical to the pre-resilience layout (plus empty new fields).
 """
 
+import re
 import threading
 
 import numpy as np
@@ -58,6 +59,7 @@ from repro.resilience import (
 )
 from repro.resilience.chaos import FAULT_SALT, JITTER_SALT
 from repro.serving import PredictionService
+from repro.telemetry import Tracer
 from repro.api import ScenarioConfig, run_scenario
 
 TINY = ScaleConfig(
@@ -409,12 +411,21 @@ class TestResilientExchange:
 
     def test_defaults_do_not_engage(self):
         vfl = deploy()
-        runtime = FederationRuntime(vfl)
-        assert runtime.resilience is None
+        tracer = Tracer()
+        runtime = FederationRuntime(vfl, tracer=tracer)
+        assert not runtime.engaged
+        assert isinstance(runtime.resilience, ResilienceState)
         assert runtime.availability_report() == {}
-        runtime.predict(np.arange(10))
+        service = PredictionService(vfl, runtime=runtime)
+        service.query(np.arange(10))
         ledger = runtime.ledger.as_dict()
         assert ledger["retries"] == 0 and ledger["timeouts"] == 0
+        # The observable contract of a fail-fast runtime: no report, no
+        # simulated time on its spans, no resilience snapshot fragment.
+        assert runtime.availability_report() == {}
+        (span,) = tracer.sink.records
+        assert (span["sim0"], span["sim1"]) == (None, None)
+        assert "resilience" not in service.serving_fragments()
 
     def test_flaky_exhaustion_fails_fast_without_quorum(self):
         vfl = deploy()
@@ -707,23 +718,42 @@ class TestScenarioIntegration:
         assert legacy.config.degradation == "zero_fill"
         assert legacy.availability == {}
 
-    def test_prebuilt_scenarios_reject_resilience_knobs(self):
-        base = run_scenario(
+    @pytest.fixture(scope="class")
+    def prebuilt(self):
+        return run_scenario(
             ScenarioConfig(
                 dataset="bank", model="lr", attack="esa", scale=TINY, seed=11
             )
-        )
-        for knob in (
+        ).scenario
+
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            {"query_budget": 10},
+            {"batch_size": 4},
+            {"cache": True},
+            {"cache": True, "cache_size": 8},
+            {"on_budget_exhausted": "truncate"},
+            {"topology": TopologyConfig(n_parties=3)},
+            {"comm_budget": 0.5},
+            {"scheduler": "threaded"},
             {"retry": 3},
             {"quorum": 0.5},
             {"degradation": "last_known"},
             {"breaker": 2},
-        ):
-            config = ScenarioConfig(
-                dataset="bank", model="lr", attack="esa", scale=TINY, seed=11, **knob
-            )
-            with pytest.raises(ScenarioError, match="prebuilt"):
-                run_scenario(config, scenario=base.scenario)
+            {"telemetry": True},
+        ],
+        ids=lambda knob: list(knob)[-1],
+    )
+    def test_prebuilt_scenarios_reject_resilience_knobs(self, prebuilt, knob):
+        config = ScenarioConfig(
+            dataset="bank", model="lr", attack="esa", scale=TINY, seed=11, **knob
+        )
+        with pytest.raises(ScenarioError, match="prebuilt") as info:
+            run_scenario(config, scenario=prebuilt)
+        # The refusal names exactly the knobs that were set.
+        named = re.search(r"knobs \(([^)]*)\)", str(info.value)).group(1)
+        assert named.split(", ") == list(knob)
 
     @pytest.mark.parametrize(
         "knob",
