@@ -43,7 +43,6 @@ DEFAULT_LAYER_RANKS: dict[str, int] = {
     "attacks": 6,
     "defenses": 7,
     "serving": 8,
-    "bench": 9,
     "api": 9,
     "workload": 10,
     "experiments": 11,
@@ -54,7 +53,7 @@ DEFAULT_LAYER_RANKS: dict[str, int] = {
 #: ``repro.telemetry.wall`` is the telemetry layer's single sanctioned
 #: wall-clock reader; the rest of ``repro.telemetry`` stays banned.
 DEFAULT_TIMING_MODULES: frozenset[str] = frozenset(
-    {"repro.bench", "repro.experiments.batch", "repro.telemetry.wall"}
+    {"repro.experiments.batch", "repro.telemetry.wall"}
 )
 
 #: Path prefixes (relative to the lint root) granted wall-clock access.

@@ -56,7 +56,7 @@ def module_name_for(path: Path) -> str | None:
     """Dotted module name derived by walking ``__init__.py`` parents.
 
     Returns ``None`` for scripts that live outside any package (e.g.
-    ``benchmarks/bench_models.py``).
+    ``benchmarks/gates.py``).
     """
     parts = [path.stem]
     parent = path.parent

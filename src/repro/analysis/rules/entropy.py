@@ -3,8 +3,8 @@
 "Bit-identical replay" means a result may depend only on its config and
 seed. Wall-clock timestamps, OS randomness, and UUIDs smuggle ambient
 state into outputs: a payload stamped with ``time.time()`` can never
-equal its replay. Only the declared timing tier (``repro.bench``,
-``benchmarks/``, the batch engine's elapsed-seconds bookkeeping) may
+equal its replay. Only the declared timing tier (``benchmarks/``, the
+batch engine's elapsed-seconds bookkeeping, ``repro.telemetry.wall``) may
 read these sources; elapsed-time measurement via ``time.perf_counter``
 / ``time.monotonic`` / ``time.sleep`` is allowed everywhere because it
 never feeds stored values' identity.

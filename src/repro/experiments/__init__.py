@@ -40,7 +40,7 @@ from repro.config import (
     ScaleConfig,
     get_scale,
 )
-from repro.experiments.common import VFLScenario, build_scenario, make_model
+from repro.api import VFLScenario, build_scenario, make_model
 from repro.experiments.reporting import ExperimentResult
 from repro.experiments.spec import (
     EXPERIMENT_SPECS,

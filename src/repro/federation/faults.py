@@ -196,7 +196,8 @@ class FaultPlan:
         Pure in its arguments (see :mod:`repro.resilience.chaos`): the
         runtime and the party node can both evaluate it and agree, and
         an offline auditor can recompute an entire storm analytically —
-        which is exactly what ``benchmarks/bench_resilience.py`` gates.
+        which is exactly what ``test_storm_replays_analytically`` in
+        ``tests/test_resilience.py`` checks.
         """
         if party in self.dropped:
             return FaultOutcome(kind="drop")

@@ -463,23 +463,6 @@ class TestDeprecationShims:
             legacy_result.x_target_hat, api_result.x_target_hat
         )
 
-    def test_legacy_common_imports_still_work(self):
-        from repro.experiments.common import (  # noqa: F401
-            MODEL_KINDS,
-            VFLScenario,
-            build_scenario,
-            grna_kwargs_from_scale,
-            make_model,
-        )
-
-        assert MODEL_KINDS == ("lr", "nn", "dt", "rf")
-
-    def test_legacy_experiments_config_import(self):
-        from repro.config import SMOKE as canonical
-        from repro.experiments.config import SMOKE as shimmed
-
-        assert shimmed is canonical
-
 
 class TestReportPersistence:
     """ScenarioReport round-trips through JSON and the JSONL ResultsStore."""

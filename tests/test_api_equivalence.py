@@ -21,7 +21,7 @@ from repro.attacks import (
     random_path,
 )
 from repro.config import ScaleConfig
-from repro.experiments.common import build_scenario, grna_kwargs_from_scale
+from repro.api import build_scenario, grna_kwargs_from_scale
 from repro.experiments.figures import (
     fig5_run_unit,
     fig5_units,

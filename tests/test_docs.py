@@ -26,7 +26,7 @@ MENTIONS = [
     ("README.md", "repro-experiments"),
     ("README.md", "query_budget"),
     ("README.md", "comm_budget"),
-    ("README.md", "repro-bench"),
+    ("README.md", "benchmarks/gates.py"),
     ("README.md", "BENCH_vectorized"),
     ("docs/architecture.md", "trial_units"),
     ("docs/architecture.md", "run_scenario"),
@@ -37,7 +37,7 @@ MENTIONS = [
     ("docs/architecture.md", "CommLedger"),
     ("docs/architecture.md", "TopologyConfig"),
     ("docs/architecture.md", "## Performance"),
-    ("docs/architecture.md", "repro-bench"),
+    ("docs/architecture.md", "benchmarks/gates.py"),
     ("docs/architecture.md", "## Workload layer"),
     ("docs/architecture.md", "ShardedPredictionService"),
     ("docs/architecture.md", "make_trace"),
@@ -75,8 +75,6 @@ PACKAGE_DOCS = [
       "TopologyConfig", "FaultPlan")),
     ("repro.resilience", "RetryPolicy",
      ("RetryPolicy", "BreakerPolicy", "CircuitBreaker", "SimClock", "ReplyCache")),
-    ("repro.bench", "repro-bench",
-     ("run_bench", "regression_failures", "KernelResult")),
     ("repro.workload", "TrafficTrace",
      ("ShardedPredictionService", "TrafficTrace", "WorkloadReport",
       "make_trace", "attacker_trace", "shard_of")),

@@ -15,7 +15,7 @@ from repro.experiments import (
     run_experiment,
     table2_datasets,
 )
-from repro.experiments.config import SMOKE
+from repro.config import SMOKE
 from repro.models import (
     DecisionTreeClassifier,
     LogisticRegression,

@@ -11,6 +11,11 @@ inputs, and training runs, fast and slow agree to the bit — ``==`` on
 every float, never ``allclose``.
 """
 
+import importlib.util
+import json
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -309,87 +314,100 @@ class TestPraKernels:
         assert intervals_a == intervals_b and intervals_a is not intervals_b
 
 
+def _load_gates():
+    """``benchmarks/`` is not a package: load the runner from its file."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "gates.py"
+    spec = importlib.util.spec_from_file_location("gates", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def gates():
+    return _load_gates()
+
+
+def _stub_interleave(gates, monkeypatch, seconds):
+    """Replace the timing routine: every arm still runs once, but the
+    replays report ``seconds[arm]`` (one value per replay)."""
+
+    def interleave(arms):
+        for arm in arms.values():
+            arm()
+        return {name: np.asarray(seconds[name], dtype=float) for name in arms}
+
+    monkeypatch.setattr(gates, "interleave", interleave)
+
+
 class TestBenchHarness:
-    """repro-bench writes well-formed summaries and gates regressions."""
+    """benchmarks/gates.py writes one summary schema and gates each case.
 
-    def test_run_bench_summary_schema(self):
-        from repro.bench import run_bench
+    Real timings are gated by ``make bench-smoke``; these tests stub the
+    timing routine, so the verdicts are exact.
+    """
 
-        summary = run_bench("smoke", "unit", kernels=["dt_predict"], repeats=1)
-        assert summary["label"] == "unit" and summary["scale"] == "smoke"
+    def _storm_run(self, gates, monkeypatch, tmp_path, storm_seconds):
+        _stub_interleave(
+            gates, monkeypatch, {"fault-free": [1.0] * 5, "storm": storm_seconds}
+        )
+        monkeypatch.setattr(gates, "GROUPS", [gates.storm_gates])
+        out = tmp_path / "summary.json"
+        code = gates.main(["--tiny", "--out", str(out)])
+        return code, json.loads(out.read_text())
+
+    def test_run_bench_summary_schema(self, gates, monkeypatch, tmp_path):
+        code, summary = self._storm_run(
+            gates, monkeypatch, tmp_path, [10.0, 11.0, 11.5, 12.0, 30.0]
+        )
+        assert code == 0
+        assert summary["scale"] == "tiny" and summary["replays"] == gates.REPLAYS >= 5
         assert {"platform", "python", "numpy", "cpus"} <= set(summary["machine"])
-        kernel = summary["kernels"]["dt_predict"]
-        assert kernel["seconds"] > 0 and kernel["baseline_seconds"] > 0
-        assert kernel["speedup"] == kernel["baseline_seconds"] / kernel["seconds"]
+        assert summary["machine"]["cpus"] == os.cpu_count()
+        # The median ignores the one slow replay; the IQR reports the spread.
+        assert summary["cases"] == {
+            "storm.sequential_overhead": {
+                "median": 11.5, "iqr": 1.0, "bound": 12.0, "op": "<=", "pass": True,
+            }
+        }
+        assert summary["pass"] is True
 
-    def test_seed_baseline_anchors_at_unity(self):
-        from repro.bench import run_bench
+    def test_cli_smoke_gate_roundtrip(self, gates, monkeypatch, tmp_path):
+        code, summary = self._storm_run(gates, monkeypatch, tmp_path, [12.0] * 5)
+        assert code == 0 and summary["pass"]
+        code, summary = self._storm_run(gates, monkeypatch, tmp_path, [12.5] * 5)
+        assert code == 1 and not summary["pass"]
+        assert summary["cases"]["storm.sequential_overhead"]["pass"] is False
 
-        summary = run_bench(
-            "smoke", "seed", kernels=["dt_predict"], repeats=1, seed_baseline=True
+    def test_regression_gate_flags_and_passes(self, gates, monkeypatch, tmp_path):
+        """Kernel speedups are gated against the committed baseline / 1.5;
+        a kernel the baseline gates but the run lacks fails."""
+        baseline = tmp_path / "BENCH_smoke.json"
+        monkeypatch.setattr(gates, "KERNEL_BASELINE", baseline)
+        monkeypatch.setattr(
+            gates, "KERNELS", {"k": lambda sizes: (lambda: None, lambda: None)}
         )
-        assert summary["kernels"]["dt_predict"]["speedup"] == 1.0
+        _stub_interleave(gates, monkeypatch, {"fast": [0.001] * 5, "slow": [0.010] * 5})
 
-    def test_regression_gate_flags_and_passes(self):
-        from repro.bench import regression_failures
+        def cases(reference):
+            baseline.write_text(json.dumps({"kernels": reference}))
+            return gates.kernel_gates("tiny")
 
-        reference = {"kernels": {"k": {"speedup": 9.0}, "skipped": {"speedup": None}}}
-        live_ok = {"kernels": {"k": {"speedup": 7.0}}}
-        live_bad = {"kernels": {"k": {"speedup": 5.0}}}
-        assert regression_failures(live_ok, reference) == []
-        assert len(regression_failures(live_bad, reference)) == 1
-        # a gated kernel missing from the live run is a failure, not a pass
-        assert len(regression_failures({"kernels": {}}, reference)) == 1
+        live = cases({"k": {"speedup": 14.0}, "skipped": {"speedup": None}})
+        assert live["kernel.k"]["median"] == pytest.approx(10.0)
+        assert live["kernel.k"]["pass"] and set(live) == {"kernel.k"}
+        assert not cases({"k": {"speedup": 15.1}})["kernel.k"]["pass"]
+        missing = cases({"k": {"speedup": 9.0}, "gone": {"speedup": 2.0}})
+        assert missing["kernel.gone"] == {
+            "median": None, "iqr": None, "bound": 2.0 / 1.5, "op": ">=", "pass": False,
+        }
 
-    def test_cli_smoke_gate_roundtrip(self, tmp_path, monkeypatch):
-        """The gate's verdicts, on stubbed timings.
-
-        A single ~1 ms wall-clock sample swings the live speedup several
-        fold between runs, so real timings are gated by
-        ``make bench-smoke``; here ``timed`` still runs each kernel once
-        but reports fixed seconds (fast 1 ms, reference 10 ms).
-        """
-        import json
-
-        import repro.bench as bench
-
-        calls = []
-
-        def timed(fn, repeats):
-            fn()
-            calls.append(fn)
-            return 0.001 if len(calls) % 2 else 0.010
-
-        monkeypatch.setattr(bench, "timed", timed)
-        monkeypatch.chdir(tmp_path)
-        baseline = tmp_path / "BENCH_smoke.json"
-        out = tmp_path / "BENCH_live.json"
-        argv = [
-            "--smoke", "--kernels", "dt_predict", "--repeats", "1",
-            "--baseline", str(baseline), "--out", str(out),
-        ]
-        assert bench.main(argv) == 1  # gate fails: no baseline checked in yet
-        baseline.write_text(out.read_text())
-        assert bench.main(argv) == 0  # its own fresh baseline passes the gate
-        summary = json.loads(out.read_text())
-        live = summary["kernels"]["dt_predict"]["speedup"]
-        assert live == pytest.approx(10.0)
-        # A baseline claiming more than GATE_MARGIN x the live speedup fails.
-        summary["kernels"]["dt_predict"]["speedup"] = live * bench.GATE_MARGIN * 1.01
-        baseline.write_text(json.dumps(summary))
-        assert bench.main(argv) == 1
-
-    def test_cli_refuses_to_clobber_its_own_baseline(self, tmp_path, monkeypatch):
-        from repro.bench import main
-
-        monkeypatch.chdir(tmp_path)
-        baseline = tmp_path / "BENCH_smoke.json"
+    def test_cli_refuses_to_clobber_its_own_baseline(self, gates, monkeypatch, tmp_path):
+        baseline = tmp_path.resolve() / "BENCH_smoke.json"
         baseline.write_text("{}")
-        code = main(
-            [
-                "--smoke", "--kernels", "dt_predict", "--repeats", "1",
-                "--baseline", str(baseline), "--out", str(baseline),
-            ]
-        )
-        assert code == 1
+        monkeypatch.setattr(gates, "KERNEL_BASELINE", baseline)
+        monkeypatch.setattr(gates, "GROUPS", [])
+        monkeypatch.chdir(tmp_path)
+        assert gates.main(["--tiny", "--out", "BENCH_smoke.json"]) == 1
+        assert gates.main(["--out", str(baseline)]) == 1
         assert baseline.read_text() == "{}"

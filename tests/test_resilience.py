@@ -117,6 +117,68 @@ def storm_runtime(vfl, scheduler="sequential", **kwargs):
     return FederationRuntime(vfl, scheduler=scheduler, **kwargs)
 
 
+#: A storm with every outcome kind: two flaky parties, one timeout-prone.
+WIDE_STORM = (
+    ("flaky", {"party": 1, "p": 0.25, "seed": 11}),
+    ("flaky", {"party": 2, "p": 0.25, "seed": 12}),
+    ("timeout", {"party": 3, "p": 0.2, "delay": 0.5, "seed": 13}),
+)
+
+#: Storm wire bytes (retries included) may be at most this many times
+#: the fault-free bytes of the same rounds.
+MAX_BYTE_OVERHEAD = 2.5
+
+
+def wide_storm_runtime(vfl):
+    return storm_runtime(
+        vfl,
+        faults=FaultPlan.from_specs(WIDE_STORM),
+        retry={"max_attempts": 3, "backoff_base": 0.01, "jitter": 0.25, "timeout": 0.1},
+        quorum=0.5,
+    )
+
+
+def replay_storm_analytically(plan, policy, rounds, parties):
+    """Recompute a storm's bookkeeping from the pure chaos functions.
+
+    No protocol, no transport: for every ``(party, round)`` cell, walk
+    the attempt budget through :meth:`FaultPlan.outcome` as the protocol
+    round does, and tally what the ledger and availability report must
+    say. Any divergence from a measured run means a chaos decision was
+    consumed impurely (order- or scheduler-dependent).
+    """
+    retries = 0
+    timeouts = 0
+    degraded = []
+    for round_id in rounds:
+        missing = []
+        for party in parties:
+            delivered = False
+            for attempt in range(policy.max_attempts):
+                if attempt > 0:
+                    retries += 1
+                outcome = plan.outcome(party, round_id, attempt)
+                if outcome.kind == "ok":
+                    delivered = True
+                    break
+                if (
+                    outcome.kind == "timeout"
+                    and policy.timeout is not None
+                    and outcome.latency > policy.timeout
+                ):
+                    timeouts += 1
+                elif outcome.kind == "timeout":
+                    delivered = True  # slow but within the deadline
+                    break
+                if outcome.permanent:
+                    break
+            if not delivered:
+                missing.append(party)
+        if missing:
+            degraded.append({"round": round_id, "missing": missing})
+    return {"retries": retries, "timeouts": timeouts, "degraded": degraded}
+
+
 class TestChaosEngine:
     def test_decisions_are_pure(self):
         draws = [
@@ -573,6 +635,35 @@ class TestResilientExchange:
         assert ledger["retries"] > 0
         assert requests == ledger["rounds"] * 2 + ledger["retries"]
         assert ledger["bytes"] == runtime.transport.delivered_bytes
+
+    def test_storm_replays_analytically(self):
+        """The availability report is a pure function of the chaos seeds."""
+        runtime = wide_storm_runtime(deploy(n_parties=4))
+        for _ in range(100):
+            runtime.predict(np.arange(8))
+        report = runtime.availability_report()
+        analytic = replay_storm_analytically(
+            runtime.faults, runtime.retry_policy, range(100), [1, 2, 3]
+        )
+        assert analytic == {
+            "retries": report["retries"],
+            "timeouts": report["timeouts"],
+            "degraded": [
+                {"round": entry["round"], "missing": entry["missing"]}
+                for entry in report["degraded"]
+            ],
+        }
+        assert analytic["retries"] and analytic["timeouts"] and analytic["degraded"]
+
+    def test_storm_bytes_within_overhead_bound(self):
+        vfl = deploy(n_parties=4)
+        fault_free = FederationRuntime(vfl)
+        storm = wide_storm_runtime(vfl)
+        for _ in range(100):
+            fault_free.predict(np.arange(8))
+            storm.predict(np.arange(8))
+        assert storm.ledger.retries > 0
+        assert storm.ledger.total_bytes <= MAX_BYTE_OVERHEAD * fault_free.ledger.total_bytes
 
     def test_storm_is_bit_identical_across_schedulers(self):
         vfl = deploy()

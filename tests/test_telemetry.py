@@ -10,6 +10,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -343,6 +344,22 @@ class TestScenarioTelemetry:
         assert build["kind"] == "scenario.build"
         assert build["attrs"]["dataset"] == "bank"
         assert build["attrs"]["predictions"] == report.queries_used
+
+    def test_serving_spans_one_per_query_and_chunk(self):
+        """Traced serving returns the untraced bits, two traced runs emit
+        equal records, and each query call and each chunk is one span."""
+        vfl = served_vfl()
+        queries = [np.arange(start, start + 16) for start in range(0, 128, 16)]
+
+        def serve(tracer=None):
+            service = PredictionService(vfl, max_batch=8, tracer=tracer)
+            return np.concatenate([service.query(q, consumer="c") for q in queries])
+
+        first, second = Tracer(MemorySink()), Tracer(MemorySink())
+        assert serve(first).tobytes() == serve().tobytes()
+        serve(second)
+        assert strip_wall(first.sink.records) == strip_wall(second.sink.records)
+        assert first.summary()["by_kind"] == {"serving.chunk": 16, "serving.query": 8}
 
     def test_grna_epochs_traced(self):
         config = ScenarioConfig(

@@ -256,6 +256,12 @@ class TestShardedReplay:
             == oracle.replay(trace, mode="serial").consumer_accounting()
         )
 
+    def test_every_trace_consumer_is_served(self):
+        vfl = make_vfl("lr")
+        trace = small_trace(vfl)
+        report = ShardedPredictionService(vfl, n_shards=4, seed=5).replay(trace)
+        assert len(report.ledger["counts"]) == trace.n_consumers
+
     def test_consumer_budgets_refuse_and_refund(self):
         vfl = make_vfl("lr")
         trace = small_trace(vfl)
