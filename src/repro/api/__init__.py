@@ -29,8 +29,9 @@ Layers (lowest first):
 - :mod:`repro.api.scenario` — :func:`run_scenario` tying it together,
   serving every deployment through a metered
   :class:`~repro.serving.PredictionService`
-  (``ScenarioConfig(query_budget=..., batch_size=..., cache=...)``) so
-  each :class:`ScenarioReport` states its ``queries_used``;
+  (``ScenarioConfig(query_budget=..., batch_size=..., cache=...)``, the
+  knobs of its :class:`Deployment` base) so each :class:`ScenarioReport`
+  states its ``queries_used``;
 - :mod:`repro.api.resume` — :func:`run_scenario_resumable`, the
   suspend/resume wrapper: snapshots the serving accumulation and GRNA's
   training loop into a run directory so a killed scenario finishes
@@ -59,6 +60,7 @@ from repro.api.attacks import (
     released_model,
 )
 from repro.api.scenario import (
+    Deployment,
     ScenarioConfig,
     ScenarioReport,
     VFLScenario,
@@ -94,6 +96,7 @@ __all__ = [
     "RandomBaselineScenarioAttack",
     "grna_kwargs_from_scale",
     "released_model",
+    "Deployment",
     "ScenarioConfig",
     "ScenarioReport",
     "VFLScenario",

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from typing import Any
 
@@ -69,6 +70,7 @@ from repro.telemetry import NULL_TRACER, check_telemetry_spec, make_tracer
 from repro.utils.random import check_random_state, spawn_rngs
 
 __all__ = [
+    "Deployment",
     "ScenarioConfig",
     "ScenarioReport",
     "VFLScenario",
@@ -80,27 +82,133 @@ __all__ = [
 BASELINES = ("uniform", "gaussian", "path")
 
 
-def _check_comm_budget(value: "int | float | None") -> None:
-    """Shared validation for the ``comm_budget`` knob.
+@dataclass(kw_only=True)
+class Deployment:
+    """How a scenario's prediction pool is served: every deployment knob.
 
-    ``None`` is unmetered, an ``int`` is absolute bytes (positive), a
-    ``float`` is a fraction in ``(0, 1]`` of the accumulation's exact
-    projected traffic. One helper for both the config validator and
-    direct :func:`build_scenario` callers, so the two paths cannot
-    drift.
+    The paper's adversary acts only in the prediction stage (§III-B), so
+    these knobs shape the one thing the attacks consume: the pool of
+    predictions the deployment serves. Each knob is declared here once;
+    :func:`build_scenario` takes a ``Deployment`` and
+    :class:`ScenarioConfig` extends it. The defaults (unlimited, one
+    round, no cache, two-block topology, no byte budget, sequential,
+    fail-fast, untraced) reproduce the historical scenario bit-for-bit.
+
+    Serving, on the deployment's :class:`~repro.serving.PredictionService`:
+
+    - ``query_budget`` caps the chargeable prediction queries (``None``:
+      unlimited);
+    - ``batch_size`` bounds each protocol round (``None``: one round);
+    - ``cache`` memoizes responses by sample hash, and ``cache_size``
+      bounds that memo as an LRU with eviction accounting (``None``:
+      unbounded; meaningless without ``cache``);
+    - ``on_budget_exhausted`` chooses between raising
+      (:class:`~repro.exceptions.QueryBudgetExceededError`,
+      :class:`~repro.exceptions.CommBudgetExceededError`; ``"raise"``)
+      and attacking the prefix the budgets allowed (``"truncate"``);
+    - ``breaker`` (a :class:`~repro.resilience.BreakerPolicy`, an int
+      failure threshold, or a payload dict) refuses a consumer's queries
+      (:class:`~repro.exceptions.ServiceUnavailableError`) after
+      consecutive runtime failures, until a half-open probe succeeds
+      (``None``: no breakers).
+
+    Federation, on the :class:`~repro.federation.FederationRuntime`:
+
+    - ``topology`` (a :class:`~repro.federation.TopologyConfig`) sets the
+      party count, the colluders joining the adversary view, the column
+      apportionment and injected faults (``None``: the paper's two-block
+      setting);
+    - ``comm_budget`` caps the wire bytes: an ``int`` is absolute bytes,
+      a ``float`` in ``(0, 1]`` a fraction of this accumulation's exact
+      projected traffic
+      (:meth:`~repro.federation.FederationRuntime.estimate_predict_bytes`),
+      floored at the first round's cost so a fraction always yields an
+      attackable pool;
+    - ``scheduler`` runs rounds ``"sequential"`` or ``"threaded"``,
+      bit-identically.
+
+    Resilience, in the runtime's protocol round: ``retry`` (a
+    :class:`~repro.resilience.RetryPolicy`, an int attempt count, or a
+    payload dict) re-requests failed parties, with retries metered as
+    request frames, seeded backoff on a simulated clock, and slow replies
+    metered as timeouts. ``quorum`` (int party count or float fraction)
+    lets a round proceed degraded when enough parties survive, imputing
+    the missing blocks by the ``degradation`` strategy
+    (:data:`~repro.resilience.DEGRADATIONS`). With neither, a round is
+    fail-fast: one attempt, every party required.
+
+    Telemetry: ``telemetry`` builds the scenario's
+    :class:`~repro.telemetry.Tracer` (see
+    :func:`~repro.telemetry.make_tracer`). ``True`` traces into a memory
+    sink, a dict selects the sink (``{"sink": "jsonl", "path": ...,
+    "wall": ...}``). Traced record content is deterministic; ``None``
+    holds :data:`~repro.telemetry.NULL_TRACER` and runs byte-identically
+    to an untraced scenario.
     """
-    if value is None:
-        return
-    if isinstance(value, float):
-        if not 0.0 < value <= 1.0:
+
+    query_budget: int | None = None
+    batch_size: int | None = None
+    cache: bool = False
+    cache_size: int | None = None
+    on_budget_exhausted: str = "raise"
+    topology: "TopologyConfig | None" = None
+    comm_budget: "int | float | None" = None
+    scheduler: str = "sequential"
+    retry: "RetryPolicy | int | dict | None" = None
+    quorum: "int | float | None" = None
+    degradation: str = "zero_fill"
+    breaker: "BreakerPolicy | int | dict | None" = None
+    telemetry: "bool | dict | None" = None
+
+    def validate(self) -> None:
+        """Refuse a malformed knob with a typed error that names it.
+
+        The one deployment validator: :func:`run_scenario` and
+        :func:`build_scenario` both call it. An integer quorum's upper
+        bound waits for the built topology's party count.
+        """
+        for name in ("query_budget", "batch_size", "cache_size"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ScenarioError(
+                    f"{name} must be a positive int or None, got {value}"
+                )
+        if self.cache_size is not None and not self.cache:
             raise ScenarioError(
-                f"a fractional comm_budget must lie in (0, 1], got {value}"
+                "cache_size bounds the response cache and is meaningless "
+                "without cache=True"
             )
-    elif not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ScenarioError(
-            "comm_budget must be positive bytes (int), a fraction in "
-            f"(0, 1], or None, got {value!r}"
-        )
+        if self.on_budget_exhausted not in ("raise", "truncate"):
+            raise ScenarioError(
+                "on_budget_exhausted must be 'raise' or 'truncate', got "
+                f"{self.on_budget_exhausted!r}"
+            )
+        if self.scheduler not in SCHEDULERS:
+            raise ScenarioError(
+                f"unknown scheduler {self.scheduler!r}; choose from "
+                f"{sorted(SCHEDULERS)}"
+            )
+        budget = self.comm_budget
+        if isinstance(budget, float):
+            if not 0.0 < budget <= 1.0:
+                raise ScenarioError(
+                    f"a fractional comm_budget must lie in (0, 1], got {budget}"
+                )
+        elif budget is not None and (
+            not isinstance(budget, int) or isinstance(budget, bool) or budget < 1
+        ):
+            raise ScenarioError(
+                "comm_budget must be positive bytes (int), a fraction in "
+                f"(0, 1], or None, got {budget!r}"
+            )
+        # from_spec raises with the exact malformed-field message.
+        RetryPolicy.from_spec(self.retry)
+        BreakerPolicy.from_spec(self.breaker)
+        check_quorum(self.quorum)
+        check_telemetry_spec(self.telemetry)
+        DEGRADATIONS.get(self.degradation)
+        if self.topology is not None:
+            self.topology.validate()
 
 
 @dataclass
@@ -155,6 +263,23 @@ class VFLScenario:
     tracer: Any = NULL_TRACER
 
 
+@contextmanager
+def _owned_span(tracer, kind: str, **attrs):
+    """A span on a tracer this frame owns: closed if the span raises.
+
+    When an exception (a CheckpointPause suspension included) unwinds
+    past the owner, the caller has no handle to the tracer, so its sink
+    is closed on the way out. Records are fsync'd per emit, so nothing is
+    lost, and a resumed run reopens the file in skip-by-seq mode.
+    """
+    try:
+        with tracer.span(kind, **attrs) as span:
+            yield span
+    except BaseException:
+        tracer.close()
+        raise
+
+
 def build_scenario(
     dataset_name: str,
     model_kind: str,
@@ -165,21 +290,9 @@ def build_scenario(
     n_predictions: int | None = None,
     model_params: dict[str, Any] | None = None,
     defense_stack: DefenseStack | None = None,
-    query_budget: int | None = None,
-    batch_size: int | None = None,
-    cache: bool = False,
-    cache_size: int | None = None,
-    on_budget_exhausted: str = "raise",
+    deployment: Deployment | None = None,
     consumer: str = "scenario",
-    topology: TopologyConfig | None = None,
-    comm_budget: "int | float | None" = None,
-    scheduler: str = "sequential",
     checkpoint: "CheckpointPlan | None" = None,
-    retry: "RetryPolicy | int | dict | None" = None,
-    quorum: "int | float | None" = None,
-    degradation: str = "zero_fill",
-    breaker: "BreakerPolicy | int | dict | None" = None,
-    tracer=None,
 ) -> VFLScenario:
     """Construct one complete attack scenario.
 
@@ -206,41 +319,15 @@ def build_scenario(
         after prediction. When no stack is given the construction path
         (and its random-stream consumption) is identical to the
         historical undefended skeleton.
-    query_budget, batch_size, cache, cache_size, on_budget_exhausted:
-        Serving-layer knobs, forwarded to the deployment's
-        :class:`~repro.serving.PredictionService`: an optional cap on
-        chargeable prediction queries, the per-protocol-round batch
-        size, response memoization by sample hash (``cache_size``
-        bounds the memo as an LRU; ``None`` keeps it unbounded, the
-        historical behavior), and whether an exhausted budget raises
-        (:class:`~repro.exceptions.QueryBudgetExceededError`) or
-        truncates the accumulated pool. The defaults (unlimited, one
-        round, no cache) accumulate bit-identically to the historical
-        direct ``vfl.predict`` path.
+    deployment:
+        How the prediction pool is served (see :class:`Deployment`),
+        validated on entry; ``None`` is the default deployment. Its
+        ``telemetry`` knob makes the scenario's tracer, which this call
+        owns: the construction runs inside its ``scenario.build`` span,
+        and a build that raises closes it.
     consumer:
         Ledger name the accumulation is charged to (the facade passes
         the attack's registry key).
-    topology:
-        Party layout (:class:`~repro.federation.TopologyConfig`):
-        N-party feature apportionment, colluders joining the adversary
-        view, and injected faults. ``None`` (and the default config) is
-        the paper's two-block setting, bit-identical to the historical
-        partition draw.
-    comm_budget:
-        Byte budget on the federation runtime's
-        :class:`~repro.federation.CommLedger`. An ``int`` is absolute
-        bytes; a ``float`` in ``(0, 1]`` is resolved against
-        :meth:`~repro.federation.FederationRuntime.estimate_predict_bytes`
-        for this scenario's accumulation (so ``0.5`` means "half the
-        traffic the undefended accumulation needs"), floored at the
-        first protocol round's cost so a fraction always yields an
-        attackable pool. Exhaustion follows
-        ``on_budget_exhausted``: raise
-        :class:`~repro.exceptions.CommBudgetExceededError`, or truncate
-        the pool at the last affordable protocol round.
-    scheduler:
-        Federation round scheduler (``"sequential"``/``"threaded"``);
-        both are bit-identical, threading overlaps party work.
     checkpoint:
         A :class:`~repro.checkpoint.CheckpointPlan` for the
         accumulation: each served protocol round ends with a snapshot
@@ -250,175 +337,155 @@ def build_scenario(
         :meth:`~repro.serving.PredictionService.query`; incompatible
         with a non-empty ``defense_stack`` (per-defense tallies are not
         snapshotted).
-    retry, quorum, degradation:
-        Resilience knobs forwarded to the
-        :class:`~repro.federation.FederationRuntime`. ``retry`` (a
-        :class:`~repro.resilience.RetryPolicy`, an int attempt count, or
-        a payload dict) gives failed parties more attempts: retries are
-        metered request frames, seeded backoff accrues on a simulated
-        clock, and slow replies become metered timeouts. ``quorum`` (int
-        party count or float fraction) lets a round proceed degraded
-        when enough parties survive, imputing the missing blocks via the
-        ``degradation`` strategy (:data:`~repro.resilience.DEGRADATIONS`).
-        All ``None``/default runs the same round fail-fast: one attempt,
-        every party required.
-    breaker:
-        Per-consumer circuit-breaker policy for the deployment's
-        :class:`~repro.serving.PredictionService` (a
-        :class:`~repro.resilience.BreakerPolicy`, an int failure
-        threshold, or a payload dict). Runtime failures trip the
-        breaker into refusing queries
-        (:class:`~repro.exceptions.ServiceUnavailableError`) until a
-        half-open probe succeeds. ``None`` disables breakers.
-    tracer:
-        Optional :class:`~repro.telemetry.Tracer`, attached to both the
-        federation runtime (round/retry/degradation records) and the
-        serving layer (query/chunk/breaker records). ``None`` (default)
-        stores :data:`~repro.telemetry.NULL_TRACER` everywhere: the
-        same code runs, no record is kept, and the untraced
-        construction's bytes are unchanged.
     """
-    tracer = tracer or NULL_TRACER
-    n_streams = 4 if defense_stack is None or not len(defense_stack) else 5
-    streams = spawn_rngs(seed, n_streams)
-    data_rng, part_rng, model_rng, pick_rng = streams[:4]
-    defense_rng = streams[4] if n_streams == 5 else None
+    deployment = Deployment() if deployment is None else deployment
+    deployment.validate()
+    tracer = make_tracer(deployment.telemetry)
+    with _owned_span(
+        tracer, "scenario.build", dataset=dataset_name, model=model_kind, attack=consumer
+    ) as build_span:
+        topology = deployment.topology
+        batch_size = deployment.batch_size
+        n_streams = 4 if defense_stack is None or not len(defense_stack) else 5
+        streams = spawn_rngs(seed, n_streams)
+        data_rng, part_rng, model_rng, pick_rng = streams[:4]
+        defense_rng = streams[4] if n_streams == 5 else None
 
-    dataset = load_dataset(dataset_name, n_samples=scale.n_samples, rng=data_rng)
-    X, y = dataset.X, dataset.y
-    if (
-        topology is not None
-        and not topology.is_default_partition
-        and defense_stack is not None
-        and any(type(d).screen is not Defense.screen for d in defense_stack)
-    ):
-        raise IncompatibleScenarioError(
-            "screening defenses rebuild the partition as the two-block "
-            "adversary view, which would silently discard a non-default "
-            "party topology; run screening on the default 2-party layout"
-        )
-    if topology is None or topology.is_default_partition:
-        # The historical two-block draw, bit-for-bit (from_topology
-        # reduces to it, but the seed path stays textually untouched).
-        partition = FeaturePartition.adversary_target(
-            dataset.n_features, target_fraction, rng=part_rng
-        )
-    else:
-        topology.validate()
-        partition = FeaturePartition.from_topology(
-            dataset.n_features,
-            target_fraction,
-            n_parties=topology.n_parties,
-            colluders=topology.colluders,
-            strategy=topology.partition,
-            rng=part_rng,
-            **topology.partition_params,
-        )
-    colluders = () if topology is None else tuple(topology.colluders)
-    view = partition.adversary_view(colluders)
-    meta: dict[str, Any] = {}
-    if defense_rng is not None:
-        X, partition, view, meta = defense_stack.screen(
-            X, y, partition, view, dataset.n_classes
-        )
-    X_train, X_pool, y_train, y_pool = train_test_split(
-        X, y, test_fraction=0.5, rng=data_rng
-    )
-
-    model = make_model(model_kind, scale, model_rng, **(model_params or {}))
-    vfl = train_vertical_model(model, X_train, y_train, X_pool, y_pool, partition)
-    if defense_rng is not None:
-        vfl.model = defense_stack.wrap(vfl.model, rng=defense_rng)
-
-    n_pred = scale.n_predictions if n_predictions is None else int(n_predictions)
-    n_pred = min(n_pred, X_pool.shape[0])
-    picked = check_random_state(pick_rng).choice(
-        X_pool.shape[0], size=n_pred, replace=False
-    )
-    runtime = FederationRuntime(
-        vfl,
-        scheduler=scheduler,
-        faults=None if topology is None else topology.fault_plan(),
-        retry=retry,
-        quorum=quorum,
-        degradation=degradation,
-        tracer=tracer,
-    )
-    _check_comm_budget(comm_budget)
-    if comm_budget is not None:
-        if isinstance(comm_budget, float):
-            # A fractional budget prices this very accumulation: 1.0 is
-            # exactly the undefended run's projected wire bytes. Floored
-            # at the first round's cost — a fraction asks for a *portion*
-            # of the pool, and a budget below one round serves nothing;
-            # use absolute bytes to study that regime.
-            total = runtime.estimate_predict_bytes(n_pred, max_batch=batch_size)
-            per_round = (
-                total
-                if batch_size is None
-                else runtime.estimate_predict_bytes(
-                    min(n_pred, int(batch_size)), max_batch=batch_size
-                )
+        dataset = load_dataset(dataset_name, n_samples=scale.n_samples, rng=data_rng)
+        X, y = dataset.X, dataset.y
+        if (
+            topology is not None
+            and not topology.is_default_partition
+            and defense_stack is not None
+            and any(type(d).screen is not Defense.screen for d in defense_stack)
+        ):
+            raise IncompatibleScenarioError(
+                "screening defenses rebuild the partition as the two-block "
+                "adversary view, which would silently discard a non-default "
+                "party topology; run screening on the default 2-party layout"
             )
-            runtime.ledger.byte_budget = max(
-                int(np.ceil(comm_budget * total)), per_round
+        if topology is None or topology.is_default_partition:
+            # The historical two-block draw, bit-for-bit (from_topology
+            # reduces to it, but the seed path stays textually untouched).
+            partition = FeaturePartition.adversary_target(
+                dataset.n_features, target_fraction, rng=part_rng
             )
         else:
-            runtime.ledger.byte_budget = int(comm_budget)
-    service = PredictionService(
-        vfl,
-        runtime=runtime,
-        defense_stack=defense_stack,
-        query_budget=query_budget,
-        max_batch=batch_size,
-        cache=cache,
-        cache_size=cache_size,
-        rng=defense_rng,
-        exhaustion=on_budget_exhausted,
-        breaker=breaker,
-        tracer=tracer,
-    )
-    try:
-        V = service.query(picked, consumer=consumer, checkpoint=checkpoint)
-    finally:
-        # Release any threaded-scheduler workers now that the bulk
-        # accumulation is done; a later query through the retained
-        # service lazily recreates the pool, so sweeps that keep many
-        # reports alive do not pin one idle executor per scenario.
-        runtime.close()
-    if V.shape[0] == 0:
-        raise ScenarioError(
-            "the deployment's budgets (query or communication) allowed no "
-            "predictions at all; nothing to attack"
+            partition = FeaturePartition.from_topology(
+                dataset.n_features,
+                target_fraction,
+                n_parties=topology.n_parties,
+                colluders=topology.colluders,
+                strategy=topology.partition,
+                rng=part_rng,
+                **topology.partition_params,
+            )
+        colluders = () if topology is None else tuple(topology.colluders)
+        view = partition.adversary_view(colluders)
+        meta: dict[str, Any] = {}
+        if defense_rng is not None:
+            X, partition, view, meta = defense_stack.screen(
+                X, y, partition, view, dataset.n_classes
+            )
+        X_train, X_pool, y_train, y_pool = train_test_split(
+            X, y, test_fraction=0.5, rng=data_rng
         )
-    if V.shape[0] < picked.size:
-        # Truncate mode: the budget bound mid-accumulation; the scenario
-        # holds exactly the predictions the adversary could afford.
-        picked = picked[: V.shape[0]]
-    X_pred_full = X_pool[picked]
-    X_adv, X_target = view.split(X_pred_full)
-    scenario = VFLScenario(
-        dataset=dataset,
-        model=vfl.model,
-        vfl=vfl,
-        view=view,
-        X_adv=X_adv,
-        X_target=X_target,
-        V=V,
-        X_pred_full=X_pred_full,
-        y_pred=y_pool[picked],
-        meta=meta,
-        service=service,
-        runtime=runtime,
-        tracer=tracer,
-    )
-    if defense_rng is not None:
-        scenario = defense_stack.apply_release_filter(scenario)
+
+        model = make_model(model_kind, scale, model_rng, **(model_params or {}))
+        vfl = train_vertical_model(model, X_train, y_train, X_pool, y_pool, partition)
+        if defense_rng is not None:
+            vfl.model = defense_stack.wrap(vfl.model, rng=defense_rng)
+
+        n_pred = scale.n_predictions if n_predictions is None else int(n_predictions)
+        n_pred = min(n_pred, X_pool.shape[0])
+        picked = check_random_state(pick_rng).choice(
+            X_pool.shape[0], size=n_pred, replace=False
+        )
+        runtime = FederationRuntime(
+            vfl,
+            scheduler=deployment.scheduler,
+            faults=None if topology is None else topology.fault_plan(),
+            retry=deployment.retry,
+            quorum=deployment.quorum,
+            degradation=deployment.degradation,
+            tracer=tracer,
+        )
+        comm_budget = deployment.comm_budget
+        if comm_budget is not None:
+            if isinstance(comm_budget, float):
+                # A fractional budget prices this very accumulation: 1.0 is
+                # exactly the undefended run's projected wire bytes. Floored
+                # at the first round's cost — a fraction asks for a *portion*
+                # of the pool, and a budget below one round serves nothing;
+                # use absolute bytes to study that regime.
+                total = runtime.estimate_predict_bytes(n_pred, max_batch=batch_size)
+                per_round = (
+                    total
+                    if batch_size is None
+                    else runtime.estimate_predict_bytes(
+                        min(n_pred, int(batch_size)), max_batch=batch_size
+                    )
+                )
+                runtime.ledger.byte_budget = max(
+                    int(np.ceil(comm_budget * total)), per_round
+                )
+            else:
+                runtime.ledger.byte_budget = int(comm_budget)
+        service = PredictionService(
+            vfl,
+            runtime=runtime,
+            defense_stack=defense_stack,
+            query_budget=deployment.query_budget,
+            max_batch=batch_size,
+            cache=deployment.cache,
+            cache_size=deployment.cache_size,
+            rng=defense_rng,
+            exhaustion=deployment.on_budget_exhausted,
+            breaker=deployment.breaker,
+            tracer=tracer,
+        )
+        try:
+            V = service.query(picked, consumer=consumer, checkpoint=checkpoint)
+        finally:
+            # Release any threaded-scheduler workers now that the bulk
+            # accumulation is done; a later query through the retained
+            # service lazily recreates the pool, so sweeps that keep many
+            # reports alive do not pin one idle executor per scenario.
+            runtime.close()
+        if V.shape[0] == 0:
+            raise ScenarioError(
+                "the deployment's budgets (query or communication) allowed no "
+                "predictions at all; nothing to attack"
+            )
+        if V.shape[0] < picked.size:
+            # Truncate mode: the budget bound mid-accumulation; the scenario
+            # holds exactly the predictions the adversary could afford.
+            picked = picked[: V.shape[0]]
+        X_pred_full = X_pool[picked]
+        X_adv, X_target = view.split(X_pred_full)
+        scenario = VFLScenario(
+            dataset=dataset,
+            model=vfl.model,
+            vfl=vfl,
+            view=view,
+            X_adv=X_adv,
+            X_target=X_target,
+            V=V,
+            X_pred_full=X_pred_full,
+            y_pred=y_pool[picked],
+            meta=meta,
+            service=service,
+            runtime=runtime,
+            tracer=tracer,
+        )
+        if defense_rng is not None:
+            scenario = defense_stack.apply_release_filter(scenario)
+        build_span["predictions"] = int(scenario.V.shape[0])
     return scenario
 
 
-@dataclass
-class ScenarioConfig:
+@dataclass(kw_only=True)
+class ScenarioConfig(Deployment):
     """Declarative description of one grid cell.
 
     All component fields are registry keys — see
@@ -427,46 +494,10 @@ class ScenarioConfig:
     :data:`~repro.api.defenses.DEFENSES` — so a config is fully
     serializable and any typo fails fast with the valid choices listed.
 
-    The serving knobs meter the deployment's
-    :class:`~repro.serving.PredictionService`: ``query_budget`` caps how
-    many predictions the attack may accumulate (``None`` = unlimited, the
-    bit-identical historical default), ``batch_size`` bounds each
-    protocol round, ``cache`` memoizes responses by sample hash
-    (``cache_size`` caps the memo as an LRU with eviction accounting;
-    ``None`` keeps it unbounded), and
-    ``on_budget_exhausted`` chooses between a clean
-    :class:`~repro.exceptions.QueryBudgetExceededError` (``"raise"``) and
-    attacking whatever prefix the budget allowed (``"truncate"``).
-
-    The federation knobs shape the protocol underneath the service:
-    ``topology`` (a :class:`~repro.federation.TopologyConfig`) sets the
-    party count, colluders, column-apportionment strategy, and injected
-    faults; ``comm_budget`` caps the wire bytes the protocol may move
-    (absolute ``int`` bytes, or a ``float`` fraction of the undefended
-    accumulation's exact projected traffic); ``scheduler`` picks
-    sequential or threaded round execution (bit-identical either way).
-    The defaults — two-block topology, no budget, sequential — reproduce
-    the historical scenario bit-for-bit.
-
-    The resilience knobs make the deployment survive a fault storm
-    instead of aborting on it: ``retry`` (int attempts or a
-    :class:`~repro.resilience.RetryPolicy` payload dict) re-requests
-    failed parties with seeded backoff on a simulated clock, ``quorum``
-    (int party count or float fraction) lets rounds proceed degraded
-    with missing blocks imputed by the ``degradation`` strategy, and
-    ``breaker`` (int failure threshold or a policy dict) makes the
-    serving layer refuse a consumer's queries after consecutive runtime
-    failures instead of burning protocol rounds. All-``None``/default
-    resilience knobs leave every byte of the historical scenario
-    untouched.
-
-    ``telemetry`` opts the deployment into the observability layer:
-    ``True`` traces into a memory sink, a dict selects the sink
-    (``{"sink": "jsonl", "path": ..., "wall": ...}`` — see
-    :func:`~repro.telemetry.make_tracer`). Traced record content is
-    deterministic (wall-clock durations ride a quarantined field); the
-    default ``None`` runs byte-identically to an untraced scenario and
-    leaves :attr:`ScenarioReport.telemetry` empty.
+    A config is also the cell's :class:`Deployment`: the serving,
+    federation, resilience and telemetry knobs it inherits are
+    documented there, and :func:`run_scenario` hands the config itself
+    to :func:`build_scenario` as ``deployment``.
     """
 
     dataset: str
@@ -481,29 +512,6 @@ class ScenarioConfig:
     attack_params: dict[str, Any] = field(default_factory=dict)
     baselines: tuple[str, ...] = ()
     compute_cbr: bool = False
-    # Deployment knobs — every field from here on configures the serving,
-    # federation, resilience or telemetry layer as the scenario is built
-    # (see _DEPLOYMENT_KNOBS).
-    query_budget: int | None = None
-    batch_size: int | None = None
-    cache: bool = False
-    cache_size: int | None = None
-    on_budget_exhausted: str = "raise"
-    topology: "TopologyConfig | None" = None
-    comm_budget: "int | float | None" = None
-    scheduler: str = "sequential"
-    retry: "int | dict | None" = None
-    quorum: "int | float | None" = None
-    degradation: str = "zero_fill"
-    breaker: "int | dict | None" = None
-    telemetry: "bool | dict | None" = None
-
-
-#: The deployment knobs, derived from the dataclass: a prebuilt scenario
-#: refuses any of them set away from its default.
-_DEPLOYMENT_KNOBS = fields(ScenarioConfig)[
-    [knob.name for knob in fields(ScenarioConfig)].index("query_budget"):
-]
 
 
 @dataclass
@@ -590,39 +598,18 @@ class ScenarioReport:
         Drops the array-heavy ``scenario``/``result`` state; what
         remains is exactly what a results store needs to identify and
         compare grid cells, and it slots directly into a
-        :class:`~repro.experiments.store.RunSummary` payload.
+        :class:`~repro.experiments.store.RunSummary` payload. Every
+        config field is one key; a topology or policy object is stored
+        as its own ``to_payload()`` dict.
         """
-        config = self.config
+        config = {
+            knob.name: _ENCODERS.get(knob.name, _encode_plain)(
+                getattr(self.config, knob.name)
+            )
+            for knob in fields(ScenarioConfig)
+        }
         return {
-            "config": {
-                "dataset": config.dataset,
-                "model": config.model,
-                "attack": config.attack,
-                "defenses": [_encode_defense_spec(s) for s in config.defenses],
-                "target_fraction": config.target_fraction,
-                "n_predictions": config.n_predictions,
-                "scale": _encode_scale(config.scale),
-                "seed": config.seed,
-                "model_params": dict(config.model_params),
-                "attack_params": dict(config.attack_params),
-                "baselines": list(config.baselines),
-                "compute_cbr": config.compute_cbr,
-                "query_budget": config.query_budget,
-                "batch_size": config.batch_size,
-                "cache": config.cache,
-                "cache_size": config.cache_size,
-                "on_budget_exhausted": config.on_budget_exhausted,
-                "topology": (
-                    None if config.topology is None else config.topology.to_payload()
-                ),
-                "comm_budget": config.comm_budget,
-                "scheduler": config.scheduler,
-                "retry": config.retry,
-                "quorum": config.quorum,
-                "degradation": config.degradation,
-                "breaker": config.breaker,
-                "telemetry": config.telemetry,
-            },
+            "config": config,
             "metrics": self.metrics,
             "queries_used": self.queries_used,
             "comm_cost": dict(self.comm_cost),
@@ -636,47 +623,27 @@ class ScenarioReport:
 
         Specs are normalized to tuples (JSON has no tuple type), so a
         round-tripped config compares equal to one declared with the
-        canonical tuple syntax.
+        canonical tuple syntax; a policy object comes back as its payload
+        dict, which configures the same policy. A deployment key may be
+        absent: payloads persisted before its layer existed mean the
+        default. Any other missing key raises
+        :class:`~repro.exceptions.ScenarioError` naming it.
         """
-        data = dict(payload["config"])
+        _require_keys(payload, ("config", "metrics", "queries_used"), "report")
+        data = payload["config"]
+        deployment = {knob.name for knob in fields(Deployment)}
+        _require_keys(
+            data,
+            [knob.name for knob in fields(ScenarioConfig) if knob.name not in deployment],
+            "scenario config",
+        )
         config = ScenarioConfig(
-            dataset=data["dataset"],
-            model=data["model"],
-            attack=data["attack"],
-            defenses=tuple(_decode_defense_spec(s) for s in data["defenses"]),
-            target_fraction=data["target_fraction"],
-            n_predictions=data["n_predictions"],
-            scale=_decode_scale(data["scale"]),
-            seed=data["seed"],
-            model_params=dict(data["model_params"]),
-            attack_params=dict(data["attack_params"]),
-            baselines=tuple(data["baselines"]),
-            compute_cbr=data["compute_cbr"],
-            query_budget=data["query_budget"],
-            batch_size=data["batch_size"],
-            cache=data["cache"],
-            # .get(): payloads persisted before the LRU bound existed
-            # carry no cache_size key and mean the unbounded default.
-            cache_size=data.get("cache_size"),
-            on_budget_exhausted=data["on_budget_exhausted"],
-            # .get(): payloads persisted before the federation runtime
-            # existed carry none of these keys and mean the defaults.
-            topology=(
-                None
-                if data.get("topology") is None
-                else TopologyConfig.from_payload(data["topology"])
-            ),
-            comm_budget=data.get("comm_budget"),
-            scheduler=data.get("scheduler", "sequential"),
-            # .get(): payloads persisted before the resilience layer
-            # existed carry none of these keys and mean the defaults.
-            retry=data.get("retry"),
-            quorum=data.get("quorum"),
-            degradation=data.get("degradation", "zero_fill"),
-            breaker=data.get("breaker"),
-            # .get(): payloads persisted before the telemetry layer
-            # existed carry no such key and mean tracing off.
-            telemetry=data.get("telemetry"),
+            **{
+                knob.name: _DECODERS.get(knob.name, _decode_plain)(
+                    data.get(knob.name, knob.default)
+                )
+                for knob in fields(ScenarioConfig)
+            }
         )
         return cls(
             config=config,
@@ -697,6 +664,38 @@ class ScenarioReport:
     def from_json(cls, line: str) -> "ScenarioReport":
         """Parse a :meth:`to_json` line back into a (storable) report."""
         return cls.from_payload(json.loads(line))
+
+
+def _require_keys(payload: dict[str, Any], keys, what: str) -> None:
+    missing = [key for key in keys if key not in payload]
+    if missing:
+        raise ScenarioError(
+            f"{what} payload is missing required key(s) {missing}; it is "
+            "truncated or was not written by ScenarioReport.to_payload"
+        )
+
+
+def _encode_plain(value):
+    """A plain config value's JSON shape: tuples as lists, dicts copied."""
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, dict):
+        return dict(value)
+    return value
+
+
+def _decode_plain(value):
+    """The inverse of :func:`_encode_plain`."""
+    if isinstance(value, list):
+        return tuple(value)
+    if isinstance(value, dict):
+        return dict(value)
+    return value
+
+
+def _encode_object(value):
+    """A topology or policy object as its payload; a shorthand spec as is."""
+    return value.to_payload() if hasattr(value, "to_payload") else value
 
 
 #: ScaleConfig fields that JSON round-trips as lists but the dataclass
@@ -736,6 +735,21 @@ def _decode_defense_spec(spec):
         return spec
     key, params = spec
     return (key, dict(params))
+
+
+#: Config fields whose JSON shape is not their plain value.
+_ENCODERS = {
+    "defenses": lambda specs: [_encode_defense_spec(s) for s in specs],
+    "scale": _encode_scale,
+    "topology": _encode_object,
+    "retry": _encode_object,
+    "breaker": _encode_object,
+}
+_DECODERS = {
+    "defenses": lambda specs: tuple(_decode_defense_spec(s) for s in specs),
+    "scale": _decode_scale,
+    "topology": lambda data: None if data is None else TopologyConfig.from_payload(data),
+}
 
 
 def _tree_structures(model: BaseClassifier) -> list:
@@ -778,44 +792,7 @@ def _validate(config: ScenarioConfig, attack: ScenarioAttack, stack: DefenseStac
         raise ScenarioError(
             f"target_fraction must lie in (0, 1), got {config.target_fraction}"
         )
-    if config.query_budget is not None and config.query_budget < 1:
-        raise ScenarioError(
-            f"query_budget must be a positive int or None, got {config.query_budget}"
-        )
-    if config.batch_size is not None and config.batch_size < 1:
-        raise ScenarioError(
-            f"batch_size must be a positive int or None, got {config.batch_size}"
-        )
-    if config.cache_size is not None:
-        if config.cache_size < 1:
-            raise ScenarioError(
-                f"cache_size must be a positive int or None, got {config.cache_size}"
-            )
-        if not config.cache:
-            raise ScenarioError(
-                "cache_size bounds the response cache and is meaningless "
-                "without cache=True"
-            )
-    if config.on_budget_exhausted not in ("raise", "truncate"):
-        raise ScenarioError(
-            "on_budget_exhausted must be 'raise' or 'truncate', got "
-            f"{config.on_budget_exhausted!r}"
-        )
-    if config.scheduler not in SCHEDULERS:
-        raise ScenarioError(
-            f"unknown scheduler {config.scheduler!r}; choose from "
-            f"{sorted(SCHEDULERS)}"
-        )
-    _check_comm_budget(config.comm_budget)
-    # from_spec raises with the exact malformed-field message; a quorum
-    # integer's upper bound waits for the built topology's party count.
-    RetryPolicy.from_spec(config.retry)
-    BreakerPolicy.from_spec(config.breaker)
-    check_quorum(config.quorum)
-    check_telemetry_spec(config.telemetry)
-    DEGRADATIONS.get(config.degradation)
-    if config.topology is not None:
-        config.topology.validate()
+    config.validate()
 
 
 def _compute_metrics(
@@ -920,11 +897,11 @@ def run_scenario(
         config's dataset/model/defenses; the config is still validated,
         but its defenses are *not* re-applied to the prebuilt scenario,
         and the deployment's ledger keeps accumulating across attacks.
-        Deployment knobs (every :class:`ScenarioConfig` field from
-        ``query_budget`` on) configure a deployment at build time, so a
-        config that sets any of them away from its default alongside a
-        prebuilt scenario is rejected, naming the knobs, rather than
-        silently ignored.
+        Deployment knobs (the :class:`Deployment` fields a config
+        inherits) configure a deployment at build time, so a config that
+        sets any of them away from its default alongside a prebuilt
+        scenario is rejected, naming the knobs, rather than silently
+        ignored.
     serving_checkpoint:
         A :class:`~repro.checkpoint.CheckpointPlan` for the serving
         accumulation, forwarded to :func:`build_scenario`; the attack's
@@ -945,10 +922,11 @@ def run_scenario(
             "scenario is built; a prebuilt scenario has already accumulated"
         )
     if scenario is not None:
+        default = Deployment()
         knobs = [
             knob.name
-            for knob in _DEPLOYMENT_KNOBS
-            if getattr(config, knob.name) != knob.default
+            for knob in fields(Deployment)
+            if getattr(config, knob.name) != getattr(default, knob.name)
         ]
         if knobs:
             raise ScenarioError(
@@ -958,52 +936,30 @@ def run_scenario(
                 "its service) instead"
             )
 
-    # A tracer built here is owned here: when an exception (including a
-    # CheckpointPause suspension) unwinds past this frame the caller has
-    # no handle to it, so close its sink on the way out. Records are
-    # fsync'd per emit — nothing is lost, and a resumed run reopens the
-    # file in skip-by-seq mode. A prebuilt scenario implies no telemetry
-    # knob (refused above), so its owned tracer is the null one.
-    tracer = make_tracer(config.telemetry)
+    owned = scenario is None
+    if owned:
+        scenario = build_scenario(
+            config.dataset,
+            config.model,
+            config.target_fraction,
+            scale,
+            config.seed,
+            n_predictions=config.n_predictions,
+            model_params=config.model_params,
+            defense_stack=stack if len(stack) else None,
+            deployment=config,
+            consumer=config.attack,
+            checkpoint=serving_checkpoint,
+        )
     try:
-        if scenario is None:
-            with tracer.span(
-                "scenario.build",
-                dataset=config.dataset,
-                model=config.model,
-                attack=config.attack,
-            ) as span:
-                scenario = build_scenario(
-                    config.dataset,
-                    config.model,
-                    config.target_fraction,
-                    scale,
-                    config.seed,
-                    n_predictions=config.n_predictions,
-                    model_params=config.model_params,
-                    defense_stack=stack if len(stack) else None,
-                    query_budget=config.query_budget,
-                    batch_size=config.batch_size,
-                    cache=config.cache,
-                    cache_size=config.cache_size,
-                    on_budget_exhausted=config.on_budget_exhausted,
-                    consumer=config.attack,
-                    topology=config.topology,
-                    comm_budget=config.comm_budget,
-                    scheduler=config.scheduler,
-                    checkpoint=serving_checkpoint,
-                    retry=config.retry,
-                    quorum=config.quorum,
-                    degradation=config.degradation,
-                    breaker=config.breaker,
-                    tracer=tracer,
-                )
-                span["predictions"] = int(scenario.V.shape[0])
         attack.prepare(scenario, scale=scale, seed=config.seed)
         result = attack.run(scenario.X_adv, scenario.V)
         metrics = _compute_metrics(config, scenario, result)
     except BaseException:
-        tracer.close()
+        # The tracer of a scenario built here is owned here (see
+        # build_scenario); a prebuilt scenario's belongs to whoever built it.
+        if owned:
+            scenario.tracer.close()
         raise
     queries_used = (
         scenario.service.ledger.queries_used
@@ -1018,7 +974,6 @@ def run_scenario(
     )
     # Summarized after the attack ran, so grna.epoch records count too;
     # a prebuilt traced scenario contributes its own tracer.
-    tracer = getattr(scenario, "tracer", NULL_TRACER)
     return ScenarioReport(
         config=config,
         scenario=scenario,
@@ -1027,5 +982,5 @@ def run_scenario(
         queries_used=queries_used,
         comm_cost=comm_cost,
         availability=availability,
-        telemetry=tracer.summary(),
+        telemetry=scenario.tracer.summary(),
     )

@@ -14,7 +14,7 @@ message-passing:
 - :mod:`~repro.federation.ledger` — :class:`CommLedger`: per-edge
   message/byte accounting, rounds, optional budgets raising
   :class:`~repro.exceptions.CommBudgetExceededError`;
-- :mod:`~repro.federation.nodes` — party actors executing train/predict
+- :mod:`~repro.federation.nodes` — party actors executing prediction
   as request/reply rounds;
 - :mod:`~repro.federation.scheduler` — sequential (reference) and
   threaded (deterministic-barrier) round execution, bit-identical;
@@ -24,8 +24,8 @@ message-passing:
 - :mod:`~repro.federation.runtime` — :class:`FederationRuntime`, the
   façade the serving layer drives: ``predict`` is byte-identical to
   :meth:`~repro.federated.model.VerticalFLModel.predict` while every
-  transferred float lands in the ledger; every round, prediction or
-  training, is one exchange that fails fast by default and, with
+  transferred float lands in the ledger; every round is one exchange
+  that fails fast by default and, with
   ``retry``/``quorum`` knobs, runs retry waves on a simulated clock,
   metered timeouts, and quorum-degraded rounds with imputed blocks
   (see :mod:`repro.resilience`);
@@ -59,7 +59,7 @@ from repro.federation.message import (
     encoded_size,
 )
 from repro.federation.nodes import ActivePartyNode, PartyNode, PassivePartyNode
-from repro.federation.runtime import FederationRuntime, train_vertical_runtime
+from repro.federation.runtime import FederationRuntime
 from repro.federation.scheduler import (
     SCHEDULERS,
     RoundScheduler,
@@ -98,6 +98,5 @@ __all__ = [
     "FAULT_KINDS",
     "FaultPlan",
     "FederationRuntime",
-    "train_vertical_runtime",
     "TopologyConfig",
 ]

@@ -70,8 +70,8 @@ class Message:
         protocol always uses concrete party ids).
     kind:
         Protocol message kind (``"feature_request"``,
-        ``"feature_block"``, ``"train_request"``, ``"train_block"``).
-        Free-form at the codec layer; the nodes dispatch on it.
+        ``"feature_block"``). Free-form at the codec layer; the nodes
+        dispatch on it.
     payload:
         The transferred array. Always copied through bytes on the wire —
         a received payload never aliases the sender's memory.

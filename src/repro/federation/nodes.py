@@ -2,8 +2,8 @@
 
 The :mod:`repro.federated.party` classes hold *data*; these nodes hold
 *behaviour*: how a party turns an incoming protocol message into its
-reply. A :class:`PassivePartyNode` answers ``feature_request`` /
-``train_request`` messages with its column block for the named rows; an
+reply. A :class:`PassivePartyNode` answers ``feature_request``
+messages with its column block for the named rows; an
 :class:`ActivePartyNode` builds those requests and assembles the replies
 back into the joint matrix — the only place the blocks ever meet.
 
@@ -31,15 +31,9 @@ from repro.federation.transport import Transport
 
 __all__ = ["ActivePartyNode", "PartyNode", "PassivePartyNode"]
 
-#: Message kinds of the prediction round.
+#: Message kinds of the protocol round.
 FEATURE_REQUEST = "feature_request"
 FEATURE_BLOCK = "feature_block"
-
-#: Message kinds of the training round.
-TRAIN_REQUEST = "train_request"
-TRAIN_BLOCK = "train_block"
-
-_REQUEST_TO_REPLY = {FEATURE_REQUEST: FEATURE_BLOCK, TRAIN_REQUEST: TRAIN_BLOCK}
 
 
 class PartyNode:
@@ -82,7 +76,7 @@ class PassivePartyNode(PartyNode):
         is what makes the threaded scheduler race-free.
         """
         request = self.transport.receive(self.party_id)
-        if request.kind not in _REQUEST_TO_REPLY:
+        if request.kind != FEATURE_REQUEST:
             raise ProtocolError(
                 f"party {self.party_id} cannot answer message kind "
                 f"{request.kind!r}"
@@ -115,7 +109,7 @@ class PassivePartyNode(PartyNode):
         return Message(
             sender=self.party_id,
             receiver=request.sender,
-            kind=_REQUEST_TO_REPLY[request.kind],
+            kind=FEATURE_BLOCK,
             payload=self.party.local_features(rows),
             round_id=request.round_id,
         )
@@ -135,13 +129,13 @@ class ActivePartyNode(PartyNode):
         super().__init__(party, transport, faults)
 
     def make_request(
-        self, receiver: int, sample_indices: np.ndarray, round_id: int, *, kind: str = FEATURE_REQUEST
+        self, receiver: int, sample_indices: np.ndarray, round_id: int
     ) -> Message:
         """A request naming the rows ``receiver`` must contribute."""
         return Message(
             sender=self.party_id,
             receiver=receiver,
-            kind=kind,
+            kind=FEATURE_REQUEST,
             payload=np.asarray(sample_indices, dtype=np.int64).ravel(),
             round_id=round_id,
         )

@@ -15,9 +15,10 @@ blocks and the assembly scatter is column-for-column the same).
 One prediction round = one request/reply exchange serving a whole index
 batch; the serving layer maps each of its protocol rounds onto one
 runtime round, so ``bytes/round`` is well-defined for any batching.
-Training can run as a round too (:func:`train_vertical_runtime`): the
-passive training blocks cross the metered wire once and the fit itself
-stays central, matching the paper's perfectly-protected training phase.
+Training stays in process
+(:func:`~repro.federated.model.train_vertical_model`): the paper's
+adversary acts only in the prediction stage, and its training phase is
+perfectly protected.
 
 There is one round implementation. Its defaults — one attempt, every
 party required — are fail-fast; ``retry``/``quorum`` widen the same
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -40,27 +40,23 @@ from repro.exceptions import (
     ValidationError,
     WireFormatError,
 )
-from repro.federated.model import VerticalFLModel, build_parties
-from repro.federated.partition import FeaturePartition
+from repro.federated.model import VerticalFLModel
 from repro.federation.faults import FaultPlan
 from repro.federation.ledger import CommLedger
 from repro.federation.message import encoded_size
 from repro.federation.nodes import (
     FEATURE_BLOCK,
     FEATURE_REQUEST,
-    TRAIN_BLOCK,
-    TRAIN_REQUEST,
     ActivePartyNode,
     PassivePartyNode,
 )
 from repro.federation.scheduler import RoundScheduler, make_scheduler
 from repro.federation.transport import Transport
-from repro.models.base import BaseClassifier
 from repro.resilience import DEGRADATIONS, ResilienceState, RetryPolicy
 from repro.resilience.chaos import OK
 from repro.telemetry import NULL_TRACER
 
-__all__ = ["FederationRuntime", "check_quorum", "train_vertical_runtime"]
+__all__ = ["FederationRuntime", "check_quorum"]
 
 
 def check_quorum(
@@ -163,21 +159,10 @@ class FederationRuntime:
         quorum: "int | float | None" = None,
         degradation: str = "zero_fill",
         tracer=None,
-        _transport: "Transport | None" = None,
     ) -> None:
         self.vfl = vfl
         self.scheduler = make_scheduler(scheduler)
-        if _transport is not None:
-            if comm_budget is not None or message_budget is not None:
-                raise ValidationError(
-                    "pass budgets through the existing transport's ledger, "
-                    "not alongside it"
-                )
-            self.transport = _transport
-        else:
-            self.transport = Transport(
-                CommLedger(comm_budget, message_budget=message_budget)
-            )
+        self.transport = Transport(CommLedger(comm_budget, message_budget=message_budget))
         self.faults = faults if faults is not None else FaultPlan()
         self.faults.validate_parties(len(vfl.parties))
         self.retry_policy = RetryPolicy.from_spec(retry)
@@ -261,20 +246,20 @@ class FederationRuntime:
     # ------------------------------------------------------------------
     # Protocol rounds
     # ------------------------------------------------------------------
-    def _exchange(self, kind: str, rows: np.ndarray) -> dict[int, np.ndarray]:
+    def _exchange(self, rows: np.ndarray) -> dict[int, np.ndarray]:
         """One traced protocol round over this deployment (see :meth:`_round`)."""
         with self.tracer.span(
-            "federation.round", message=kind, rows=int(rows.size)
+            "federation.round", message=FEATURE_REQUEST, rows=int(rows.size)
         ) as span:
-            blocks = self._round(kind, rows)
+            blocks = self._round(rows)
             span["parties"] = len(blocks)
             return blocks
 
-    def _round(self, kind: str, rows: np.ndarray) -> dict[int, np.ndarray]:
+    def _round(self, rows: np.ndarray) -> dict[int, np.ndarray]:
         """One request/reply exchange: a block from every passive party.
 
-        The single definition of a protocol round, shared by prediction
-        and training. Structured as retry *waves*: every still-pending
+        The single definition of a protocol round. Structured as retry
+        *waves*: every still-pending
         party gets a fresh (metered) request, the scheduler runs the
         responders with failures returned as values, the wave's replies
         are delivered and drained in party order — the deterministic
@@ -319,7 +304,7 @@ class FederationRuntime:
                     )
                 for party in pending:
                     transport.send(
-                        self._active.make_request(party, rows, round_id, kind=kind)
+                        self._active.make_request(party, rows, round_id)
                     )
                 replies = self.scheduler.run_round(
                     [partial(self._passive_by_id[p].respond, attempt) for p in pending]
@@ -392,7 +377,7 @@ class FederationRuntime:
                         failures[party] = lost
                         still_pending.append(party)
                         continue
-                    if message.kind not in (FEATURE_BLOCK, TRAIN_BLOCK):
+                    if message.kind != FEATURE_BLOCK:
                         raise ProtocolError(
                             f"active party expected a block reply, got "
                             f"{message.kind!r} from party {message.sender}"
@@ -513,7 +498,7 @@ class FederationRuntime:
         indices = np.asarray(sample_indices, dtype=np.int64).ravel()
         if indices.size == 0:
             raise ProtocolError("prediction request with no sample ids")
-        blocks = self._exchange(FEATURE_REQUEST, indices)
+        blocks = self._exchange(indices)
         joint = self._active.assemble(
             indices, blocks, self.vfl.parties, self.vfl.partition.n_features
         )
@@ -536,77 +521,3 @@ class FederationRuntime:
             f"degraded={len(self.resilience.availability)}, spans={spans})"
         )
 
-
-def train_vertical_runtime(
-    model: BaseClassifier,
-    X_train: np.ndarray,
-    y_train: np.ndarray,
-    X_pred: np.ndarray,
-    y_pred: np.ndarray,
-    partition: FeaturePartition,
-    *,
-    scheduler: "str | RoundScheduler" = "sequential",
-    comm_budget: "int | None" = None,
-    message_budget: "int | None" = None,
-    faults: "FaultPlan | None" = None,
-    retry: "RetryPolicy | int | dict | None" = None,
-    quorum: "int | float | None" = None,
-    degradation: str = "zero_fill",
-    tracer=None,
-) -> FederationRuntime:
-    """Train through a metered protocol round and deploy the runtime.
-
-    The message-passing twin of
-    :func:`~repro.federated.model.train_vertical_model`: every passive
-    party ships its *training* block to the active party as wire
-    messages (one ``train_request``/``train_block`` exchange, charged to
-    the ledger the returned runtime keeps using), the fit itself runs
-    centrally on the assembled matrix — the paper's evaluation protocol
-    assumes a perfectly protected training computation, so what the
-    simulation makes explicit is the data movement, not the optimizer.
-    The fitted model is bit-identical to the in-process path: the
-    assembled matrix carries the exact float64 bytes of ``X_train``.
-
-    The training exchange is the same protocol round prediction uses,
-    run over the training parties under the default policy: one attempt,
-    no quorum. The resilience knobs (``retry``/``quorum``/``degradation``)
-    apply only to the *deployed* runtime's prediction rounds, because a
-    model fitted on an imputed training block would silently differ from
-    the central oracle. So a party lost during training aborts rather
-    than degrades: a dropped, crashed or flaky party, and a ``corrupt``
-    fault whose flipped frame fails to decode, all raise
-    :class:`~repro.exceptions.PartyUnavailableError`. A ``timeout``
-    fault still trains, since the default policy has no timeout.
-    """
-    X_train = np.asarray(X_train, dtype=np.float64)
-    y_train = np.asarray(y_train, dtype=np.int64)
-    train_parties = build_parties(X_train, y_train, partition)
-    transport = Transport(CommLedger(comm_budget, message_budget=message_budget))
-    round_scheduler = make_scheduler(scheduler)
-    fault_plan = faults if faults is not None else FaultPlan()
-    # No model is deployed yet, so the training runtime stands on the
-    # parties alone; it runs one round and never predicts.
-    trainer = FederationRuntime(
-        SimpleNamespace(parties=train_parties),
-        scheduler=round_scheduler,
-        faults=fault_plan,
-        _transport=transport,
-    )
-    rows = np.arange(X_train.shape[0])
-    blocks = trainer._round(TRAIN_REQUEST, rows)
-    joint = trainer._active.assemble(
-        rows, blocks, train_parties, partition.n_features
-    )
-    model.fit(joint, y_train)
-
-    vfl = VerticalFLModel(model, partition, build_parties(X_pred, y_pred, partition))
-    return FederationRuntime(
-        vfl,
-        scheduler=round_scheduler,
-        faults=fault_plan,
-        retry=retry,
-        quorum=quorum,
-        degradation=degradation,
-        tracer=tracer,
-        _transport=transport,
-    )

@@ -406,34 +406,18 @@ class TestDefenseStack:
 
 
 class TestDeprecationShims:
-    def test_rounded_model_warns_but_works(self, fitted_lr, blobs):
-        from repro.defenses import RoundedModel
-
-        X, _ = blobs
-        with pytest.warns(DeprecationWarning, match="RoundedModel"):
-            wrapped = RoundedModel(fitted_lr, 2)
-        v = wrapped.predict_proba(X[:5])
-        np.testing.assert_allclose(v * 100, np.floor(fitted_lr.predict_proba(X[:5]) * 100))
-
-    def test_noisy_model_warns_but_works(self, fitted_lr, blobs):
-        from repro.defenses import NoisyModel
-
-        X, _ = blobs
-        with pytest.warns(DeprecationWarning, match="NoisyModel"):
-            wrapped = NoisyModel(fitted_lr, 0.01, rng=0)
-        assert wrapped.predict_proba(X[:5]).shape == fitted_lr.predict_proba(X[:5]).shape
+    """Direct construction and the registry path build the same objects."""
 
     def test_shim_equals_api_wrapper(self, fitted_lr, blobs):
         from repro.defenses import RoundedModel
 
         X, _ = blobs
-        with pytest.warns(DeprecationWarning):
-            legacy = RoundedModel(fitted_lr, 2)
+        direct = RoundedModel(fitted_lr, 2)
         api_wrapped = DefenseStack.from_specs([("rounding", {"digits": 2})]).wrap(
             fitted_lr
         )
         np.testing.assert_array_equal(
-            legacy.predict_proba(X), api_wrapped.predict_proba(X)
+            direct.predict_proba(X), api_wrapped.predict_proba(X)
         )
         assert isinstance(api_wrapped, RoundedModel)
 

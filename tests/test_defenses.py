@@ -41,20 +41,17 @@ class TestRounding:
 
     def test_rounded_model_wraps(self, fitted_lr, blobs):
         X, _ = blobs
-        with pytest.warns(DeprecationWarning, match="RoundedModel"):
-            wrapped = RoundedModel(fitted_lr, digits=2)
+        wrapped = RoundedModel(fitted_lr, digits=2)
         v = wrapped.predict_proba(X[:5])
         np.testing.assert_array_equal(v, np.floor(fitted_lr.predict_proba(X[:5]) * 100) / 100)
 
     def test_rounded_model_predict_uses_inner_argmax(self, fitted_lr, blobs):
         X, _ = blobs
-        with pytest.warns(DeprecationWarning, match="RoundedModel"):
-            wrapped = RoundedModel(fitted_lr, digits=1)
+        wrapped = RoundedModel(fitted_lr, digits=1)
         np.testing.assert_array_equal(wrapped.predict(X[:10]), fitted_lr.predict(X[:10]))
 
     def test_rounded_model_rejects_refit(self, fitted_lr):
-        with pytest.warns(DeprecationWarning, match="RoundedModel"):
-            wrapped = RoundedModel(fitted_lr, 2)
+        wrapped = RoundedModel(fitted_lr, 2)
         with pytest.raises(ValidationError):
             wrapped.fit(np.ones((2, 6)), np.array([0, 1]))
 
@@ -105,15 +102,13 @@ class TestNoise:
 
     def test_noisy_model_wraps(self, fitted_lr, blobs):
         X, _ = blobs
-        with pytest.warns(DeprecationWarning, match="NoisyModel"):
-            wrapped = NoisyModel(fitted_lr, scale=0.05, rng=0)
+        wrapped = NoisyModel(fitted_lr, scale=0.05, rng=0)
         v = wrapped.predict_proba(X[:5])
         assert v.shape == (5, 3)
         np.testing.assert_allclose(v.sum(axis=1), 1.0)
 
     def test_noisy_model_rejects_refit(self, fitted_lr):
-        with pytest.warns(DeprecationWarning, match="NoisyModel"):
-            wrapped = NoisyModel(fitted_lr, 0.1)
+        wrapped = NoisyModel(fitted_lr, 0.1)
         with pytest.raises(ValidationError):
             wrapped.fit(np.ones((2, 6)), np.array([0, 1]))
 

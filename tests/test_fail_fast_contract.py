@@ -1,21 +1,16 @@
 """The fail-fast contract of a protocol round, as a table.
 
-Every protocol round — a prediction round and the training exchange of
-:func:`~repro.federation.train_vertical_runtime` alike — runs one
-exchange; with no ``retry``/``quorum`` knob that exchange is fail-fast:
-one attempt, every party required. This table pins what a caller can
-observe of it for each fault kind under both schedulers: prediction
-bytes, the ledger, the error type and the party it names, the
-availability report, and the simulated seconds on the round's trace
-span.
+Every protocol round runs one exchange; with no ``retry``/``quorum``
+knob that exchange is fail-fast: one attempt, every party required.
+This table pins what a caller can observe of it for each fault kind
+under both schedulers: prediction bytes, the ledger, the error type and
+the party it names, the availability report, and the simulated seconds
+on the round's trace span.
 
-Two behaviours deliberately differ from the historical fail-fast round
-and each has its own named test instead of a table row:
-
-- a round that loses a dropped party meters the surviving parties'
-  replies too (ledger bytes always equal delivered frame bytes);
-- the training exchange under a ``corrupt`` fault aborts instead of
-  ignoring the knob.
+One behaviour deliberately differs from the historical fail-fast round
+and has its own named test instead of a table row: a round that loses a
+dropped party meters the surviving parties' replies too (ledger bytes
+always equal delivered frame bytes).
 """
 
 import re
@@ -26,21 +21,11 @@ import pytest
 from repro.api import make_model
 from repro.config import ScaleConfig
 from repro.datasets import load_dataset
-from repro.exceptions import PartyUnavailableError, ProtocolError, WireFormatError
+from repro.exceptions import PartyUnavailableError, ProtocolError
 from repro.federated import FeaturePartition, train_vertical_model
-from repro.federation import (
-    FaultPlan,
-    FederationRuntime,
-    Message,
-    train_vertical_runtime,
-)
+from repro.federation import FaultPlan, FederationRuntime, Message
 from repro.federation.message import encoded_size
-from repro.federation.nodes import (
-    FEATURE_BLOCK,
-    FEATURE_REQUEST,
-    TRAIN_BLOCK,
-    TRAIN_REQUEST,
-)
+from repro.federation.nodes import FEATURE_BLOCK, FEATURE_REQUEST
 from repro.telemetry import Tracer
 
 TINY = ScaleConfig(
@@ -94,19 +79,6 @@ PREDICT = {
     "timeout": dict(replied=PASSIVES, fails=False, sim=0.5),
     # "drop" fails with sim None; its ledger is a named delta below.
 }
-
-#: Training outcome per fault kind: ``None`` trains, else the round
-#: aborts; ``sim`` is the deployed runtime's clock before any prediction.
-TRAIN = {
-    "none": dict(fails=False, sim=None),
-    "straggler": dict(fails=False, sim=None),
-    "timeout": dict(fails=False, sim=0.0),
-    "drop": dict(fails=True),
-    "flaky": dict(fails=True),
-    "crash_after": dict(fails=True),
-    # "corrupt" is a named delta below.
-}
-
 
 @pytest.fixture(scope="module")
 def data():
@@ -192,18 +164,6 @@ def run_predict(vfl, fault, scheduler):
     return runtime, result, span
 
 
-def run_train(data, fault, scheduler):
-    tracer = Tracer()
-    runtime = train_vertical_runtime(
-        make_model("lr", TINY, np.random.default_rng(3)),
-        *data,
-        scheduler=scheduler,
-        faults=FaultPlan.from_specs(FAULTS[fault]),
-        tracer=tracer,
-    )
-    return runtime, tracer
-
-
 class TestPredictRound:
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
     @pytest.mark.parametrize("fault", sorted(PREDICT))
@@ -270,36 +230,4 @@ class TestReplyValidation:
         with pytest.raises(ProtocolError, match=error):
             runtime.predict(ROWS)
         assert all(runtime.transport.pending(p) == 0 for p in range(N_PARTIES))
-
-
-class TestTrainingRound:
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    @pytest.mark.parametrize("fault", sorted(TRAIN))
-    def test_contract(self, data, vfl, fault, scheduler):
-        cell = TRAIN[fault]
-        if cell["fails"]:
-            with pytest.raises(PartyUnavailableError, match=NAMES_FAULTY):
-                run_train(data, fault, scheduler)
-            return
-        runtime, tracer = run_train(data, fault, scheduler)
-        try:
-            assert runtime.vfl.predict(ROWS).tobytes() == vfl.predict(ROWS).tobytes()
-            n_train = data[0].shape[0]
-            assert runtime.ledger.as_dict() == expected_ledger(
-                widths(vfl), n_train, PASSIVES, TRAIN_REQUEST, TRAIN_BLOCK
-            )
-            assert runtime.availability_report() == expected_availability(cell["sim"])
-            # The training exchange itself is untraced.
-            assert tracer.sink.records == []
-        finally:
-            runtime.close()
-
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_training_under_corrupt_aborts(self, data, scheduler):
-        """Delta: a frame corrupted in flight loses the party, and a
-        party lost during training aborts the fit."""
-        with pytest.raises(PartyUnavailableError, match=NAMES_FAULTY) as info:
-            run_train(data, "corrupt", scheduler)
-        assert "corrupted in flight" in str(info.value)
-        assert isinstance(info.value.__cause__.__cause__, WireFormatError)
 

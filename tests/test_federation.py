@@ -40,7 +40,6 @@ from repro.federation import (
     encode_message,
     encoded_size,
     make_scheduler,
-    train_vertical_runtime,
 )
 from repro.federation.message import _HEADER, MAGIC
 from repro.api import ScenarioConfig, make_model, run_scenario
@@ -435,50 +434,6 @@ class TestRuntimePredict:
         assert all(
             runtime.transport.pending(p.party_id) == 0 for p in vfl.parties
         )
-
-
-class TestTrainRound:
-    def test_trained_model_bit_identical_to_central_path(self):
-        dataset = load_dataset("bank", n_samples=120, rng=0)
-        half = dataset.n_samples // 2
-        partition = FeaturePartition.from_topology(
-            dataset.n_features, 0.4, n_parties=3, rng=0
-        )
-        args = (
-            dataset.X[:half],
-            dataset.y[:half],
-            dataset.X[half:],
-            dataset.y[half:],
-            partition,
-        )
-        central = train_vertical_model(make_model("lr", TINY, np.random.default_rng(3)), *args)
-        runtime = train_vertical_runtime(
-            make_model("lr", TINY, np.random.default_rng(3)), *args
-        )
-        indices = np.arange(30)
-        assert (
-            runtime.vfl.predict(indices).tobytes()
-            == central.predict(indices).tobytes()
-        )
-
-    def test_training_traffic_is_metered(self):
-        dataset = load_dataset("bank", n_samples=100, rng=0)
-        half = dataset.n_samples // 2
-        partition = FeaturePartition.adversary_target(dataset.n_features, 0.4, rng=0)
-        runtime = train_vertical_runtime(
-            make_model("lr", TINY, np.random.default_rng(3)),
-            dataset.X[:half],
-            dataset.y[:half],
-            dataset.X[half:],
-            dataset.y[half:],
-            partition,
-        )
-        kinds = {record.kind for record in runtime.transport.delivery_log}
-        assert kinds == {"train_request", "train_block"}
-        assert runtime.ledger.rounds == 1
-        # The same ledger keeps metering at predict time.
-        runtime.predict(np.arange(5))
-        assert "feature_block" in {r.kind for r in runtime.transport.delivery_log}
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ import pytest
 
 from repro.api import (
     DefenseStack,
+    Deployment,
     ScenarioConfig,
     build_scenario,
     make_model,
@@ -485,7 +486,9 @@ class TestScenarioIntegration:
                 )
 
     def test_cache_size_knob_reaches_the_service(self):
-        scenario = build_scenario("bank", "lr", 0.4, TINY, 0, cache=True, cache_size=32)
+        scenario = build_scenario(
+            "bank", "lr", 0.4, TINY, 0, deployment=Deployment(cache=True, cache_size=32)
+        )
         assert scenario.service.cache_enabled
         assert scenario.service.cache_size == 32
 
