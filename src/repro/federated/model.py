@@ -68,6 +68,13 @@ class VerticalFLModel:
         self.partition = partition
         self.parties = parties
         self._n_samples = n
+        #: Permutes the parties' side-by-side columns into global order.
+        self._column_order = np.argsort(
+            np.concatenate([p.feature_indices for p in parties])
+        )
+        #: sha1 digest of every joint row, built by the first
+        #: :meth:`sample_hashes` call; ``None`` until then.
+        self._digests: "list[str] | None" = None
         self.prediction_log_: list[int] = []
         #: Gate for :attr:`prediction_log_`. The log exists for protocol
         #: forensics at scenario scale; a workload replay pushing millions
@@ -95,12 +102,10 @@ class VerticalFLModel:
         inside this call and never returned; the caller (the active party)
         sees just the confidence-score matrix.
         """
-        sample_indices = np.asarray(sample_indices, dtype=np.int64).ravel()
-        if sample_indices.size == 0:
-            raise ProtocolError("prediction request with no sample ids")
+        sample_indices = self._check_ids(sample_indices, "prediction")
         joint = self._assemble(sample_indices)
         if self.log_predictions:
-            self.prediction_log_.extend(int(i) for i in sample_indices)
+            self.prediction_log_.extend(sample_indices.tolist())
         return self.model.predict_proba(joint)
 
     def predict_all(self) -> np.ndarray:
@@ -112,21 +117,52 @@ class VerticalFLModel:
 
         The serving layer keys its response cache and its duplicate-query
         audit on these: two requests for byte-identical joint feature
-        rows collide even under different sample ids. Like
-        :meth:`predict`, the rows are assembled only inside this call —
-        the digest reveals equality, never values.
+        rows collide even under different sample ids. A fingerprint is
+        the sha1 hex digest of the row's float64 bytes, and it reveals
+        equality, never values.
+
+        The parties' data never changes after construction, so the first
+        call assembles every joint row once, inside the protocol, and
+        keeps only the table of their digests; every call after that is
+        a lookup and assembles nothing. Ids are checked like
+        :meth:`predict`'s: a negative or out-of-range id raises
+        :class:`~repro.exceptions.ProtocolError`, never wraps.
+        """
+        sample_indices = self._check_ids(sample_indices, "hash")
+        digests = self._digests
+        if digests is None:
+            joint = self._assemble(np.arange(self._n_samples))
+            digests = [hashlib.sha1(row.tobytes()).hexdigest() for row in joint]
+            self._digests = digests
+        return [digests[i] for i in sample_indices.tolist()]
+
+    def _check_ids(self, sample_indices, request: str) -> np.ndarray:
+        """The request's ids as int64, checked once for every party.
+
+        Every party holds the same aligned rows, so one range check
+        stands for all of them; :meth:`_assemble` then gathers unchecked.
         """
         sample_indices = np.asarray(sample_indices, dtype=np.int64).ravel()
         if sample_indices.size == 0:
-            raise ProtocolError("hash request with no sample ids")
-        joint = np.ascontiguousarray(self._assemble(sample_indices))
-        return [hashlib.sha1(row.tobytes()).hexdigest() for row in joint]
+            raise ProtocolError(f"{request} request with no sample ids")
+        # Viewed unsigned, a negative id is >= 2**63: one reduction checks
+        # both ends.
+        if sample_indices.view(np.uint64).max() >= self._n_samples:
+            raise ProtocolError(
+                f"sample index out of range [0, {self._n_samples})"
+            )
+        return sample_indices
 
     def _assemble(self, sample_indices: np.ndarray) -> np.ndarray:
-        joint = np.empty((sample_indices.size, self.partition.n_features))
-        for party in self.parties:
-            joint[:, party.feature_indices] = party.local_features(sample_indices)
-        return joint
+        """The joint rows of already-checked ids, in global column order.
+
+        The parties' rows side by side, then one column permutation. That
+        releases the GIL once per party plus once; a fancy column scatter
+        would release it three times per party, and every release hands
+        the GIL to a waiting shard thread.
+        """
+        blocks = [party._gather(sample_indices) for party in self.parties]
+        return np.concatenate(blocks, axis=1).take(self._column_order, axis=1)
 
     # ------------------------------------------------------------------
     # What the adversary legitimately receives

@@ -30,7 +30,9 @@ class Party:
                 f"party {party_id}: data has {data.shape[1]} columns but "
                 f"{self.feature_indices.size} feature indices"
             )
-        self._data = data
+        # Row-major, so one sample's columns are adjacent: every protocol
+        # round gathers whole rows.
+        self._data = np.ascontiguousarray(data)
 
     @property
     def n_samples(self) -> int:
@@ -56,6 +58,16 @@ class Party:
                 f"party {self.party_id}: sample index out of range [0, {self.n_samples})"
             )
         return self._data[sample_indices]
+
+    def _gather(self, sample_indices: np.ndarray) -> np.ndarray:
+        """:meth:`local_features` for ids the protocol already checked.
+
+        :class:`~repro.federated.model.VerticalFLModel` checks a
+        request's ids once against the sample count every aligned party
+        shares, then gathers each party's rows here without a second
+        check. A negative id would wrap to a row from the end.
+        """
+        return self._data.take(sample_indices, axis=0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

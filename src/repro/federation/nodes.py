@@ -149,10 +149,9 @@ class ActivePartyNode(PartyNode):
     ) -> np.ndarray:
         """Scatter the blocks into the joint matrix, own columns local.
 
-        Column-for-column the same construction as
-        :meth:`VerticalFLModel._assemble`, with the sole difference that
-        every non-local block arrived through the wire codec — which is
-        lossless for float64, so the result is byte-identical.
+        Byte-identical to :meth:`VerticalFLModel._assemble`: every
+        non-local block arrived through the wire codec, which is lossless
+        for float64, and placing columns copies values without arithmetic.
         """
         rows = np.asarray(sample_indices, dtype=np.int64).ravel()
         joint = np.empty((rows.size, n_features))

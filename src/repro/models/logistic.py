@@ -115,7 +115,10 @@ class LogisticRegression(DifferentiableClassifier):
         X = self._validate_predict_input(X)
         if self.n_classes_ == 2:
             p1 = sigmoid(X @ self.coef_ + float(self.intercept_))
-            return np.column_stack([1.0 - p1, p1])
+            proba = np.empty((p1.shape[0], 2))
+            np.subtract(1.0, p1, out=proba[:, 0])
+            proba[:, 1] = p1
+            return proba
         return softmax(X @ self.coef_ + self.intercept_, axis=1)
 
     def forward_tensor(self, x: Tensor) -> Tensor:

@@ -133,6 +133,17 @@ class QueryContext:
     sample_hashes: "tuple[str, ...] | None" = None
 
 
+def _at(chunk: np.ndarray, positions: "list[int]") -> np.ndarray:
+    """``chunk[positions]`` for ascending distinct positions.
+
+    The chunk itself when they cover it (a one-row round's only
+    position), so the common case costs no gather.
+    """
+    if len(positions) == chunk.size:
+        return chunk
+    return chunk[positions] if positions else chunk[:0]
+
+
 class PredictionService:
     """Metered, batched, cacheable façade over one deployed VFL model.
 
@@ -249,11 +260,15 @@ class PredictionService:
         self.breaker_policy = BreakerPolicy.from_spec(breaker)
         self._breakers: dict[str, CircuitBreaker] = {}
         self.tracer = tracer or NULL_TRACER
-        # Fingerprint chunks once, here, when any stacked defense consumes
-        # hashes (e.g. query_audit) — not once per defense per chunk.
-        self._wants_hashes = defense_stack is not None and any(
-            getattr(defense, "wants_sample_hashes", False)
-            for defense in defense_stack
+        # Fingerprint chunks once, here, when the cache or any stacked
+        # defense consumes hashes (e.g. query_audit) — not once per
+        # defense per chunk.
+        self.hashes_chunks = cache or (
+            defense_stack is not None
+            and any(
+                getattr(defense, "wants_sample_hashes", False)
+                for defense in defense_stack
+            )
         )
 
     # ------------------------------------------------------------------
@@ -442,6 +457,11 @@ class PredictionService:
                 break
         if not blocks:
             return np.empty((0, self.n_classes))
+        if len(blocks) == 1:
+            # A lone block is returned as is, unless it is the served
+            # prefix of a padded max_batch round: never hand out pad rows.
+            (block,) = blocks
+            return block if block.base is None else block.copy()
         return np.vstack(blocks)
 
     # ------------------------------------------------------------------
@@ -608,24 +628,23 @@ class PredictionService:
         with self.tracer.span(
             "serving.chunk", consumer=consumer, rows=int(chunk.size)
         ) as span:
-            hashes = (
-                self.vfl.sample_hashes(chunk)
-                if self._caches is not None or self._wants_hashes
-                else None
-            )
+            hashes = self.vfl.sample_hashes(chunk) if self.hashes_chunks else None
             cache = None if self._caches is None else self._cache_for(consumer)
             if cache is not None:
                 # A repeated sample id (or repeated content) within one chunk
                 # is a single chargeable computation; later occurrences replay.
                 miss_pos: list[int] = []
+                replay_pos: list[int] = []
                 pending: set[str] = set()
                 for i, digest in enumerate(hashes):
                     if digest in cache or digest in pending:
-                        continue
-                    miss_pos.append(i)
-                    pending.add(digest)
+                        replay_pos.append(i)
+                    else:
+                        miss_pos.append(i)
+                        pending.add(digest)
             else:
                 miss_pos = list(range(chunk.size))
+                replay_pos = []
 
             granted = 0
             if miss_pos:
@@ -634,13 +653,14 @@ class PredictionService:
                 else:
                     granted = self.ledger.grant(len(miss_pos), consumer)
 
-            # Positions past the first unserved miss are withheld (truncation).
+            # Positions past the first unserved miss are withheld (truncation);
+            # every miss before it was granted, so the rest before it replay.
             cutoff = chunk.size if granted == len(miss_pos) else miss_pos[granted]
             served_miss = miss_pos[:granted]
             hit_pos = (
-                []
-                if cache is None
-                else sorted(set(range(cutoff)) - set(served_miss))
+                replay_pos
+                if cutoff == chunk.size
+                else [position for position in replay_pos if position < cutoff]
             )
 
             computed = np.empty((0, self.n_classes))
@@ -648,7 +668,7 @@ class PredictionService:
                 released = False
                 try:
                     if granted:
-                        computed = self._protocol_predict(chunk[served_miss])
+                        computed = self._protocol_predict(_at(chunk, served_miss))
                     computed = self._apply_on_query(
                         computed, chunk, served_miss, hit_pos, hashes, consumer
                     )
@@ -722,8 +742,9 @@ class PredictionService:
         predict = self.vfl.predict if self.runtime is None else self.runtime.predict
         if self.max_batch is None or indices.size == self.max_batch:
             return predict(indices)
-        pad = np.full(self.max_batch - indices.size, indices[-1], dtype=np.int64)
-        return predict(np.concatenate([indices, pad]))[: indices.size]
+        padded = np.full(self.max_batch, indices[-1], dtype=np.int64)
+        padded[: indices.size] = indices
+        return predict(padded)[: indices.size]
 
     def _apply_on_query(
         self,
@@ -739,13 +760,13 @@ class PredictionService:
             return responses
         context = QueryContext(
             consumer=consumer,
-            sample_indices=chunk[served_miss] if served_miss else chunk[:0],
+            sample_indices=_at(chunk, served_miss),
             service=self,
-            replayed_indices=chunk[hit_pos] if hit_pos else chunk[:0],
+            replayed_indices=_at(chunk, hit_pos),
             sample_hashes=(
                 None
                 if hashes is None
-                else tuple(hashes[i] for i in [*served_miss, *hit_pos])
+                else tuple([hashes[i] for i in served_miss + hit_pos])
             ),
         )
         return stack.on_query(responses, context)

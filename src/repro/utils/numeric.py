@@ -11,14 +11,15 @@ EPS = 1e-12
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic sigmoid ``1 / (1 + exp(-x))``."""
+    """Numerically stable logistic sigmoid ``1 / (1 + exp(-x))``.
+
+    Branch-free: ``e = exp(-|x|)`` never overflows, and each side of the
+    ``where`` is the stable form for its sign.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    denom = 1.0 + e
+    return np.where(x >= 0, 1.0 / denom, e / denom)
 
 
 def log_sigmoid(x: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ def check_array(
         raise ShapeError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if not allow_empty and arr.size == 0:
         raise ValidationError(f"{name} must not be empty")
-    if np.issubdtype(arr.dtype, np.floating) and not np.all(np.isfinite(arr)):
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
         raise ValidationError(f"{name} contains NaN or infinite values")
     return arr
 

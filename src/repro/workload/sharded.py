@@ -194,8 +194,8 @@ class ShardedPredictionService:
     Parameters
     ----------
     vfl:
-        The deployment every shard serves. The model itself is read-only
-        during prediction (its lazy kernel tables are warmed before any
+        The deployment every shard serves. It is read-only during replay
+        (its lazy kernel and digest tables are built before any
         concurrent fan-out), so sharing it is safe.
     n_shards:
         Number of independent serving shards.
@@ -289,15 +289,20 @@ class ShardedPredictionService:
         return shard_of(consumer, self.n_shards)
 
     def _warm_kernels(self) -> None:
-        """Build the model's lazy kernel tables before concurrent fan-out.
+        """Build the deployment's lazy tables before concurrent fan-out.
 
         Tree/forest deployments flatten their structures into decision
-        tables on first predict; racing that first call from several
-        shard workers is the one write the otherwise read-only model
-        would see. One serial throwaway round (never charged, never
-        logged) makes every later predict a pure read.
+        tables on first predict, and the deployment builds its sample
+        digest table on first ``sample_hashes``; racing those first
+        calls from several shard workers is the one write the otherwise
+        read-only deployment would see. One serial throwaway round
+        (never charged, never logged), plus one hash lookup when the
+        shards fingerprint chunks, makes every later call a pure read.
         """
-        self.vfl.predict(np.zeros(1, dtype=np.int64))
+        probe = np.zeros(1, dtype=np.int64)
+        self.vfl.predict(probe)
+        if any(shard.hashes_chunks for shard in self.shards):
+            self.vfl.sample_hashes(probe)
 
     def replay(
         self,
