@@ -38,8 +38,10 @@ determinism) are tier-1 tests, not gates here.
 The summary JSON (``BENCH_gates.json``, or ``BENCH_gates-live.json``
 with ``--tiny``) records the machine, the replay count, and per case the
 median, interquartile range, bound and verdict, plus one overall verdict.
-Each ``serving.*`` case also records the median seconds of its replay
-arm (``arm_median_s``) and of the raw loop (``raw_median_s``).
+Each ``federation.*``, ``serving.*`` and ``storm.*`` case also records
+the median seconds of the two arms its ratio divides (``arm_median_s``,
+arm name to seconds), printed beside the ratio: a change that speeds
+both arms leaves the ratio flat, and the seconds show it.
 The exit status is 0 iff every case passes.
 """
 
@@ -202,6 +204,11 @@ def interleave(arms: dict[str, Callable[[], float]]) -> dict[str, np.ndarray]:
             name = names[(replay + offset) % len(names)]
             seconds[name][replay] = arms[name]()
     return seconds
+
+
+def arm_seconds(seconds: dict[str, np.ndarray], *arms: str) -> dict[str, float]:
+    """Median seconds of the named arms, kept beside the ratio they form."""
+    return {arm: float(np.median(seconds[arm])) for arm in arms}
 
 
 def verdict(samples: "np.ndarray | None", bound: float, op: str) -> dict:
@@ -441,17 +448,21 @@ def federation_gates(scale: str) -> dict[str, dict]:
         finally:
             threaded.close()
             lagged.close()
-        cases[f"federation.{kind}.round_overhead"] = verdict(
-            seconds["sequential"] / seconds["in-process"], 10.0, "<="
-        )
+        cases[f"federation.{kind}.round_overhead"] = {
+            **verdict(seconds["sequential"] / seconds["in-process"], 10.0, "<="),
+            "arm_median_s": arm_seconds(seconds, "sequential", "in-process"),
+        }
         # Under the threaded barrier a round waits for the straggler about
         # once; the bound leaves one more delay of slack.
-        cases[f"federation.{kind}.straggler_delays_per_round"] = verdict(
-            (seconds["threaded+lag"] - seconds["threaded"])
-            / (STRAGGLER_DELAY * len(rounds)),
-            2.0,
-            "<=",
-        )
+        cases[f"federation.{kind}.straggler_delays_per_round"] = {
+            **verdict(
+                (seconds["threaded+lag"] - seconds["threaded"])
+                / (STRAGGLER_DELAY * len(rounds)),
+                2.0,
+                "<=",
+            ),
+            "arm_median_s": arm_seconds(seconds, "threaded+lag", "threaded"),
+        }
     return cases
 
 
@@ -498,9 +509,8 @@ def serving_gates(scale: str) -> dict[str, dict]:
     # A change that also speeds the raw loop moves every ratio; each
     # case keeps its arms' absolute medians beside the gated ratio.
     for mode in sorted(bounds.keys() & seconds.keys()):
-        cases[f"serving.{mode}"]["arm_median_s"] = float(np.median(seconds[mode]))
-        cases[f"serving.{mode}"]["raw_median_s"] = float(
-            np.median(seconds["raw-predict"])
+        cases[f"serving.{mode}"]["arm_median_s"] = arm_seconds(
+            seconds, mode, "raw-predict"
         )
     return cases
 
@@ -533,9 +543,10 @@ def storm_gates(scale: str) -> dict[str, dict]:
         ),
     })
     return {
-        "storm.sequential_overhead": verdict(
-            seconds["storm"] / seconds["fault-free"], 12.0, "<="
-        )
+        "storm.sequential_overhead": {
+            **verdict(seconds["storm"] / seconds["fault-free"], 12.0, "<="),
+            "arm_median_s": arm_seconds(seconds, "storm", "fault-free"),
+        }
     }
 
 
@@ -621,7 +632,12 @@ def main(argv: "list[str] | None" = None) -> int:
                 else f"{case['median']:>10.3f} {case['iqr']:>9.3f}"
             )
             absolute = (
-                f"  (arm {case['arm_median_s']:.3f} s, raw {case['raw_median_s']:.3f} s)"
+                "  ("
+                + ", ".join(
+                    f"{arm} {median_s:.3g} s"
+                    for arm, median_s in case["arm_median_s"].items()
+                )
+                + ")"
                 if "arm_median_s" in case
                 else ""
             )

@@ -194,10 +194,11 @@ class FaultPlan:
         """The chaos decision for one ``(party, round, attempt)`` cell.
 
         Pure in its arguments (see :mod:`repro.resilience.chaos`): the
-        runtime and the party node can both evaluate it and agree, and
-        an offline auditor can recompute an entire storm analytically —
-        which is exactly what ``test_storm_replays_analytically`` in
-        ``tests/test_resilience.py`` checks.
+        runtime evaluates it once per cell and hands the result to the
+        party node, and an offline auditor can recompute an entire storm
+        analytically — which is exactly what
+        ``test_storm_replays_analytically`` in ``tests/test_resilience.py``
+        checks.
         """
         if party in self.dropped:
             return FaultOutcome(kind="drop")

@@ -26,13 +26,24 @@ floats and break the bit-identity contract downstream. Numeric payloads round-tr
 ``frombuffer`` of the same dtype), which is what lets the runtime's
 protocol outputs stay byte-identical to the in-process
 :meth:`~repro.federated.model.VerticalFLModel.predict` path.
+
+A deployment speaks two kinds in one dtype each, so the per-frame
+string and shape work is cached: the encoder keeps each ``(kind, dtype,
+rank)``'s string bytes and shape struct, and the decoder maps a frame's
+string region to its kind, dtype and shape struct. A decode entry is
+added only after the frame's CRC verifies, so a corrupted frame never
+seeds the cache; the magic, version, length, shape and CRC checks run
+on every frame. Cached values are immutable, so decoders on concurrent
+scheduler threads share them safely.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,6 +67,9 @@ _CRC = struct.Struct("<I")
 
 #: Per-dimension shape entry appended after the variable-length strings.
 _DIM = struct.Struct("<q")
+
+#: Bytes before the kind string: the fixed header and the checksum.
+_PREFIX = _HEADER.size + _CRC.size
 
 
 @dataclass(frozen=True)
@@ -87,7 +101,8 @@ class Message:
 
     def __post_init__(self) -> None:
         # Normalize once so nbytes/encode agree on dtype and shape.
-        object.__setattr__(self, "payload", np.asarray(self.payload))
+        if type(self.payload) is not np.ndarray:
+            object.__setattr__(self, "payload", np.asarray(self.payload))
 
     @property
     def nbytes(self) -> int:
@@ -105,7 +120,6 @@ class Message:
 
 
 def _check_payload(payload: np.ndarray) -> np.ndarray:
-    payload = np.asarray(payload)
     if payload.dtype.hasobject:
         raise WireFormatError(
             f"cannot encode payload dtype {payload.dtype}: the wire format "
@@ -118,53 +132,112 @@ def _check_payload(payload: np.ndarray) -> np.ndarray:
     return payload
 
 
+#: Bound on each metadata cache. A deployment speaks two kinds in one
+#: or two dtypes and ranks; the bound only stops crafted frames from
+#: growing a cache without limit.
+_CACHE_LIMIT = 256
+
+
+@lru_cache(maxsize=_CACHE_LIMIT)
+def _encode_meta(
+    kind: str, dtype_str: str, ndim: int
+) -> tuple[int, int, bytes, struct.Struct]:
+    """``(kind_len, dtype_len, kind+dtype bytes, shape struct)`` of a frame.
+
+    The one place the wire limits are checked, for
+    :func:`encode_message` and :func:`encoded_size` alike. A refused
+    combination raises and is never cached.
+    """
+    kind_bytes = kind.encode("utf-8")
+    dtype_bytes = dtype_str.encode("ascii")
+    if len(kind_bytes) > 255:
+        raise WireFormatError(f"message kind too long to encode: {kind!r}")
+    if ndim > 255:
+        raise WireFormatError(f"payload rank {ndim} exceeds the wire limit")
+    return (
+        len(kind_bytes),
+        len(dtype_bytes),
+        kind_bytes + dtype_bytes,
+        struct.Struct("<" + "q" * ndim),
+    )
+
+
+#: First two characters of every ``dtype.str`` the encoder can write.
+_BYTE_ORDERS = frozenset("<>|")
+_DTYPE_KINDS = frozenset("biufcmMOSUV")
+
+#: ``(kind_len, ndim, kind+dtype bytes)`` -> ``(kind, dtype, shape struct)``
+#: for frames that passed every check, the CRC included. Values are
+#: immutable, so concurrent decoders share the dict safely under the GIL.
+_DECODE_CACHE: dict[tuple[int, int, bytes], tuple[str, np.dtype, struct.Struct]] = {}
+
+
 def encoded_size(kind: str, dtype, shape: tuple[int, ...]) -> int:
     """Exact frame size for a payload of the given dtype/shape.
 
     The analytic twin of ``len(encode_message(m))`` — used by
     :meth:`~repro.federation.runtime.FederationRuntime.estimate_predict_bytes`
     to price a protocol run without executing it (regression-tested to
-    match the measured ledger bytes exactly).
+    match the measured ledger bytes exactly). Refuses, with the same
+    :class:`~repro.exceptions.WireFormatError`, every kind and rank
+    :func:`encode_message` refuses.
     """
     dtype = np.dtype(dtype)
-    kind_bytes = kind.encode("utf-8")
-    dtype_bytes = dtype.str.encode("ascii")
+    _, _, strings, dims = _encode_meta(kind, dtype.str, len(shape))
     n_items = 1
     for dim in shape:
         n_items *= int(dim)
-    return (
-        _HEADER.size
-        + _CRC.size
-        + len(kind_bytes)
-        + len(dtype_bytes)
-        + _DIM.size * len(shape)
-        + n_items * dtype.itemsize
-    )
+    return _PREFIX + len(strings) + dims.size + n_items * dtype.itemsize
 
 
 def encode_message(message: Message) -> bytes:
     """Serialize a :class:`Message` into one self-describing frame."""
     payload = _check_payload(message.payload)
-    kind_bytes = message.kind.encode("utf-8")
-    dtype_bytes = payload.dtype.str.encode("ascii")
-    if len(kind_bytes) > 255:
-        raise WireFormatError(f"message kind too long to encode: {message.kind!r}")
-    if payload.ndim > 255:
-        raise WireFormatError(f"payload rank {payload.ndim} exceeds the wire limit")
+    kind_len, dtype_len, strings, dims = _encode_meta(
+        message.kind, payload.dtype.str, payload.ndim
+    )
     header = _HEADER.pack(
         MAGIC,
         WIRE_VERSION,
         int(message.sender),
         int(message.receiver),
         int(message.round_id),
-        len(kind_bytes),
-        len(dtype_bytes),
+        kind_len,
+        dtype_len,
         payload.ndim,
     )
-    dims = b"".join(_DIM.pack(dim) for dim in payload.shape)
-    body = kind_bytes + dtype_bytes + dims + payload.tobytes()
-    crc = zlib.crc32(body, zlib.crc32(header))
-    return header + _CRC.pack(crc) + body
+    meta = strings + dims.pack(*payload.shape)
+    data = payload.tobytes()
+    crc = zlib.crc32(data, zlib.crc32(meta, zlib.crc32(header)))
+    return b"".join((header, _CRC.pack(crc), meta, data))
+
+
+def _decode_strings(strings: bytes, kind_len: int) -> tuple[str, np.dtype]:
+    """The kind and payload dtype named by a frame's string region."""
+    try:
+        kind = strings[:kind_len].decode("utf-8")
+        dtype_str = strings[kind_len:].decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise WireFormatError(
+            f"corrupted frame: undecodable kind/dtype strings ({exc})"
+        ) from exc
+    # The encoder writes ``dtype.str``: a byte order, then a kind code.
+    # Anything else is corruption, and np.dtype would first warn about
+    # deprecated aliases (``"<a8"`` is one bit from ``"<i8"``).
+    if dtype_str[:1] not in _BYTE_ORDERS or dtype_str[1:2] not in _DTYPE_KINDS:
+        raise WireFormatError(f"undecodable payload dtype {dtype_str!r}")
+    try:
+        # np.dtype raises TypeError for unknown codes but also
+        # ValueError/SyntaxError for corrupted spec strings.
+        dtype = np.dtype(dtype_str)
+    except (TypeError, ValueError, SyntaxError) as exc:
+        raise WireFormatError(f"undecodable payload dtype {dtype_str!r}") from exc
+    if dtype.hasobject:
+        raise WireFormatError(
+            f"frame declares payload dtype {dtype_str!r}; the wire format "
+            "carries flat numeric/boolean buffers only"
+        )
+    return kind, dtype
 
 
 def decode_message(data: bytes) -> Message:
@@ -185,44 +258,26 @@ def decode_message(data: bytes) -> Message:
             f"unsupported wire version {version}; this build speaks only "
             f"version {WIRE_VERSION}"
         )
-    meta_end = _HEADER.size + _CRC.size + kind_len + dtype_len + ndim * _DIM.size
+    strings_end = _PREFIX + kind_len + dtype_len
+    meta_end = strings_end + ndim * _DIM.size
     if len(data) < meta_end:
         raise WireFormatError(
             f"truncated frame: {len(data)} bytes, the header metadata "
             f"declares {meta_end}"
         )
     (declared_crc,) = _CRC.unpack_from(data, _HEADER.size)
-    offset = _HEADER.size + _CRC.size
-    try:
-        kind = data[offset : offset + kind_len].decode("utf-8")
-        offset += kind_len
-        dtype_str = data[offset : offset + dtype_len].decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise WireFormatError(
-            f"corrupted frame: undecodable kind/dtype strings ({exc})"
-        ) from exc
-    try:
-        # np.dtype raises TypeError for unknown codes but also
-        # ValueError/SyntaxError for corrupted spec strings.
-        dtype = np.dtype(dtype_str)
-    except (TypeError, ValueError, SyntaxError) as exc:
-        raise WireFormatError(f"undecodable payload dtype {dtype_str!r}") from exc
-    if dtype.hasobject:
-        raise WireFormatError(
-            f"frame declares payload dtype {dtype_str!r}; the wire format "
-            "carries flat numeric/boolean buffers only"
-        )
-    offset += dtype_len
-    shape = tuple(
-        _DIM.unpack_from(data, offset + i * _DIM.size)[0] for i in range(ndim)
-    )
-    offset += ndim * _DIM.size
-    if any(dim < 0 for dim in shape):
+    key = (kind_len, ndim, bytes(data[_PREFIX:strings_end]))
+    cached = _DECODE_CACHE.get(key)
+    if cached is None:
+        kind, dtype = _decode_strings(key[2], kind_len)
+        dims = struct.Struct("<" + "q" * ndim)
+    else:
+        kind, dtype, dims = cached
+    shape = dims.unpack_from(data, strings_end)
+    if shape and min(shape) < 0:
         raise WireFormatError(f"frame declares a negative dimension: {shape}")
-    n_items = 1
-    for dim in shape:
-        n_items *= dim
-    expected = offset + n_items * dtype.itemsize
+    n_items = math.prod(shape)
+    expected = meta_end + n_items * dtype.itemsize
     if len(data) != expected:
         raise WireFormatError(
             f"frame length {len(data)} != {expected} declared by the header "
@@ -232,14 +287,18 @@ def decode_message(data: bytes) -> Message:
     # a flip they tolerate (payload bytes, shape that still fits) lands
     # here rather than decoding into silently different values.
     actual_crc = zlib.crc32(
-        data[_HEADER.size + _CRC.size :], zlib.crc32(data[: _HEADER.size])
+        data[_PREFIX:], zlib.crc32(data[: _HEADER.size])
     )
     if actual_crc != declared_crc:
         raise WireFormatError(
             f"corrupted frame: checksum mismatch (declared {declared_crc:#010x}, "
             f"computed {actual_crc:#010x}); the frame was altered in flight"
         )
-    payload = np.frombuffer(data, dtype=dtype, count=n_items, offset=offset)
+    if cached is None and len(_DECODE_CACHE) < _CACHE_LIMIT:
+        # Only a verified frame seeds the cache: a flipped string that
+        # happened to decode never stands in for the real one.
+        _DECODE_CACHE[key] = (kind, dtype, dims)
+    payload = np.frombuffer(data, dtype=dtype, count=n_items, offset=meta_end)
     return Message(
         sender=sender,
         receiver=receiver,
@@ -247,3 +306,4 @@ def decode_message(data: bytes) -> Message:
         payload=payload.reshape(shape).copy(),
         round_id=round_id,
     )
+

@@ -28,6 +28,7 @@ from repro.federated.party import ActiveParty, Party
 from repro.federation.faults import FaultPlan
 from repro.federation.message import Message
 from repro.federation.transport import Transport
+from repro.resilience.chaos import FaultOutcome
 
 __all__ = ["ActivePartyNode", "PartyNode", "PassivePartyNode"]
 
@@ -61,19 +62,22 @@ class PartyNode:
 class PassivePartyNode(PartyNode):
     """A feature-contributing party's protocol behaviour."""
 
-    def respond(self, attempt: int = 0) -> "Message | PartyUnavailableError":
+    def respond(
+        self, outcome: FaultOutcome, attempt: int = 0
+    ) -> "Message | PartyUnavailableError":
         """Answer the oldest pending request with this party's block.
 
         The unit of work a scheduler runs on its own thread: pop the
         request from this node's inbox, honour any injected fault, gather
         the local columns, and return the reply message for the runtime
-        to send. An injected failure is *returned* as the
-        :class:`PartyUnavailableError` describing it, not raised: the
-        round needs every party's outcome for the wave, and a raise
+        to send. ``outcome`` is the chaos decision for this ``(party,
+        round, attempt)`` cell; the runtime evaluates it once per wave
+        and hands the same value here. An injected failure is *returned*
+        as the :class:`PartyUnavailableError` describing it, not raised:
+        the round needs every party's outcome for the wave, and a raise
         would make the scheduler cancel the sibling responders. Only
-        this node's own state is touched — the stochastic fault decision
-        for ``(party, round, attempt)`` is a pure chaos function — which
-        is what makes the threaded scheduler race-free.
+        this node's own state is touched, which is what makes the
+        threaded scheduler race-free.
         """
         request = self.transport.receive(self.party_id)
         if request.kind != FEATURE_REQUEST:
@@ -87,7 +91,6 @@ class PassivePartyNode(PartyNode):
                 f"{request.round_id}; the {request.kind!r} request has no "
                 "responder"
             )
-        outcome = self.faults.outcome(self.party_id, request.round_id, attempt)
         if outcome.kind == "crash":
             return PartyUnavailableError(
                 f"party {self.party_id} crashed before round "
@@ -100,8 +103,8 @@ class PassivePartyNode(PartyNode):
                 f"{request.round_id} (flaky); a retry may succeed"
             )
         # "corrupt" and "timeout" outcomes still produce the reply: the
-        # runtime (which recomputes the same pure outcome) flips the
-        # frame in flight / accounts the simulated latency.
+        # runtime, holding the same outcome, flips the frame in flight /
+        # accounts the simulated latency.
         delay = self.faults.delays.get(self.party_id)
         if delay:
             time.sleep(delay)
@@ -145,19 +148,21 @@ class ActivePartyNode(PartyNode):
         sample_indices: np.ndarray,
         blocks: dict[int, np.ndarray],
         parties: list[Party],
-        n_features: int,
+        column_order: np.ndarray,
     ) -> np.ndarray:
-        """Scatter the blocks into the joint matrix, own columns local.
+        """The joint matrix: every party's block side by side, then
+        ``column_order`` (the deployment's global column permutation).
 
-        Byte-identical to :meth:`VerticalFLModel._assemble`: every
-        non-local block arrived through the wire codec, which is lossless
-        for float64, and placing columns copies values without arithmetic.
+        Byte-identical to :meth:`VerticalFLModel._assemble`, which places
+        columns the same way: every non-local block arrived through the
+        wire codec, which is lossless for float64, and placing columns
+        copies values without arithmetic.
         """
         rows = np.asarray(sample_indices, dtype=np.int64).ravel()
-        joint = np.empty((rows.size, n_features))
-        for party in parties:
-            if party.party_id == self.party_id:
-                joint[:, party.feature_indices] = party.local_features(rows)
-            else:
-                joint[:, party.feature_indices] = blocks[party.party_id]
-        return joint
+        ordered = [
+            party.local_features(rows)
+            if party.party_id == self.party_id
+            else blocks[party.party_id]
+            for party in parties
+        ]
+        return np.concatenate(ordered, axis=1).take(column_order, axis=1)

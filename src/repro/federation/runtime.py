@@ -53,7 +53,6 @@ from repro.federation.nodes import (
 from repro.federation.scheduler import RoundScheduler, make_scheduler
 from repro.federation.transport import Transport
 from repro.resilience import DEGRADATIONS, ResilienceState, RetryPolicy
-from repro.resilience.chaos import OK
 from repro.telemetry import NULL_TRACER
 
 __all__ = ["FederationRuntime", "check_quorum"]
@@ -277,7 +276,6 @@ class FederationRuntime:
         ledger = transport.ledger
         policy = self.retry_policy
         faults = self.faults
-        stochastic = faults.has_stochastic
         clock = self.resilience.clock
         receiver = self._active.party_id
         round_id = ledger.begin_round()
@@ -306,27 +304,26 @@ class FederationRuntime:
                     transport.send(
                         self._active.make_request(party, rows, round_id)
                     )
+                # The wave's chaos decisions, each made once: the node
+                # acts on its outcome and the round below reuses it.
+                outcomes = [faults.outcome(p, round_id, attempt) for p in pending]
                 replies = self.scheduler.run_round(
-                    [partial(self._passive_by_id[p].respond, attempt) for p in pending]
+                    [
+                        partial(self._passive_by_id[p].respond, outcome, attempt)
+                        for p, outcome in zip(pending, outcomes)
+                    ]
                 )
                 wave_latency = 0.0
                 still_pending: list[int] = []
                 delivered: list[int] = []
-                for party, reply in zip(pending, replies):
+                for party, outcome, reply in zip(pending, outcomes, replies):
                     if isinstance(reply, PartyUnavailableError):
                         failures[party] = reply
-                        if faults.outcome(party, round_id, attempt).permanent:
+                        if outcome.permanent:
                             crashed.add(party)
                         else:
                             still_pending.append(party)
                         continue
-                    # Without stochastic kinds every reply is clean: skip
-                    # the per-party chaos lookup on the fault-free path.
-                    outcome = (
-                        faults.outcome(party, round_id, attempt)
-                        if stochastic
-                        else OK
-                    )
                     if (
                         outcome.kind == "timeout"
                         and policy.timeout is not None
@@ -500,7 +497,7 @@ class FederationRuntime:
             raise ProtocolError("prediction request with no sample ids")
         blocks = self._exchange(indices)
         joint = self._active.assemble(
-            indices, blocks, self.vfl.parties, self.vfl.partition.n_features
+            indices, blocks, self.vfl.parties, self.vfl._column_order
         )
         self.vfl.prediction_log_.extend(int(i) for i in indices)
         return self.vfl.model.predict_proba(joint)

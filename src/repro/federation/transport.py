@@ -18,17 +18,16 @@ the tests use to assert zero unmetered transfers.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.exceptions import ProtocolError
 from repro.federation.ledger import CommLedger
-from repro.federation.message import Message, decode_message
+from repro.federation.message import Message, decode_message, encode_message
 
 __all__ = ["DeliveryRecord", "Transport"]
 
 
-@dataclass(frozen=True)
-class DeliveryRecord:
+class DeliveryRecord(NamedTuple):
     """Audit-log entry for one delivered frame (routing + size, no values)."""
 
     sender: int
@@ -60,24 +59,13 @@ class Transport:
         the ledger) *before* delivery when the frame does not fit — an
         over-budget message never reaches its receiver.
         """
-        if message.sender == message.receiver:
-            raise ProtocolError(
-                f"party {message.sender} attempted to send itself a message; "
-                "local values do not cross the transport"
-            )
-        data = message.encode()
-        self.ledger.charge(message.sender, message.receiver, len(data))
-        self._inboxes.setdefault(int(message.receiver), deque()).append(data)
-        self.delivery_log.append(
-            DeliveryRecord(
-                sender=int(message.sender),
-                receiver=int(message.receiver),
-                kind=message.kind,
-                nbytes=len(data),
-                round_id=int(message.round_id),
-            )
+        return self._deliver(
+            encode_message(message),
+            int(message.sender),
+            int(message.receiver),
+            message.kind,
+            int(message.round_id),
         )
-        return len(data)
 
     def send_raw(
         self, data: bytes, *, sender: int, receiver: int, kind: str, round_id: int
@@ -90,23 +78,27 @@ class Transport:
         is where the corruption surfaces (as a
         :class:`~repro.exceptions.WireFormatError` checksum failure).
         """
-        if int(sender) == int(receiver):
+        return self._deliver(
+            bytes(data), int(sender), int(receiver), kind, int(round_id)
+        )
+
+    def _deliver(
+        self, data: bytes, sender: int, receiver: int, kind: str, round_id: int
+    ) -> int:
+        """Check, charge, enqueue and log one frame; returns its size."""
+        if sender == receiver:
             raise ProtocolError(
                 f"party {sender} attempted to send itself a message; "
                 "local values do not cross the transport"
             )
-        self.ledger.charge(int(sender), int(receiver), len(data))
-        self._inboxes.setdefault(int(receiver), deque()).append(bytes(data))
-        self.delivery_log.append(
-            DeliveryRecord(
-                sender=int(sender),
-                receiver=int(receiver),
-                kind=kind,
-                nbytes=len(data),
-                round_id=int(round_id),
-            )
-        )
-        return len(data)
+        nbytes = len(data)
+        self.ledger.charge(sender, receiver, nbytes)
+        inbox = self._inboxes.get(receiver)
+        if inbox is None:
+            inbox = self._inboxes[receiver] = deque()
+        inbox.append(data)
+        self.delivery_log.append(DeliveryRecord(sender, receiver, kind, nbytes, round_id))
+        return nbytes
 
     def receive(self, party_id: int) -> Message:
         """Pop and decode the oldest frame addressed to ``party_id``."""

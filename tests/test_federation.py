@@ -41,7 +41,8 @@ from repro.federation import (
     encoded_size,
     make_scheduler,
 )
-from repro.federation.message import _HEADER, MAGIC
+from repro.federation import message as codec
+from repro.federation.message import _CRC, _HEADER, MAGIC
 from repro.api import ScenarioConfig, make_model, run_scenario
 
 TINY = ScaleConfig(
@@ -169,9 +170,27 @@ class TestMessageCodec:
     def test_corrupted_string_regions_rejected(self):
         """Byte flips inside kind/dtype stay WireFormatError, not Unicode."""
         frame = bytearray(Message(0, 1, "feature_request", np.arange(3)).encode())
-        frame[_HEADER.size] = 0xFF  # first byte of the kind string
-        with pytest.raises(WireFormatError, match="corrupted frame"):
+        frame[_HEADER.size + _CRC.size] = 0xFF  # first byte of the kind string
+        with pytest.raises(WireFormatError, match="undecodable kind/dtype"):
             decode_message(bytes(frame))
+
+    def test_encoded_size_refuses_what_encode_refuses(self):
+        """The analytic size prices only frames the encoder would emit."""
+        with pytest.raises(WireFormatError, match="kind too long") as encoding:
+            encode_message(Message(0, 1, "x" * 300, np.zeros(1)))
+        with pytest.raises(WireFormatError, match="kind too long") as sizing:
+            encoded_size("x" * 300, np.float64, (1,))
+        assert str(sizing.value) == str(encoding.value)
+        assert encoded_size("x" * 255, np.float64, (1,)) == len(
+            encode_message(Message(0, 1, "x" * 255, np.zeros(1)))
+        )
+
+    def test_encoded_size_refuses_ranks_past_the_wire_limit(self):
+        with pytest.raises(WireFormatError, match="rank 256 exceeds the wire limit"):
+            encoded_size("k", np.float64, (1,) * 256)
+        assert encoded_size("k", np.float64, (1,) * 255) == (
+            _HEADER.size + _CRC.size + 1 + 3 + 8 * 255 + 8
+        )
 
     def test_frame_declaring_object_dtype_rejected(self):
         """A crafted frame cannot smuggle an object dtype past decode."""
@@ -188,6 +207,106 @@ class TestMessageCodec:
 
     def test_magic_is_stable(self):
         assert Message(0, 1, "k", np.zeros(1)).encode()[:4] == MAGIC
+
+
+#: Wire-version-2 frames, checked in: the codec's output must never
+#: drift, whatever caches sit in front of it.
+GOLDEN_REQUEST = (
+    "52464544020000000100070000000f0301049e2ce4666561747572655f72657175"
+    "6573743c6938020000000000000000000000000000000100000000000000"
+)
+GOLDEN_BLOCK = (
+    "52464544020002000000070000000d030267e67ccc666561747572655f626c6f63"
+    "6b3c6638020000000000000003000000000000000000000000000000922449922449"
+    "c23f922449922449d23fdbb66ddbb66ddb3f922449922449e23fb76ddbb66ddbe63f"
+)
+
+
+@pytest.fixture
+def cold_codec():
+    """Both codec metadata caches empty before and after the test."""
+    codec._DECODE_CACHE.clear()
+    codec._encode_meta.cache_clear()
+    yield codec
+    codec._DECODE_CACHE.clear()
+    codec._encode_meta.cache_clear()
+
+
+def _flipped(frame: bytes):
+    """Every single-bit flip of ``frame``."""
+    for position in range(len(frame)):
+        for bit in range(8):
+            damaged = bytearray(frame)
+            damaged[position] ^= 1 << bit
+            yield bytes(damaged)
+
+
+class TestCodecCorruption:
+    """Decoder fuzz: no flip decodes, and no flip seeds a cache."""
+
+    FRAMES = (
+        Message(0, 2, "feature_request", np.arange(1, dtype=np.int64), round_id=5),
+        Message(2, 0, "feature_block", np.arange(9.0).reshape(3, 3) / 7, round_id=5),
+    )
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_every_single_bit_flip_raises_wire_format_error(self, cold_codec, warm):
+        frames = [message.encode() for message in self.FRAMES]
+        flips = 0
+        for frame in frames:
+            for damaged in _flipped(frame):
+                if warm:
+                    decode_message(frame)
+                else:
+                    cold_codec._DECODE_CACHE.clear()
+                    cold_codec._encode_meta.cache_clear()
+                with pytest.raises(WireFormatError):
+                    decode_message(damaged)
+                flips += 1
+        assert flips == 1440
+        # Only the clean frames' metadata was ever cached.
+        decode_message(frames[0])
+        decode_message(frames[1])
+        assert sorted(key[2] for key in cold_codec._DECODE_CACHE) == [
+            b"feature_block<f8",
+            b"feature_request<i8",
+        ]
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_crc_failure_leaves_decode_cache_unchanged(self, cold_codec, warm):
+        frame = self.FRAMES[0].encode()
+        if warm:
+            decode_message(frame)
+        before = dict(cold_codec._DECODE_CACHE)
+        damaged = bytearray(frame)
+        damaged[_HEADER.size + _CRC.size] ^= 0x01  # "feature_..." -> "geature_..."
+        with pytest.raises(WireFormatError, match="checksum mismatch"):
+            decode_message(bytes(damaged))
+        assert cold_codec._DECODE_CACHE == before
+        assert all(key[2] != b"geature_request<i8" for key in cold_codec._DECODE_CACHE)
+
+    def test_cached_decode_equals_cold_decode(self, cold_codec):
+        for message in self.FRAMES:
+            frame = message.encode()
+            cold = decode_message(frame)
+            warm = decode_message(frame)
+            assert (cold.kind, cold.sender, cold.receiver, cold.round_id) == (
+                warm.kind, warm.sender, warm.receiver, warm.round_id
+            )
+            assert cold.payload.dtype == warm.payload.dtype == message.payload.dtype
+            assert cold.payload.tobytes() == warm.payload.tobytes()
+            assert cold.payload.tobytes() == message.payload.tobytes()
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_frames_match_the_checked_in_golden_bytes(self, cold_codec, warm):
+        request = Message(0, 1, "feature_request", np.arange(2, dtype=np.int64), 7)
+        block = Message(2, 0, "feature_block", np.arange(6.0).reshape(2, 3) / 7, 7)
+        if warm:
+            request.encode(), block.encode()
+        assert request.encode().hex() == GOLDEN_REQUEST
+        assert block.encode().hex() == GOLDEN_BLOCK
+        assert request.nbytes == len(bytes.fromhex(GOLDEN_REQUEST))
+        assert block.nbytes == len(bytes.fromhex(GOLDEN_BLOCK))
 
 
 # ----------------------------------------------------------------------

@@ -368,6 +368,7 @@ class TestBenchHarness:
         assert summary["cases"] == {
             "storm.sequential_overhead": {
                 "median": 11.5, "iqr": 1.0, "bound": 12.0, "op": "<=", "pass": True,
+                "arm_median_s": {"storm": 11.5, "fault-free": 1.0},
             }
         }
         assert summary["pass"] is True

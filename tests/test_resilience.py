@@ -42,6 +42,7 @@ from repro.federation import (
     decode_message,
     make_scheduler,
 )
+from repro.federation import faults as fault_module
 from repro.federation.message import _HEADER
 from repro.federation.nodes import FEATURE_REQUEST
 from repro.models import LogisticRegression
@@ -635,6 +636,38 @@ class TestResilientExchange:
         assert ledger["retries"] > 0
         assert requests == ledger["rounds"] * 2 + ledger["retries"]
         assert ledger["bytes"] == runtime.transport.delivered_bytes
+
+    @pytest.mark.parametrize("scheduler", ["sequential", "threaded"])
+    def test_one_chaos_decision_per_request(self, monkeypatch, scheduler):
+        """Each (party, round, attempt) cell is decided once per protocol
+        round: one ``decision_rng`` draw per request frame sent."""
+        draws = []
+        real = fault_module.decision_rng
+
+        def counted(*args, **kwargs):
+            draws.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fault_module, "decision_rng", counted)
+        runtime = storm_runtime(
+            deploy(n_parties=4),
+            scheduler=scheduler,
+            faults=FaultPlan.from_specs(
+                [("flaky", {"party": p, "p": 0.3, "seed": 20 + p}) for p in (1, 2, 3)]
+            ),
+            quorum=0.5,
+        )
+        for start in range(0, 40, 8):
+            runtime.predict(np.arange(start, start + 8))
+        runtime.close()
+        requests = sum(
+            1 for rec in runtime.transport.delivery_log if rec.kind == FEATURE_REQUEST
+        )
+        ledger = runtime.ledger.as_dict()
+        assert ledger["retries"] > 0
+        assert requests == ledger["rounds"] * 3 + ledger["retries"]
+        assert len(draws) == requests
+        assert len(set(draws)) == len(draws)
 
     def test_storm_replays_analytically(self):
         """The availability report is a pure function of the chaos seeds."""
