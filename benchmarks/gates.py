@@ -348,7 +348,8 @@ def kernel_grna_epoch(k: dict):
 
 def kernel_service_throughput(k: dict):
     """One RF-backed service round: the serving stack over the fast forest
-    kernel, then over the reference kernel shadowing the bound method."""
+    kernel, then over the reference kernel shadowing the bound ``_proba``
+    (the kernel a served round calls)."""
     n = k["service_queries"]
     # The overrides fix every size the model reads from the scale.
     vfl = deploy(
@@ -360,11 +361,11 @@ def kernel_service_throughput(k: dict):
     forest = vfl.model
 
     def slow() -> None:
-        forest.predict_proba = forest._predict_proba_slow
+        forest._proba = forest._predict_proba_slow
         try:
             service.query(indices)
         finally:
-            del forest.predict_proba
+            del forest._proba
 
     return lambda: service.query(indices), slow
 

@@ -11,7 +11,8 @@ declaring where it sits.
 
 The same rule enforces the query boundary: inside the attack-side
 modules (``repro.attacks``, ``repro.api.attacks``) no ``.predict(...)``
-/ ``.predict_proba(...)`` / ``.predict_all(...)`` call is allowed —
+/ ``.predict_proba(...)`` / ``.predict_all(...)`` call is allowed, nor
+one of ``._proba(...)``, the model kernel behind ``predict_proba`` —
 every model query flows through the metered
 :class:`~repro.serving.PredictionService`, which is what makes query
 budgets and audit defenses sound.
@@ -26,7 +27,7 @@ from repro.analysis.core import RULES, LintRule, SourceFile
 from repro.analysis.findings import Finding
 
 #: Model-query attribute calls forbidden on the attack side.
-_QUERY_METHODS = frozenset({"predict", "predict_proba", "predict_all"})
+_QUERY_METHODS = frozenset({"predict", "predict_proba", "predict_all", "_proba"})
 
 
 def _imported_repro_packages(tree: ast.Module) -> "Iterator[tuple[str, int, int]]":

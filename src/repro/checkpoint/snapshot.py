@@ -37,6 +37,13 @@ from repro.exceptions import CheckpointError
 FORMAT_VERSION = 1
 MANIFEST_KEY = "__manifest__"
 
+#: What a damaged archive can raise while it is opened and read. Beside
+#: the obvious ones, :mod:`zipfile` raises ``NotImplementedError`` for a
+#: header naming an unsupported zip version or compression method, and a
+#: bare ``RuntimeError`` for a member flagged as encrypted; both mean the
+#: bytes are corrupt (``NotImplementedError`` is a ``RuntimeError``).
+_DECODE_ERRORS = (OSError, KeyError, ValueError, RuntimeError, zipfile.BadZipFile, EOFError)
+
 
 def _jsonable(value: Any) -> Any:
     """JSON fallback for numpy scalars and arrays inside metadata."""
@@ -164,7 +171,7 @@ def read_manifest(path: str | os.PathLike[str]) -> dict[str, Any]:
             with np.load(fh, allow_pickle=False) as archive:
                 raw = bytes(archive[MANIFEST_KEY])
         manifest = json.loads(raw.decode())
-    except (OSError, KeyError, ValueError, zipfile.BadZipFile, EOFError) as exc:
+    except _DECODE_ERRORS as exc:
         raise CheckpointError(f"corrupt snapshot {target}: {exc}") from exc
     if not isinstance(manifest, dict):
         raise CheckpointError(f"corrupt snapshot {target}: manifest is not a dict")
@@ -212,7 +219,7 @@ def read_snapshot(
                 }
     except CheckpointError:
         raise
-    except (OSError, KeyError, ValueError, zipfile.BadZipFile, EOFError) as exc:
+    except _DECODE_ERRORS as exc:
         raise CheckpointError(f"corrupt snapshot {target}: {exc}") from exc
     return Snapshot(
         step=int(manifest["step"]),

@@ -6,8 +6,11 @@ plaintext parameters stay untouched. :class:`ModelWrapper` fixes that
 shape once: the wrapper is itself a
 :class:`~repro.models.base.BaseClassifier` (so it slots directly into
 :class:`repro.federated.VerticalFLModel`), exposes the wrapped ``model``,
-and refuses ``fit``. Wrappers compose — wrapping a wrapper chains the
-perturbations — and :func:`unwrap_model` recovers the innermost model,
+and refuses ``fit``. A wrapper implements ``_proba`` as its perturbation
+of ``self.model._proba(X)``, so the inherited ``predict_proba``
+validates a request once however many wrappers it passes through.
+Wrappers compose — wrapping a wrapper chains the perturbations — and
+:func:`unwrap_model` recovers the innermost model,
 which is what the threat model hands to the adversary (§III-B releases
 the *plaintext* θ; only the served outputs are defended).
 """

@@ -75,7 +75,7 @@ class NoisyModel(ModelWrapper):
         self.kind = kind
         self.rng = check_random_state(rng)
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+    def _proba(self, X: np.ndarray) -> np.ndarray:
         return noise_confidence_scores(
-            self.model.predict_proba(X), self.scale, kind=self.kind, rng=self.rng
+            self.model._proba(X), self.scale, kind=self.kind, rng=self.rng
         )

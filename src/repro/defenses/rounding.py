@@ -41,8 +41,8 @@ class RoundedModel(ModelWrapper):
         super().__init__(model)
         self.digits = check_positive_int(digits, name="digits")
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return round_confidence_scores(self.model.predict_proba(X), self.digits)
+    def _proba(self, X: np.ndarray) -> np.ndarray:
+        return round_confidence_scores(self.model._proba(X), self.digits)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         # Truncation is monotone per entry but can create argmax ties;

@@ -22,7 +22,7 @@ import hashlib
 
 import numpy as np
 
-from repro.exceptions import ProtocolError, ValidationError
+from repro.exceptions import NotFittedError, ProtocolError, ValidationError
 from repro.federated.partition import FeaturePartition
 from repro.federated.party import ActiveParty, Party, PassiveParty
 from repro.models.base import BaseClassifier
@@ -37,12 +37,8 @@ class VerticalFLModel:
         partition: FeaturePartition,
         parties: list[Party],
     ) -> None:
-        model._check_fitted()
-        if partition.n_features != model.n_features_:
-            raise ValidationError(
-                f"partition covers {partition.n_features} features, model uses "
-                f"{model.n_features_}"
-            )
+        self.partition = partition
+        self.model = model
         if len(parties) != partition.n_parties:
             raise ValidationError(
                 f"{len(parties)} parties but partition defines {partition.n_parties}"
@@ -64,8 +60,6 @@ class VerticalFLModel:
                 raise ValidationError(
                     f"party {p.party_id}'s feature indices disagree with the partition"
                 )
-        self.model = model
-        self.partition = partition
         self.parties = parties
         self._n_samples = n
         #: Permutes the parties' side-by-side columns into global order.
@@ -81,6 +75,26 @@ class VerticalFLModel:
         #: of requests through one deployment turns it into an unbounded
         #: allocation, so the workload layer switches it off.
         self.log_predictions: bool = True
+
+    @property
+    def model(self) -> BaseClassifier:
+        """The served model; replacing it (a defense wrap) re-runs the check."""
+        return self._model
+
+    @model.setter
+    def model(self, model: BaseClassifier) -> None:
+        # predict() hands assembled rows straight to the model's kernel,
+        # so the model must be fitted on exactly the partition's columns.
+        try:
+            model._check_fitted()
+        except NotFittedError as exc:
+            raise ValidationError(f"a deployment serves only a fitted model: {exc}") from exc
+        if self.partition.n_features != model.n_features_:
+            raise ValidationError(
+                f"partition covers {self.partition.n_features} features, model uses "
+                f"{model.n_features_}"
+            )
+        self._model = model
 
     # ------------------------------------------------------------------
     # Prediction protocol
@@ -101,12 +115,19 @@ class VerticalFLModel:
         Simulates the secure protocol: feature values are assembled only
         inside this call and never returned; the caller (the active party)
         sees just the confidence-score matrix.
+
+        The request's ids are checked here; the rows are not. Every party
+        block was validated once (finite float64) and frozen when its
+        :class:`~repro.federated.party.Party` was built, and the model's
+        width is checked whenever :attr:`model` is set, so the assembled
+        rows go straight to the model's ``_proba`` kernel. The answer is
+        byte-identical to ``model.predict_proba`` on the same rows.
         """
         sample_indices = self._check_ids(sample_indices, "prediction")
         joint = self._assemble(sample_indices)
         if self.log_predictions:
             self.prediction_log_.extend(sample_indices.tolist())
-        return self.model.predict_proba(joint)
+        return self._model._proba(joint)
 
     def predict_all(self) -> np.ndarray:
         """Confidence scores for every sample in the prediction dataset."""
@@ -159,7 +180,10 @@ class VerticalFLModel:
         The parties' rows side by side, then one column permutation. That
         releases the GIL once per party plus once; a fancy column scatter
         would release it three times per party, and every release hands
-        the GIL to a waiting shard thread.
+        the GIL to a waiting shard thread. The rows need no finiteness
+        check: they come from party blocks validated and frozen at
+        construction, so a :meth:`predict` round releases the GIL exactly
+        these P+1 times.
         """
         blocks = [party._gather(sample_indices) for party in self.parties]
         return np.concatenate(blocks, axis=1).take(self._column_order, axis=1)

@@ -17,7 +17,12 @@ from repro.utils.validation import check_matrix
 
 
 class Party:
-    """A data owner holding one column block of the joint dataset."""
+    """A data owner holding one column block of the joint dataset.
+
+    The block is validated (finite float64) once, here, and kept as a
+    private read-only copy: changing the caller's array afterwards
+    changes nothing this party serves.
+    """
 
     def __init__(self, party_id: int, feature_indices: np.ndarray, data: np.ndarray) -> None:
         if party_id < 0:
@@ -31,8 +36,12 @@ class Party:
                 f"{self.feature_indices.size} feature indices"
             )
         # Row-major, so one sample's columns are adjacent: every protocol
-        # round gathers whole rows.
-        self._data = np.ascontiguousarray(data)
+        # round gathers whole rows. Private and read-only, so the block
+        # validated above is the block every later round serves: the
+        # in-process round assembles from it without re-checking, and the
+        # deployment's row digests stay true.
+        self._data = np.array(data, order="C")
+        self._data.flags.writeable = False
 
     @property
     def n_samples(self) -> int:

@@ -156,7 +156,10 @@ class ActivePartyNode(PartyNode):
         Byte-identical to :meth:`VerticalFLModel._assemble`, which places
         columns the same way: every non-local block arrived through the
         wire codec, which is lossless for float64, and placing columns
-        copies values without arithmetic.
+        copies values without arithmetic. Unlike the in-process
+        assembly, these rows are not trusted as-is: the caller hands
+        them to the model's validating ``predict_proba``, because a
+        passive block is whatever a frame decoded to.
         """
         rows = np.asarray(sample_indices, dtype=np.int64).ravel()
         ordered = [

@@ -490,7 +490,10 @@ class FederationRuntime:
 
         Byte-identical to :meth:`VerticalFLModel.predict` for the same
         indices (regression-tested per model kind and scheduler), with
-        every passive block metered on the way in.
+        every passive block metered on the way in. The passive blocks
+        arrived through the wire codec, not from the frozen party blocks
+        the in-process round trusts, so the joint rows go through the
+        model's validating ``predict_proba`` every round.
         """
         indices = np.asarray(sample_indices, dtype=np.int64).ravel()
         if indices.size == 0:

@@ -3,7 +3,12 @@
 Two capabilities matter to the attacks:
 
 - every model exposes ``predict_proba`` returning the confidence-score
-  vector ``v`` the paper's protocol reveals to the active party;
+  vector ``v`` the paper's protocol reveals to the active party.
+  :class:`BaseClassifier` defines it once: it validates the input and
+  hands the checked matrix to ``_proba``, the kernel every subclass
+  implements. A caller whose rows are already checked -- the in-process
+  prediction round, which assembles them from validated, frozen party
+  blocks -- calls ``_proba`` directly;
 - *differentiable* models additionally expose ``forward_tensor``, a forward
   pass over autodiff tensors, which is what GRNA back-propagates through
   (Algorithm 2, line 9).
@@ -34,6 +39,11 @@ class BaseClassifier:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Confidence scores, shape ``(n_samples, n_classes)``; rows sum to 1."""
+        return self._proba(self._validate_predict_input(X))
+
+    def _proba(self, X: np.ndarray) -> np.ndarray:
+        """:meth:`predict_proba`'s kernel on an already-validated float64
+        matrix of ``n_features_`` columns; implemented by subclasses."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------

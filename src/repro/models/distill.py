@@ -135,8 +135,7 @@ class RandomForestDistiller(DifferentiableClassifier):
     # ------------------------------------------------------------------
     # Prediction
     # ------------------------------------------------------------------
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        X = self._validate_predict_input(X)
+    def _proba(self, X: np.ndarray) -> np.ndarray:
         return F.softmax(self.network_(Tensor(X)), axis=1).numpy()
 
     def forward_tensor(self, x: Tensor) -> Tensor:

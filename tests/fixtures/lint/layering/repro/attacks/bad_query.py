@@ -5,4 +5,6 @@ def leak_everything(model, X_adv):
     # Attacks must route queries through the scenario surface, not the model.
     confidences = model.predict_proba(X_adv)
     labels = model.predict(X_adv)
-    return confidences, labels
+    # The unvalidated kernel behind predict_proba is a query too.
+    raw = model._proba(X_adv)
+    return confidences, labels, raw

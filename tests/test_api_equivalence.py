@@ -9,6 +9,8 @@ its payload is *bit-identical* (``==`` on floats, not allclose) to what
 the refactored runner produces through :func:`repro.api.run_scenario`.
 """
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -195,9 +197,15 @@ def _force_seed_kernels(monkeypatch):
     (`_restrict_slow`), GRNA's composed-graph loss, the allocating
     Adam step and the dynamic autodiff tape (no recorded step replays)
     — i.e. the complete pre-PR model layer.
+
+    Tree and forest confidences are patched at ``_proba``, the kernel
+    behind every ``predict_proba``. Returns a counter of slow-kernel
+    calls keyed ``(model, inside_a_protocol_round)``, so a test can show
+    the seed kernels really served the cell's protocol rounds.
     """
     from repro.attacks.grna import GenerativeRegressionNetwork
     from repro.attacks.pra import PathRestrictionAttack
+    from repro.federation import FederationRuntime
     from repro.models.forest import RandomForestClassifier
     from repro.models.tree import DecisionTreeClassifier
     from repro.nn.optim import Adam
@@ -218,16 +226,36 @@ def _force_seed_kernels(monkeypatch):
     monkeypatch.setattr(
         DecisionTreeClassifier, "predict", DecisionTreeClassifier._predict_slow
     )
-    monkeypatch.setattr(DecisionTreeClassifier, "predict_proba", slow_proba)
+    calls = collections.Counter()
+    in_round = []
+    protocol_predict = FederationRuntime.predict
+
+    def counted_round(self, sample_indices):
+        in_round.append(True)
+        try:
+            return protocol_predict(self, sample_indices)
+        finally:
+            in_round.pop()
+
+    def counted(model, kernel):
+        def run(self, X):
+            calls[model, bool(in_round)] += 1
+            return kernel(self, X)
+
+        return run
+
+    monkeypatch.setattr(FederationRuntime, "predict", counted_round)
+    monkeypatch.setattr(DecisionTreeClassifier, "_proba", counted("dt", slow_proba))
     monkeypatch.setattr(
         RandomForestClassifier,
-        "predict_proba",
-        RandomForestClassifier._predict_proba_slow,
+        "_proba",
+        counted("rf", RandomForestClassifier._predict_proba_slow),
     )
     monkeypatch.setattr(PathRestrictionAttack, "restrict_batch", slow_restrict_batch)
     monkeypatch.setattr(GenerativeRegressionNetwork, "_fast_loss", False)
     monkeypatch.setattr(Adam, "_fast_step", False)
     monkeypatch.setattr(TrainStep, "static", False)
+    return calls
 
 
 class TestKernelEquivalence:
@@ -243,16 +271,18 @@ class TestKernelEquivalence:
     def test_fig6_dt_cell_bit_identical_under_seed_kernels(self, monkeypatch):
         units = list(fig6_units(TINY, datasets=("bank",), seed=6))
         fast = [fig6_run_unit(unit, TINY) for unit in units]
-        _force_seed_kernels(monkeypatch)
+        calls = _force_seed_kernels(monkeypatch)
         slow = [fig6_run_unit(unit, TINY) for unit in units]
         assert fast == slow
+        assert calls["dt", True] > 0
 
     def test_fig7_rf_and_nn_cells_bit_identical_under_seed_kernels(self, monkeypatch):
         units = list(fig7_units(TINY, datasets=("bank",), models=("rf", "nn"), seed=7))
         fast = [fig7_run_unit(unit, TINY) for unit in units]
-        _force_seed_kernels(monkeypatch)
+        calls = _force_seed_kernels(monkeypatch)
         slow = [fig7_run_unit(unit, TINY) for unit in units]
         assert fast == slow
+        assert calls["rf", True] > 0
 
 
 class TestServingEquivalence:

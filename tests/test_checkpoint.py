@@ -11,6 +11,11 @@ the identical downstream draw sequence under the ``spawn_rngs`` prefix
 scheme every seeded component relies on.
 """
 
+import io
+import random
+import struct
+import zipfile
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -249,6 +254,102 @@ class TestSnapshots:
             {"b": [2, 3], "a": 1}
         )
         assert content_fingerprint({"a": 1}) != content_fingerprint({"a": 2})
+
+
+class TestSnapshotCorruption:
+    """Decoder fuzz: a damaged snapshot raises CheckpointError or decodes
+    to the identical snapshot, never anything else.
+
+    Every bit of the zip structure is flipped (each member's local
+    header, the central directory and the end record), a seeded sample
+    of the other bits (member bytes, CRC-protected), and the archive is
+    cut at every length.
+    """
+
+    def _snapshot(self, tmp_path):
+        path = write_snapshot(
+            tmp_path / "s.npz",
+            step=3,
+            fragments={
+                "rows": raw_fragment(
+                    meta={"cursor": 2}, arrays={"rows": np.arange(6.0).reshape(2, 3)}
+                )
+            },
+            fingerprint="fp",
+            meta={"epoch": 4},
+        )
+        return path.read_bytes()
+
+    @staticmethod
+    def _structure(raw: bytes) -> list[int]:
+        """Byte offsets of the local headers, central directory and end record."""
+        with zipfile.ZipFile(io.BytesIO(raw)) as archive:
+            offsets = []
+            for info in archive.infolist():
+                start = info.header_offset
+                name_len, extra_len = struct.unpack("<HH", raw[start + 26 : start + 30])
+                offsets += range(start, start + 30 + name_len + extra_len)
+            offsets += range(archive.start_dir, len(raw))
+        return offsets
+
+    @staticmethod
+    def _decode(path):
+        """``(step, fingerprint, meta, fragments as bytes)``, or None on CheckpointError."""
+        try:
+            snap = read_snapshot(path)
+        except CheckpointError:
+            return None
+        fragments = {
+            name: (f["kind"], f["meta"], {k: a.tobytes() for k, a in f["arrays"].items()})
+            for name, f in snap.fragments.items()
+        }
+        return snap.step, snap.fingerprint, snap.meta, fragments
+
+    def test_flips_and_truncations_raise_or_decode_identically(self, tmp_path):
+        raw = self._snapshot(tmp_path)
+        clean = self._decode(tmp_path / "s.npz")
+        structure = self._structure(raw)
+        others = sorted(set(range(len(raw))) - set(structure))
+        bits = [8 * p + b for p in structure for b in range(8)]
+        bits += random.Random(0).sample([8 * p + b for p in others for b in range(8)], 128)
+
+        damaged_path = tmp_path / "damaged.npz"
+        decoded = 0
+        for bit in bits:
+            damaged = bytearray(raw)
+            damaged[bit // 8] ^= 1 << (bit % 8)
+            damaged_path.write_bytes(bytes(damaged))
+            result = self._decode(damaged_path)
+            assert result in (None, clean), f"bit {bit} decoded to a different snapshot"
+            decoded += result is not None
+        for length in range(len(raw)):
+            damaged_path.write_bytes(raw[:length])
+            assert self._decode(damaged_path) is None, f"truncation to {length} decoded"
+        assert len(structure) > 200
+        # Flips in fields the reader ignores (timestamps, the local CRC
+        # copy) decode, which shows the sweep reaches a full decode.
+        assert 0 < decoded < len(bits)
+
+    @pytest.mark.parametrize(
+        ("offset", "mask", "match"),
+        [
+            (4, 0x40, "zip file version"),  # version needed to extract
+            (8, 0x01, "compression method"),
+            (6, 0x01, "encrypted"),  # general purpose flag bit 0
+        ],
+    )
+    def test_unsupported_zip_features_are_corrupt(self, tmp_path, offset, mask, match):
+        """zipfile's NotImplementedError/RuntimeError surface as CheckpointError."""
+        raw = bytearray(self._snapshot(tmp_path))
+        with zipfile.ZipFile(io.BytesIO(bytes(raw))) as archive:
+            central = archive.start_dir
+        # Same field in the first central-directory entry (2 bytes later:
+        # its record starts with "version made by").
+        raw[central + offset + 2] ^= mask
+        path = tmp_path / "damaged.npz"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match=match):
+            read_manifest(path)
 
 
 class TestSnapshotStore:

@@ -113,7 +113,7 @@ class TestLayering:
         queries = [
             f for f in report.findings if f.path.endswith("bad_query.py")
         ]
-        assert len(queries) == 2  # predict_proba and predict
+        assert len(queries) == 3  # predict_proba, predict and _proba
 
     def test_downward_imports_clean(self):
         report = self.lint_layering()

@@ -10,10 +10,16 @@ what replaced that:
   equal the sha1 of freshly assembled rows;
 - a cached, audited sharded replay assembles at most once per protocol
   round, plus the one table build;
-- the cheaper ``sigmoid`` and ``check_array`` are bitwise the old ones.
+- the cheaper ``sigmoid`` and ``check_array`` are bitwise the old ones;
+- a deployment's inputs are checked where they enter: party blocks are
+  validated once and frozen, the served model is checked whenever it is
+  set, and an in-process round calls the model's ``_proba`` kernel with
+  no second validation, while a wire-fed round still validates.
 """
 
 import hashlib
+import importlib
+import pkgutil
 import sys
 import threading
 
@@ -23,8 +29,12 @@ import pytest
 from repro.api import DefenseStack, make_model
 from repro.api.defenses import QueryAuditDefense
 from repro.config import ScaleConfig
+from repro.defenses import NoisyModel, RoundedModel
 from repro.exceptions import ProtocolError, ValidationError
 from repro.federated import FeaturePartition, VerticalFLModel, train_vertical_model
+from repro.federated.party import ActiveParty, PassiveParty
+from repro.federation import FederationRuntime
+from repro.models.base import BaseClassifier
 from repro.serving import PredictionService
 from repro.utils.numeric import sigmoid
 from repro.utils.random import spawn_rngs
@@ -187,13 +197,15 @@ class TestDigestTable:
         assert len(results) == 8
         assert all(result == expected for result in results)
 
-    @pytest.mark.parametrize("kind", ["lr", "dt"])
+    @pytest.mark.parametrize("kind", ["lr", "dt", "rf", "nn"])
     def test_predict_matches_fresh_assembly(self, kind):
         vfl = make_vfl(kind, n_parties=4)
         ids = np.array([3, 0, 3, 79, 41])
-        np.testing.assert_array_equal(
-            vfl.predict(ids), vfl.model.predict_proba(reference_rows(vfl, ids))
-        )
+        expected = vfl.model.predict_proba(reference_rows(vfl, ids))
+        np.testing.assert_array_equal(vfl.predict(ids), expected)
+        # The round calls the kernel unvalidated; it must still be the
+        # validated entry point's answer to the byte.
+        assert vfl.predict(ids).tobytes() == expected.tobytes()
 
 
 class TestOneAssemblyPerRound:
@@ -305,3 +317,138 @@ class TestKernelIdentity:
         x = np.arange(6).reshape(2, 3).astype(dtype)
         assert check_array(x, dtype=None).dtype == dtype
         np.testing.assert_array_equal(check_array(x), x.astype(np.float64))
+
+
+class TestFrozenPartyBlocks:
+    """A party serves the block it validated, whatever its caller does later."""
+
+    def _deployment(self):
+        """A deployment whose parties were built straight from C-ordered
+        float64 blocks the test still holds."""
+        vfl = make_vfl("lr")
+        joint = reference_rows(vfl, np.arange(vfl.n_samples))
+        blocks = [np.ascontiguousarray(joint[:, p.feature_indices]) for p in vfl.parties]
+        labels = vfl.parties[0].local_labels(np.arange(vfl.n_samples))
+        parties = [ActiveParty(0, vfl.parties[0].feature_indices, blocks[0], labels)]
+        parties += [
+            PassiveParty(p.party_id, p.feature_indices, block)
+            for p, block in zip(vfl.parties[1:], blocks[1:])
+        ]
+        return VerticalFLModel(vfl.model, vfl.partition, parties), blocks
+
+    def test_mutating_the_source_changes_nothing_served(self):
+        vfl, blocks = self._deployment()
+        ids = np.array([0, 7, 7, 41])
+        served = vfl.predict(ids)
+        hashes = vfl.sample_hashes(ids)
+        for block in blocks:
+            block += 1.0
+        np.testing.assert_array_equal(vfl.predict(ids), served)
+        assert vfl.sample_hashes(ids) == hashes
+        fresh = reference_rows(vfl, ids)
+        assert hashes == [hashlib.sha1(row.tobytes()).hexdigest() for row in fresh]
+
+    def test_party_block_is_read_only(self):
+        vfl, _ = self._deployment()
+        for party in vfl.parties:
+            assert not party._data.flags.writeable
+            with pytest.raises(ValueError):
+                party._data[0, 0] = 1.0
+            # What a party hands out is a copy the caller may write.
+            party.local_features([0, 1])[0, 0] = 1.0
+
+
+def _counting_validation(monkeypatch):
+    calls = []
+    validate = BaseClassifier._validate_predict_input
+
+    def counted(self, X):
+        calls.append(type(self).__name__)
+        return validate(self, X)
+
+    monkeypatch.setattr(BaseClassifier, "_validate_predict_input", counted)
+    return calls
+
+
+class TestTrustBoundary:
+    """Checked where inputs enter; an in-process round runs the kernel."""
+
+    IDS = np.array([3, 0, 3, 79, 41])
+
+    @pytest.mark.parametrize("kind", ["lr", "rf"])
+    def test_wrapped_round_applies_the_defense(self, kind):
+        vfl = make_vfl(kind)
+        base = vfl.model
+        rows = reference_rows(vfl, self.IDS)
+
+        vfl.model = RoundedModel(base, digits=1)
+        expected = RoundedModel(base, digits=1).predict_proba(rows)
+        assert vfl.predict(self.IDS).tobytes() == expected.tobytes()
+
+        # Same seed, same noise stream: one draw per call on both sides.
+        vfl.model = NoisyModel(RoundedModel(base, digits=2), 0.05, rng=3)
+        oracle = NoisyModel(RoundedModel(base, digits=2), 0.05, rng=3)
+        for _ in range(3):
+            served = vfl.predict(self.IDS)
+            assert served.tobytes() == oracle.predict_proba(rows).tobytes()
+        assert not np.array_equal(served, base.predict_proba(rows))
+
+    def test_in_process_round_skips_validation_and_wire_round_keeps_it(self, monkeypatch):
+        vfl = make_vfl("lr", n_parties=3)
+        vfl.model = NoisyModel(RoundedModel(vfl.model, digits=2), 0.05, rng=3)
+        calls = _counting_validation(monkeypatch)
+        vfl.predict(self.IDS)
+        assert calls == []
+        FederationRuntime(vfl).predict(self.IDS)
+        # Once for the whole defense stack, at its outermost layer.
+        assert calls == ["NoisyModel"]
+        vfl.model.predict_proba(reference_rows(vfl, self.IDS))
+        assert calls == ["NoisyModel", "NoisyModel"]
+
+    def test_wire_round_still_refuses_non_finite_blocks(self, monkeypatch):
+        vfl = make_vfl("lr")
+        runtime = FederationRuntime(vfl)
+        local_features = PassiveParty.local_features
+
+        def poisoned(self, sample_indices):
+            block = local_features(self, sample_indices)
+            block[0, 0] = np.nan
+            return block
+
+        monkeypatch.setattr(PassiveParty, "local_features", poisoned)
+        with pytest.raises(ValidationError, match="NaN or infinite"):
+            runtime.predict(self.IDS)
+
+    def test_no_model_overrides_predict_proba(self):
+        import repro.defenses
+        import repro.models
+
+        for package in (repro.models, repro.defenses):
+            for module in pkgutil.iter_modules(package.__path__, package.__name__ + "."):
+                importlib.import_module(module.name)
+        pending, seen = [BaseClassifier], []
+        while pending:
+            cls = pending.pop()
+            seen.append(cls)
+            pending.extend(cls.__subclasses__())
+        ours = [c for c in seen if c.__module__.startswith(("repro.models", "repro.defenses"))]
+        assert {c.__name__ for c in ours} >= {
+            "LogisticRegression", "DecisionTreeClassifier", "RandomForestClassifier",
+            "MLPClassifier", "RandomForestDistiller", "RoundedModel", "NoisyModel",
+        }
+        for cls in ours:
+            assert cls.predict_proba is BaseClassifier.predict_proba, cls.__name__
+
+    @pytest.mark.parametrize("kind", ["lr", "dt"])
+    def test_setting_an_unfitted_or_wrong_width_model_is_refused(self, kind):
+        vfl = make_vfl(kind)
+        served = vfl.model
+        with pytest.raises(ValidationError, match="not fitted"):
+            vfl.model = make_model(kind, TINY, spawn_rngs(0, 1)[0])
+        narrow = make_model(kind, TINY, spawn_rngs(0, 1)[0])
+        narrow.fit(np.random.default_rng(0).random((40, 5)), np.arange(40) % 3)
+        with pytest.raises(ValidationError, match="covers 8 features, model uses 5"):
+            vfl.model = narrow
+        with pytest.raises(ValidationError, match="covers 8 features, model uses 5"):
+            vfl.model = DefenseStack.from_specs([("rounding", {"digits": 1})]).wrap(narrow)
+        assert vfl.model is served
