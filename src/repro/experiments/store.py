@@ -113,20 +113,23 @@ class ResultsStore:
         the store file atomically rewritten without it; every record
         before it is recovered. Malformed *interior* lines (hand edits,
         disk damage) are skipped as before: rewriting history is not this
-        method's job.
+        method's job. Lines are decoded one at a time, so a line that is
+        not UTF-8 is just another malformed line.
         """
         if experiment_id not in self._cache:
             records: dict[tuple, RunSummary] = {}
             path = self._path(experiment_id)
             if path.exists():
-                lines = path.read_text(encoding="utf-8").splitlines()
+                lines = path.read_bytes().splitlines()
                 for lineno, raw in enumerate(lines):
                     line = raw.strip()
                     if not line:
                         continue
                     try:
-                        summary = RunSummary.from_json(line)
-                    except (json.JSONDecodeError, TypeError):
+                        summary = RunSummary.from_json(line.decode("utf-8"))
+                    except (ValueError, TypeError):
+                        # ValueError covers JSONDecodeError and
+                        # UnicodeDecodeError.
                         if lineno == len(lines) - 1:
                             self._quarantine_partial(path, lines[:lineno], raw)
                         continue
@@ -135,7 +138,7 @@ class ResultsStore:
         return self._cache[experiment_id]
 
     @staticmethod
-    def _quarantine_partial(path: Path, good_lines: list[str], partial: str) -> None:
+    def _quarantine_partial(path: Path, good_lines: list[bytes], partial: bytes) -> None:
         """Move a truncated trailing line aside and repair the store file.
 
         The partial line lands in ``<name>.partial`` (evidence, should
@@ -143,12 +146,10 @@ class ResultsStore:
         file, flush, fsync, rename — so a second crash mid-repair leaves
         either the damaged original or the repaired file, never less.
         """
-        path.with_name(path.name + ".partial").write_text(
-            partial + "\n", encoding="utf-8"
-        )
+        path.with_name(path.name + ".partial").write_bytes(partial + b"\n")
         tmp = path.with_name(path.name + ".tmp")
-        with tmp.open("w", encoding="utf-8") as fh:
-            fh.write("".join(line + "\n" for line in good_lines))
+        with tmp.open("wb") as fh:
+            fh.write(b"".join(line + b"\n" for line in good_lines))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

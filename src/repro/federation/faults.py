@@ -43,7 +43,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.exceptions import ValidationError
-from repro.resilience.chaos import OK, FaultOutcome, decision_rng
+from repro.resilience.chaos import (
+    FAULT_SALT,
+    OK,
+    DecisionBlocks,
+    FaultOutcome,
+    decision_rng,
+)
 from repro.utils.validation import check_in_range
 
 __all__ = ["FAULT_KINDS", "FaultPlan"]
@@ -96,6 +102,14 @@ class FaultPlan:
     dropped: frozenset = frozenset()
     delays: dict = field(default_factory=dict)
     stochastic: dict = field(default_factory=dict)
+    # This plan's block draws (see repro.resilience.chaos): a fresh
+    # plan per scenario, so no two scenarios share a draw.
+    _draws: DecisionBlocks = field(
+        default_factory=lambda: DecisionBlocks(FAULT_SALT),
+        init=False,
+        repr=False,
+        compare=False,
+    )
 
     @classmethod
     def from_specs(cls, specs) -> "FaultPlan":
@@ -199,6 +213,11 @@ class FaultPlan:
         analytically — which is exactly what
         ``test_storm_replays_analytically`` in ``tests/test_resilience.py``
         checks.
+
+        The threshold draw is the first ``random()`` of
+        :func:`~repro.resilience.chaos.decision_rng` for the cell, read
+        from this plan's block draws; only a firing ``corrupt`` builds
+        the generator, for the token that follows that draw.
         """
         if party in self.dropped:
             return FaultOutcome(kind="drop")
@@ -208,21 +227,18 @@ class FaultPlan:
         kind, params = entry
         if kind == "crash_after":
             return FaultOutcome(kind="crash") if round_id >= params["round"] else OK
-        rng = decision_rng(params["seed"], party, round_id, attempt)
-        if kind == "flaky":
-            return FaultOutcome(kind="flaky") if rng.random() < params["p"] else OK
-        if kind == "corrupt":
-            if rng.random() < params["p"]:
-                return FaultOutcome(
-                    kind="corrupt", token=int(rng.integers(0, 2**63 - 1))
-                )
+        if self._draws.uniform(params["seed"], party, round_id, attempt) >= params["p"]:
             return OK
+        if kind == "flaky":
+            return FaultOutcome(kind="flaky")
+        if kind == "corrupt":
+            rng = decision_rng(params["seed"], party, round_id, attempt)
+            rng.random()  # the threshold draw above
+            return FaultOutcome(kind="corrupt", token=int(rng.integers(0, 2**63 - 1)))
         # timeout: the reply arrives, just late; whether late is *too*
         # late belongs to the retry policy, so the outcome only carries
         # the latency.
-        if rng.random() < params["p"]:
-            return FaultOutcome(kind="timeout", latency=params["delay"])
-        return OK
+        return FaultOutcome(kind="timeout", latency=params["delay"])
 
     def validate_parties(self, n_parties: int) -> None:
         """Check every referenced party id names a *passive* party.

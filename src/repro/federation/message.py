@@ -71,6 +71,9 @@ _DIM = struct.Struct("<q")
 #: Bytes before the kind string: the fixed header and the checksum.
 _PREFIX = _HEADER.size + _CRC.size
 
+#: The fixed header and the checksum, unpacked by one call on decode.
+_HEADER_CRC = struct.Struct(_HEADER.format + _CRC.format[1:])
+
 
 @dataclass(frozen=True)
 class Message:
@@ -241,14 +244,28 @@ def _decode_strings(strings: bytes, kind_len: int) -> tuple[str, np.dtype]:
 
 
 def decode_message(data: bytes) -> Message:
-    """Parse one frame, validating magic, version, and length."""
+    """Parse one frame, validating magic, version, length and checksum.
+
+    Checks run in a fixed order — header length, magic, version,
+    declared metadata length, kind/dtype strings, shape, frame length,
+    CRC — and each failure raises
+    :class:`~repro.exceptions.WireFormatError` naming what was wrong.
+    The header and CRC come out of one unpack. The checksum slices the
+    frame rather than reading it through a ``memoryview``: for frames up
+    to ~5 KB (every one-row round) the view costs more than the copy.
+    The decoded array is a copy, so it never aliases ``data``.
+    """
     if len(data) < _HEADER.size:
         raise WireFormatError(
             f"truncated frame: {len(data)} bytes, header needs {_HEADER.size}"
         )
-    magic, version, sender, receiver, round_id, kind_len, dtype_len, ndim = (
-        _HEADER.unpack_from(data)
-    )
+    if len(data) >= _PREFIX:
+        fields = _HEADER_CRC.unpack_from(data)
+    else:
+        # Too short to hold the CRC: the metadata length check below
+        # rejects the frame before this placeholder checksum is read.
+        fields = (*_HEADER.unpack_from(data), 0)
+    magic, version, sender, receiver, round_id, kind_len, dtype_len, ndim, declared_crc = fields
     if magic != MAGIC:
         raise WireFormatError(
             f"bad magic {magic!r}: not a repro federation frame"
@@ -265,7 +282,6 @@ def decode_message(data: bytes) -> Message:
             f"truncated frame: {len(data)} bytes, the header metadata "
             f"declares {meta_end}"
         )
-    (declared_crc,) = _CRC.unpack_from(data, _HEADER.size)
     key = (kind_len, ndim, bytes(data[_PREFIX:strings_end]))
     cached = _DECODE_CACHE.get(key)
     if cached is None:

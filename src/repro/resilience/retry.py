@@ -5,9 +5,10 @@ runtime's protocol round: how many attempts a party gets per round,
 how long (in *simulated* seconds) the exchange backs off between retry
 waves, how much seeded jitter decorrelates the backoffs, and the
 per-attempt latency bound past which a reply counts as timed out. The
-jitter draw comes from the chaos engine's pure decision streams
-(:func:`~repro.resilience.chaos.decision_rng` with the jitter salt), so
-two schedulers — or a checkpoint-resumed run — compute byte-identical
+jitter draw comes from the chaos engine's pure decision streams (the
+first ``random()`` of :func:`~repro.resilience.chaos.decision_rng` with
+the jitter salt, read from the policy's own block draws), so two
+schedulers — or a checkpoint-resumed run — compute byte-identical
 backoff schedules.
 
 Policies JSON round-trip (:meth:`to_payload` / :meth:`from_payload`)
@@ -18,11 +19,11 @@ so :class:`~repro.api.ScenarioConfig` can persist them; the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.exceptions import ValidationError
-from repro.resilience.chaos import JITTER_SALT, decision_rng
+from repro.resilience.chaos import JITTER_SALT, DecisionBlocks
 
 __all__ = ["RetryPolicy"]
 
@@ -57,6 +58,13 @@ class RetryPolicy:
     jitter: float = 0.0
     timeout: "float | None" = None
     seed: int = 0
+    # This policy's block draws of jitter (see repro.resilience.chaos).
+    _jitter_draws: DecisionBlocks = field(
+        default_factory=lambda: DecisionBlocks(JITTER_SALT),
+        init=False,
+        repr=False,
+        compare=False,
+    )
 
     def validate(self) -> None:
         """Reject malformed policies with actionable messages."""
@@ -100,8 +108,8 @@ class RetryPolicy:
             )
         delay = self.backoff_base * self.backoff_factor ** (attempt - 1)
         if self.jitter > 0.0:
-            draw = decision_rng(self.seed, party, round_id, attempt, JITTER_SALT)
-            delay *= 1.0 + self.jitter * float(draw.random())
+            draw = self._jitter_draws.uniform(self.seed, party, round_id, attempt)
+            delay *= 1.0 + self.jitter * draw
         return delay
 
     # ------------------------------------------------------------------

@@ -133,7 +133,10 @@ def load_trace(path: "str | Path") -> list[dict[str, Any]]:
     """Read a JSONL trace back as a list of records.
 
     Tolerates one torn trailing line (dropped), same as the sink's own
-    repair; any earlier undecodable line raises
+    repair. A kill only truncates, so a trailing line that starts with
+    a complete JSON value was altered, not torn (a damaged newline
+    merges two records into it). That line, any earlier undecodable
+    line and any record that is not a JSON object raise
     :class:`~repro.exceptions.TelemetryError`.
     """
     records: list[dict[str, Any]] = []
@@ -142,12 +145,31 @@ def load_trace(path: "str | Path") -> list[dict[str, Any]]:
         lines.pop()
     for i, line in enumerate(lines):
         try:
-            records.append(json.loads(line))
+            record = json.loads(line)
         except ValueError:
-            if i == len(lines) - 1:
-                break  # torn trailing line from a kill
+            if i < len(lines) - 1:
+                raise TelemetryError(
+                    f"{path}: line {i + 1} is not valid JSON mid-file; "
+                    "the trace is corrupt"
+                ) from None
+            if _starts_with_value(line):
+                raise TelemetryError(
+                    f"{path}: the last line holds a complete JSON value and "
+                    "more bytes; a kill only truncates, so the trace is corrupt"
+                ) from None
+            break  # torn trailing line from a kill
+        if not isinstance(record, dict):
             raise TelemetryError(
-                f"{path}: line {i + 1} is not valid JSON mid-file; "
-                "the trace is corrupt"
-            ) from None
+                f"{path}: line {i + 1} is not a JSON object; the trace is corrupt"
+            )
+        records.append(record)
     return records
+
+
+def _starts_with_value(line: bytes) -> bool:
+    """True when ``line`` opens with a complete JSON value."""
+    try:
+        json.JSONDecoder().raw_decode(line.decode("utf-8", errors="replace"))
+    except ValueError:
+        return False
+    return True

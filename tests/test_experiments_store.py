@@ -149,6 +149,40 @@ class TestResultsStore:
         assert not path.with_name(path.name + ".partial").exists()
         assert path.read_text().startswith("not json")
 
+    def test_bit_flip_fuzz_recovers_every_untouched_line(self, tmp_path):
+        # Every single-bit flip of a 2-record store: _load raises nothing
+        # and keeps every record on a line the flip left alone. A flipped
+        # newline merges its line with the next, touching both. Unit ids
+        # two bits apart keep one flip from forging the other's key.
+        records = [
+            _summary(unit_id=unit, created_at="2026-01-01T00:00:00Z")
+            for unit in ("bank:40:t0", "bank:40:t3")
+        ]
+        lines = [(record.to_json() + "\n").encode() for record in records]
+        clean = b"".join(lines)
+        path = tmp_path / "fig5.jsonl"
+        for index in range(len(clean) * 8):
+            position = index // 8
+            damaged = bytearray(clean)
+            damaged[position] ^= 1 << (index % 8)
+            path.write_bytes(bytes(damaged))
+            loaded = ResultsStore(tmp_path)._load("fig5")
+            line = 0 if position < len(lines[0]) else 1
+            touched = {line, line + 1} if clean[position] == ord("\n") else {line}
+            for k, record in enumerate(records):
+                if k not in touched:
+                    assert loaded.get(record.key) == record, index
+
+    def test_undecodable_lines_are_malformed_lines(self, tmp_path):
+        record = _summary(created_at="2026-01-01T00:00:00Z")
+        path = tmp_path / "fig5.jsonl"
+        path.write_bytes(b"\xff\xfe{}\n" + (record.to_json() + "\n").encode() + b'{"a\xff')
+        loaded = ResultsStore(tmp_path)._load("fig5")
+        assert list(loaded.values()) == [record]
+        # Interior: kept in place; trailing: quarantined byte for byte.
+        assert path.read_bytes().startswith(b"\xff\xfe{}\n")
+        assert path.with_name("fig5.jsonl.partial").read_bytes() == b'{"a\xff\n'
+
     def test_clear(self, tmp_path):
         store = ResultsStore(tmp_path)
         store.put(_summary())

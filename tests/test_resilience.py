@@ -15,10 +15,13 @@ The load-bearing contracts:
 """
 
 import re
+import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.checkpoint import capture_state, restore_state
 from repro.config import ScaleConfig
@@ -42,7 +45,6 @@ from repro.federation import (
     decode_message,
     make_scheduler,
 )
-from repro.federation import faults as fault_module
 from repro.federation.message import _HEADER
 from repro.federation.nodes import FEATURE_REQUEST
 from repro.models import LogisticRegression
@@ -58,7 +60,14 @@ from repro.resilience import (
     decision_rng,
     party_stream_base,
 )
-from repro.resilience.chaos import FAULT_SALT, JITTER_SALT
+from repro.resilience import chaos
+from repro.resilience.chaos import (
+    BLOCK_ROUNDS,
+    FAULT_SALT,
+    JITTER_SALT,
+    DecisionBlocks,
+    decision_uniforms,
+)
 from repro.serving import PredictionService
 from repro.telemetry import Tracer
 from repro.api import ScenarioConfig, run_scenario
@@ -227,6 +236,169 @@ class TestChaosEngine:
             clock.advance(-0.1)
         with pytest.raises(ValidationError):
             SimClock(-1.0)
+
+
+def first_uniform(base, round_id, attempt, salt):
+    """The oracle: numpy's own first draw for one decision cell."""
+    return np.random.default_rng([base, round_id, attempt, salt]).random()
+
+
+def oracle_outcome(plan, party, round_id, attempt):
+    """``FaultPlan.outcome`` as a fresh generator per cell computes it."""
+    kind, params = plan.stochastic[party]
+    rng = decision_rng(params["seed"], party, round_id, attempt)
+    if rng.random() >= params["p"]:
+        return FaultOutcome(kind="ok")
+    if kind == "corrupt":
+        return FaultOutcome(kind="corrupt", token=int(rng.integers(0, 2**63 - 1)))
+    if kind == "timeout":
+        return FaultOutcome(kind="timeout", latency=params["delay"])
+    return FaultOutcome(kind=kind)
+
+
+GRID_ROUNDS = [0, 1, 1023, 1024, 1025, 2**32 - 1]
+
+
+class TestBlockDraws:
+    """``decision_uniforms`` equals the generator's first draw, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "base", [0, 1, 2**32 - 1, 2**32, 2**63 - 2], ids=["zero", "one", "u32", "2^32", "63bit"]
+    )
+    @pytest.mark.parametrize("salt", [FAULT_SALT, JITTER_SALT])
+    def test_grid_matches_numpy(self, monkeypatch, base, salt):
+        monkeypatch.setattr(chaos, "party_stream_base", lambda seed, party: base)
+        rounds = np.array(GRID_ROUNDS)
+        for attempt in range(4):
+            got = decision_uniforms(0, 1, rounds, attempt, salt)
+            want = [first_uniform(base, int(r), attempt, salt) for r in rounds]
+            assert got.tolist() == want
+
+    @pytest.mark.parametrize("salt", [FAULT_SALT, JITTER_SALT])
+    def test_seeded_party_streams_match_decision_rng(self, salt):
+        # Real bases are 63-bit draws (and the odd one below 2**32).
+        rng = np.random.default_rng(2024)
+        rounds = np.concatenate([GRID_ROUNDS, rng.integers(0, 2**32, 50)])
+        for seed in (0, 7, 2**31):
+            for party in (1, 2, 3):
+                for attempt in range(4):
+                    got = decision_uniforms(seed, party, rounds, attempt, salt)
+                    want = [
+                        decision_rng(seed, party, int(r), attempt, salt).random()
+                        for r in rounds
+                    ]
+                    assert got.tolist() == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        party=st.integers(0, 9),
+        round_id=st.integers(0, 2**32 - 1),
+        attempt=st.integers(0, 7),
+        salt=st.sampled_from([FAULT_SALT, JITTER_SALT]),
+    )
+    def test_random_cells_match_decision_rng(self, seed, party, round_id, attempt, salt):
+        want = decision_rng(seed, party, round_id, attempt, salt).random()
+        assert decision_uniforms(seed, party, [round_id], attempt, salt)[0] == want
+        assert DecisionBlocks(salt).uniform(seed, party, round_id, attempt) == want
+
+    def test_out_of_range_ids_are_refused(self):
+        for rounds in ([2**32], [-1], [3, 2**40]):
+            with pytest.raises(ValueError, match="round ids"):
+                decision_uniforms(1, 1, rounds, 0)
+        with pytest.raises(ValueError, match="attempt and salt"):
+            decision_uniforms(1, 1, [3], 2**32)
+
+    def test_wide_round_ids_fall_back_to_decision_rng(self, monkeypatch):
+        calls = []
+        real = chaos.decision_rng
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(chaos, "decision_rng", counted)
+        blocks = DecisionBlocks(JITTER_SALT)
+        for round_id in (2**32, 2**32 + 1025, 2**40):
+            draw = blocks.uniform(5, 2, round_id, 1)
+            assert draw == real(5, 2, round_id, 1, JITTER_SALT).random()
+        assert calls == [
+            (5, 2, round_id, 1, JITTER_SALT) for round_id in (2**32, 2**32 + 1025, 2**40)
+        ]
+        calls.clear()
+        assert blocks.uniform(5, 2, 2**32 - 1, 1) == real(5, 2, 2**32 - 1, 1, JITTER_SALT).random()
+        assert calls == []
+
+    def test_blocks_cover_rounds_in_and_out_of_order(self):
+        blocks = DecisionBlocks(FAULT_SALT)
+        rounds = [0, BLOCK_ROUNDS - 1, BLOCK_ROUNDS, 5, 3 * BLOCK_ROUNDS + 7, 1]
+        for round_id in rounds:
+            want = decision_rng(3, 1, round_id, 2).random()
+            assert blocks.uniform(3, 1, round_id, 2) == want
+        # One held block per (seed, party, attempt), however many rounds.
+        assert len(blocks._blocks) == 1
+
+    def test_shared_blocks_under_thread_contention(self):
+        # Threads racing block swaps on one instance each read a
+        # complete block: every draw still equals the oracle's.
+        rounds = [r * 397 % (4 * BLOCK_ROUNDS) for r in range(600)]
+        want = {r: decision_rng(4, 1, r, 0).random() for r in set(rounds)}
+        blocks = DecisionBlocks(FAULT_SALT)
+        mismatches = []
+
+        def work(offset):
+            for r in rounds[offset:] + rounds[:offset]:
+                if blocks.uniform(4, 1, r, 0) != want[r]:
+                    mismatches.append(r)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(o,)) for o in range(0, 600, 100)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ("flaky", {"p": 0.4, "seed": 11}),
+            ("corrupt", {"p": 0.4, "seed": 12}),
+            ("timeout", {"p": 0.4, "delay": 0.3, "seed": 13}),
+        ],
+        ids=lambda spec: spec[0],
+    )
+    def test_plan_outcomes_match_fresh_generators(self, spec):
+        kind, params = spec
+        plan = FaultPlan.from_specs([(kind, {"party": 2, **params})])
+        rounds = [*range(1000, 1050), 2**32 - 1, 2**32, 2**32 + 7]
+        outcomes = [
+            (plan.outcome(2, r, a), oracle_outcome(plan, 2, r, a))
+            for r in rounds
+            for a in range(3)
+        ]
+        assert all(new == old for new, old in outcomes)
+        assert {new.kind for new, _ in outcomes} == {"ok", kind}
+
+    def test_jitter_matches_fresh_generators(self):
+        policy = RetryPolicy(max_attempts=4, jitter=0.5, seed=9)
+        for round_id in (0, 1023, 1024, 2**32 + 3):
+            for attempt in (1, 2, 3):
+                draw = decision_rng(9, 1, round_id, attempt, JITTER_SALT).random()
+                want = 0.05 * 2.0 ** (attempt - 1) * (1.0 + 0.5 * draw)
+                assert policy.backoff(1, round_id, attempt) == want
+
+    def test_draws_are_per_plan_and_policy(self):
+        specs = [("flaky", {"party": 1, "p": 0.5, "seed": 3})]
+        assert FaultPlan.from_specs(specs)._draws is not FaultPlan.from_specs(specs)._draws
+        assert RetryPolicy()._jitter_draws is not RetryPolicy()._jitter_draws
+        assert FaultPlan.from_specs(specs) == FaultPlan.from_specs(specs)
+        assert RetryPolicy(jitter=0.5) == RetryPolicy(jitter=0.5)
 
 
 class TestRetryPolicy:
@@ -640,15 +812,15 @@ class TestResilientExchange:
     @pytest.mark.parametrize("scheduler", ["sequential", "threaded"])
     def test_one_chaos_decision_per_request(self, monkeypatch, scheduler):
         """Each (party, round, attempt) cell is decided once per protocol
-        round: one ``decision_rng`` draw per request frame sent."""
+        round: one ``FaultPlan.outcome`` call per request frame sent."""
         draws = []
-        real = fault_module.decision_rng
+        real = FaultPlan.outcome
 
-        def counted(*args, **kwargs):
+        def counted(self, *args, **kwargs):
             draws.append(args)
-            return real(*args, **kwargs)
+            return real(self, *args, **kwargs)
 
-        monkeypatch.setattr(fault_module, "decision_rng", counted)
+        monkeypatch.setattr(FaultPlan, "outcome", counted)
         runtime = storm_runtime(
             deploy(n_parties=4),
             scheduler=scheduler,

@@ -282,6 +282,39 @@ class TestJsonlSink:
         with pytest.raises(TelemetryError, match="corrupt"):
             load_trace(path)
 
+    def test_load_trace_refuses_a_merged_last_line(self, tmp_path):
+        # A flipped newline merges the last two records into one line;
+        # it is not a torn write, so the trace must not lose them quietly.
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"seq": 0}\n{"seq": 1}\x0b{"seq": 2}\n')
+        with pytest.raises(TelemetryError, match="only truncates"):
+            load_trace(path)
+        path.write_text('{"seq": 0}\n[1, 2]\n')
+        with pytest.raises(TelemetryError, match="not a JSON object"):
+            load_trace(path)
+
+    def test_load_trace_bit_flip_and_truncation_fuzz(self, tmp_path):
+        records = [{"seq": s, "kind": "k", "n": s * 1.5} for s in range(4)]
+        lines = [json.dumps(r, sort_keys=True).encode() + b"\n" for r in records]
+        clean = b"".join(lines)
+        path = tmp_path / "trace.jsonl"
+        for index in range(len(clean) * 8):
+            damaged = bytearray(clean)
+            damaged[index // 8] ^= 1 << (index % 8)
+            path.write_bytes(bytes(damaged))
+            try:
+                loaded = load_trace(path)
+            except TelemetryError:
+                continue
+            assert all(isinstance(r, dict) for r in loaded), index
+            assert len(loaded) >= len(records) - 1, index
+        # Truncation is what a kill does: never an error, and every
+        # record whose JSON is complete survives unchanged.
+        for cut in range(len(clean) + 1):
+            path.write_bytes(clean[:cut])
+            complete = sum(len(b"".join(lines[: k + 1])) - 1 <= cut for k in range(4))
+            assert load_trace(path) == records[:complete], cut
+
 
 # ----------------------------------------------------------------------
 # Checkpoint codec
