@@ -1,11 +1,16 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint smoke docs-check examples-smoke bench bench-smoke bench-correct resume-smoke storm-smoke trace-smoke
+.PHONY: test test-dev lint smoke docs-check examples-smoke bench bench-smoke bench-correct resume-smoke storm-smoke trace-smoke
 
 ## test: run the full test suite (tier-1 gate)
 test:
 	$(PY) -m pytest -x -q
+
+## test-dev: the suite under the development mode (-X dev): warnings such as
+## unclosed files and thread misuse surface instead of passing silently
+test-dev:
+	$(PY) -X dev -m pytest -x -q
 
 ## lint: repro-lint contract checks, plus ruff/mypy when installed
 lint:

@@ -59,14 +59,23 @@ class Party:
         This is the value handed to the *secure protocol*, never to another
         party directly.
         """
+        return self._data.take(self._checked_ids(sample_indices), axis=0)
+
+    def _checked_ids(self, sample_indices: np.ndarray) -> np.ndarray:
+        """``sample_indices`` as flat int64 ids, each in ``[0, n_samples)``.
+
+        One reduction checks both bounds: viewed as uint64, a negative
+        id wraps past every valid one.
+        """
         sample_indices = np.asarray(sample_indices, dtype=np.int64).ravel()
-        if sample_indices.size and (
-            sample_indices.min() < 0 or sample_indices.max() >= self.n_samples
+        if (
+            sample_indices.size
+            and np.maximum.reduce(sample_indices.view(np.uint64)) >= self._data.shape[0]
         ):
             raise ProtocolError(
                 f"party {self.party_id}: sample index out of range [0, {self.n_samples})"
             )
-        return self._data[sample_indices]
+        return sample_indices
 
     def _gather(self, sample_indices: np.ndarray) -> np.ndarray:
         """:meth:`local_features` for ids the protocol already checked.
@@ -109,11 +118,4 @@ class ActiveParty(Party):
 
     def local_labels(self, sample_indices: np.ndarray) -> np.ndarray:
         """Ground-truth labels for the requested samples."""
-        sample_indices = np.asarray(sample_indices, dtype=np.int64).ravel()
-        if sample_indices.size and (
-            sample_indices.min() < 0 or sample_indices.max() >= self.n_samples
-        ):
-            raise ProtocolError(
-                f"party {self.party_id}: sample index out of range [0, {self.n_samples})"
-            )
-        return self._labels[sample_indices]
+        return self._labels[self._checked_ids(sample_indices)]

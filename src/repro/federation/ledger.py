@@ -143,9 +143,9 @@ class CommLedger:
                 f"communication budget exceeded on edge {sender}->{receiver}: "
                 f"message budget of {self.message_budget} messages is spent"
             )
-        stats = self._edges.setdefault(
-            (int(sender), int(receiver)), {"messages": 0, "bytes": 0}
-        )
+        stats = self._edges.get((sender, receiver))
+        if stats is None:
+            stats = self._edges[(int(sender), int(receiver))] = {"messages": 0, "bytes": 0}
         stats["messages"] += 1
         stats["bytes"] += int(nbytes)
 

@@ -26,7 +26,7 @@ import numpy as np
 from repro.exceptions import PartyUnavailableError, ProtocolError
 from repro.federated.party import ActiveParty, Party
 from repro.federation.faults import FaultPlan
-from repro.federation.message import Message
+from repro.federation.message import Message, build_message
 from repro.federation.transport import Transport
 from repro.resilience.chaos import FaultOutcome
 
@@ -47,13 +47,10 @@ class PartyNode:
         faults: "FaultPlan | None" = None,
     ) -> None:
         self.party = party
+        #: The wrapped party's id, read on every frame a round sends.
+        self.party_id = party.party_id
         self.transport = transport
         self.faults = faults if faults is not None else FaultPlan()
-
-    @property
-    def party_id(self) -> int:
-        """The wrapped party's id."""
-        return self.party.party_id
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(party={self.party_id})"
@@ -108,13 +105,13 @@ class PassivePartyNode(PartyNode):
         delay = self.faults.delays.get(self.party_id)
         if delay:
             time.sleep(delay)
-        rows = np.asarray(request.payload, dtype=np.int64).ravel()
-        return Message(
-            sender=self.party_id,
-            receiver=request.sender,
-            kind=FEATURE_BLOCK,
-            payload=self.party.local_features(rows),
-            round_id=request.round_id,
+        # local_features normalizes and bounds-checks the decoded ids.
+        return build_message(
+            self.party_id,
+            request.sender,
+            FEATURE_BLOCK,
+            self.party.local_features(request.payload),
+            request.round_id,
         )
 
 
@@ -135,12 +132,12 @@ class ActivePartyNode(PartyNode):
         self, receiver: int, sample_indices: np.ndarray, round_id: int
     ) -> Message:
         """A request naming the rows ``receiver`` must contribute."""
-        return Message(
-            sender=self.party_id,
-            receiver=receiver,
-            kind=FEATURE_REQUEST,
-            payload=np.asarray(sample_indices, dtype=np.int64).ravel(),
-            round_id=round_id,
+        return build_message(
+            self.party_id,
+            int(receiver),
+            FEATURE_REQUEST,
+            np.asarray(sample_indices, dtype=np.int64).ravel(),
+            int(round_id),
         )
 
     def assemble(

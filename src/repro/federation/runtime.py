@@ -275,7 +275,9 @@ class FederationRuntime:
         transport = self.transport
         ledger = transport.ledger
         policy = self.retry_policy
-        faults = self.faults
+        outcome_of = self.faults.outcome
+        make_request = self._active.make_request
+        passive_by_id = self._passive_by_id
         clock = self.resilience.clock
         receiver = self._active.party_id
         round_id = ledger.begin_round()
@@ -300,19 +302,16 @@ class FederationRuntime:
                     clock.advance(
                         max(policy.backoff(p, round_id, attempt) for p in pending)
                     )
+                # Each party's request, then its chaos decision, made
+                # once: the node acts on it and the round below reuses it.
+                outcomes = []
+                tasks = []
                 for party in pending:
-                    transport.send(
-                        self._active.make_request(party, rows, round_id)
-                    )
-                # The wave's chaos decisions, each made once: the node
-                # acts on its outcome and the round below reuses it.
-                outcomes = [faults.outcome(p, round_id, attempt) for p in pending]
-                replies = self.scheduler.run_round(
-                    [
-                        partial(self._passive_by_id[p].respond, outcome, attempt)
-                        for p, outcome in zip(pending, outcomes)
-                    ]
-                )
+                    transport.send(make_request(party, rows, round_id))
+                    outcome = outcome_of(party, round_id, attempt)
+                    outcomes.append(outcome)
+                    tasks.append(partial(passive_by_id[party].respond, outcome, attempt))
+                replies = self.scheduler.run_round(tasks)
                 wave_latency = 0.0
                 still_pending: list[int] = []
                 delivered: list[int] = []
@@ -386,11 +385,11 @@ class FederationRuntime:
                             f"collecting round {round_id}; a previous round "
                             "leaked state"
                         )
-                    blocks[int(message.sender)] = message.payload
+                    blocks[message.sender] = message.payload
                     if self._engaged:
                         # Feeds only ``last_known`` imputation and the
                         # snapshot fragment, both of which need engaging.
-                        self.resilience.cache.put(int(message.sender), message.payload)
+                        self.resilience.cache.put(message.sender, message.payload)
                 pending = sorted(still_pending)
             if crashed or pending:
                 missing = sorted(crashed | set(pending))
@@ -502,7 +501,7 @@ class FederationRuntime:
         joint = self._active.assemble(
             indices, blocks, self.vfl.parties, self.vfl._column_order
         )
-        self.vfl.prediction_log_.extend(int(i) for i in indices)
+        self.vfl.prediction_log_.extend(indices.tolist())
         return self.vfl.model.predict_proba(joint)
 
     def predict_all(self) -> np.ndarray:

@@ -17,7 +17,7 @@ the tests use to assert zero unmetered transfers.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from typing import NamedTuple
 
 from repro.exceptions import ProtocolError
@@ -37,6 +37,11 @@ class DeliveryRecord(NamedTuple):
     round_id: int
 
 
+#: ``DeliveryRecord`` from one field tuple, without the generated
+#: ``__new__``'s keyword handling: one record per frame sent.
+_record = tuple.__new__
+
+
 class Transport:
     """Point-to-point channels between parties, metered by a ledger.
 
@@ -49,7 +54,7 @@ class Transport:
 
     def __init__(self, ledger: "CommLedger | None" = None) -> None:
         self.ledger = ledger if ledger is not None else CommLedger()
-        self._inboxes: dict[int, deque[bytes]] = {}
+        self._inboxes: defaultdict[int, deque[bytes]] = defaultdict(deque)
         self.delivery_log: list[DeliveryRecord] = []
 
     def send(self, message: Message) -> int:
@@ -61,10 +66,10 @@ class Transport:
         """
         return self._deliver(
             encode_message(message),
-            int(message.sender),
-            int(message.receiver),
+            message.sender,
+            message.receiver,
             message.kind,
-            int(message.round_id),
+            message.round_id,
         )
 
     def send_raw(
@@ -93,16 +98,15 @@ class Transport:
             )
         nbytes = len(data)
         self.ledger.charge(sender, receiver, nbytes)
-        inbox = self._inboxes.get(receiver)
-        if inbox is None:
-            inbox = self._inboxes[receiver] = deque()
-        inbox.append(data)
-        self.delivery_log.append(DeliveryRecord(sender, receiver, kind, nbytes, round_id))
+        self._inboxes[receiver].append(data)
+        self.delivery_log.append(
+            _record(DeliveryRecord, (sender, receiver, kind, nbytes, round_id))
+        )
         return nbytes
 
     def receive(self, party_id: int) -> Message:
         """Pop and decode the oldest frame addressed to ``party_id``."""
-        inbox = self._inboxes.get(int(party_id))
+        inbox = self._inboxes.get(party_id)
         if not inbox:
             raise ProtocolError(f"party {party_id} has no pending messages")
         return decode_message(inbox.popleft())

@@ -7,8 +7,8 @@ Two registered sinks cover every use:
 - ``"jsonl"`` — :class:`JsonlSink`, one JSON object per line, appended
   and fsync'd per record with the same crash-safety idiom as
   :class:`~repro.experiments.ResultsStore`: a SIGKILL mid-write leaves
-  at most one partial trailing line, which the next open quarantines
-  with an atomic rewrite.
+  at most one partial trailing line, which the next open cuts with an
+  atomic rewrite. Any other damage is refused, never cut away.
 
 The JSONL sink is *resume-aware by sequence number*: every record
 carries the tracer's monotone ``seq``, and a record whose ``seq`` is
@@ -66,13 +66,14 @@ class MemorySink(TraceSink):
 class JsonlSink(TraceSink):
     """Append-only JSONL trace file, fsync'd per record, resume-aware.
 
-    On open, the existing file is scanned: decodable lines count as
-    durable records, a partial trailing line (torn write from a kill)
-    is quarantined by atomic rewrite. Emits whose ``seq`` falls below
-    the durable count are skipped — under the determinism contract they
-    are byte-for-byte the lines already on disk — and a ``seq`` beyond
-    the durable count plus the skips is a corrupted resume, refused
-    loudly.
+    On open, the existing file is read by :func:`load_trace`'s rule:
+    its records count as durable, a partial trailing line (torn write
+    from a kill) is cut by atomic rewrite, and a file altered any other
+    way is refused with :class:`~repro.exceptions.TelemetryError`.
+    Emits whose ``seq`` falls below the durable count are skipped —
+    under the determinism contract they are byte-for-byte the lines
+    already on disk — and a ``seq`` beyond the durable count plus the
+    skips is a corrupted resume, refused loudly.
     """
 
     def __init__(self, path: "str | Path") -> None:
@@ -82,32 +83,27 @@ class JsonlSink(TraceSink):
         self._fh = open(self.path, "a", encoding="utf-8")
 
     def _repair(self) -> int:
-        """Count durable records, quarantining a torn trailing line."""
+        """Count durable records; cut a torn trailing line.
+
+        Reads the file by :func:`load_trace`'s rule, so a damaged file
+        raises :class:`~repro.exceptions.TelemetryError` and stays
+        byte-for-byte as it was. Otherwise the file is rewritten
+        atomically to exactly its durable records when a kill left
+        more (a torn last line) or less (a last record without its
+        newline, which the next append would merge into).
+        """
         if not self.path.exists():
             return 0
         raw = self.path.read_bytes()
-        if not raw:
-            return 0
-        lines = raw.split(b"\n")
-        tail = lines.pop()  # b"" when the file ends in a newline
-        good = []
-        for line in lines:
-            try:
-                json.loads(line)
-            except ValueError:
-                tail = line  # torn mid-file line: cut here
-                break
-            good.append(line)
-        if tail == b"" and len(good) == len(lines):
-            return len(good)
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        with open(tmp, "wb") as fh:
-            for line in good:
-                fh.write(line + b"\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
-        return len(good)
+        records, durable = _durable_records(raw, self.path)
+        if durable != raw:
+            tmp = self.path.with_suffix(self.path.suffix + ".tmp")
+            with open(tmp, "wb") as fh:
+                fh.write(durable)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, self.path)
+        return len(records)
 
     def emit(self, record: dict[str, Any]) -> None:
         seq = record["seq"]
@@ -132,17 +128,32 @@ class JsonlSink(TraceSink):
 def load_trace(path: "str | Path") -> list[dict[str, Any]]:
     """Read a JSONL trace back as a list of records.
 
-    Tolerates one torn trailing line (dropped), same as the sink's own
-    repair. A kill only truncates, so a trailing line that starts with
-    a complete JSON value was altered, not torn (a damaged newline
-    merges two records into it). That line, any earlier undecodable
-    line and any record that is not a JSON object raise
-    :class:`~repro.exceptions.TelemetryError`.
+    Tolerates one torn trailing line (dropped), by the same rule the
+    sink's own repair reads with (see :func:`_durable_records`): an
+    altered trace raises :class:`~repro.exceptions.TelemetryError`.
     """
-    records: list[dict[str, Any]] = []
-    lines = Path(path).read_bytes().split(b"\n")
-    if lines and lines[-1] == b"":
+    return _durable_records(Path(path).read_bytes(), path)[0]
+
+
+def _durable_records(
+    raw: bytes, path: "str | Path"
+) -> tuple[list[dict[str, Any]], bytes]:
+    """A trace's records, and the bytes that hold exactly those records.
+
+    The one reading rule for :func:`load_trace` and
+    :class:`JsonlSink`. A kill only truncates, so the last line may be
+    torn and is then dropped. A trailing line that starts with a
+    complete JSON value was altered, not torn (a damaged newline merges
+    two records into it). That line, any earlier undecodable line and
+    any record that is not a JSON object raise
+    :class:`~repro.exceptions.TelemetryError`. The returned bytes are
+    the durable lines, each ending in a newline: ``raw`` itself unless
+    a kill cut the file.
+    """
+    lines = raw.split(b"\n")
+    if lines[-1] == b"":
         lines.pop()
+    records: list[dict[str, Any]] = []
     for i, line in enumerate(lines):
         try:
             record = json.loads(line)
@@ -163,7 +174,8 @@ def load_trace(path: "str | Path") -> list[dict[str, Any]]:
                 f"{path}: line {i + 1} is not a JSON object; the trace is corrupt"
             )
         records.append(record)
-    return records
+    durable = b"".join(line + b"\n" for line in lines[: len(records)])
+    return records, durable
 
 
 def _starts_with_value(line: bytes) -> bool:

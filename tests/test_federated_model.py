@@ -48,6 +48,44 @@ class TestParties:
         with pytest.raises(ProtocolError):
             party.local_features(np.array([5]))
 
+    N_SAMPLES = 7
+    BAD_IDS = (-1, -(2**63), N_SAMPLES, 2**63 - 1)
+
+    @pytest.fixture()
+    def id_party(self):
+        data = np.arange(self.N_SAMPLES * 2, dtype=np.float64).reshape(-1, 2)
+        return ActiveParty(3, np.array([0, 1]), data, np.arange(self.N_SAMPLES) % 2)
+
+    @pytest.mark.parametrize("bad", BAD_IDS)
+    @pytest.mark.parametrize("width", [1, 5], ids=["one-row", "many-row"])
+    @pytest.mark.parametrize("method", ["local_features", "local_labels"])
+    def test_out_of_range_ids_refused_alike(self, id_party, bad, width, method):
+        """One check covers both bounds: every bad id, at any position."""
+        expected = f"party 3: sample index out of range [0, {self.N_SAMPLES})"
+        for position in range(width):
+            ids = np.zeros(width, dtype=np.int64)
+            ids[position] = bad
+            with pytest.raises(ProtocolError) as refused:
+                getattr(id_party, method)(ids)
+            assert str(refused.value) == expected
+
+    @pytest.mark.parametrize("width", [1, 5], ids=["one-row", "many-row"])
+    def test_boundary_ids_accepted(self, id_party, width):
+        last = self.N_SAMPLES - 1
+        for ids in (np.zeros(width, np.int64), np.full(width, last, np.int64)):
+            np.testing.assert_array_equal(
+                id_party.local_features(ids), id_party._data[ids]
+            )
+            np.testing.assert_array_equal(
+                id_party.local_labels(ids), np.arange(self.N_SAMPLES)[ids] % 2
+            )
+        mixed = np.arange(width) % self.N_SAMPLES
+        np.testing.assert_array_equal(id_party.local_features(mixed), id_party._data[mixed])
+
+    def test_empty_request_accepted(self, id_party):
+        assert id_party.local_features(np.array([], dtype=np.int64)).shape == (0, 2)
+        assert id_party.local_labels([]).shape == (0,)
+
     def test_negative_party_id_rejected(self):
         with pytest.raises(ValidationError):
             PassiveParty(-1, np.array([0]), np.ones((2, 1)))

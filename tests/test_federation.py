@@ -11,7 +11,9 @@ The two load-bearing contracts:
   analytic :meth:`estimate_predict_bytes` equals the measured traffic.
 """
 
+import math
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -198,6 +200,58 @@ class TestMessageCodec:
         crafted = frame.replace(b"<i8", b"|O8")
         with pytest.raises(WireFormatError):
             decode_message(crafted)
+
+    def test_strided_payload_frames_like_its_contiguous_copy(self):
+        base = np.arange(24.0).reshape(4, 6)
+        for payload in (base[:, ::2], base.T, base[::2], base[::-1, 1:]):
+            strided = Message(0, 1, "feature_block", payload)
+            contiguous = Message(0, 1, "feature_block", np.ascontiguousarray(payload))
+            assert strided.encode() == contiguous.encode()
+            assert decode_message(strided.encode()).payload.shape == np.shape(payload)
+
+    def test_built_message_equals_the_constructed_one(self):
+        payload = np.arange(3, dtype=np.int64)
+        built = codec.build_message(2, 0, "feature_request", payload, 9)
+        assert built == Message(2, 0, "feature_request", payload, 9)
+        assert built.encode() == Message(2, 0, "feature_request", payload, 9).encode()
+        # The constructor normalizes numpy ids to the ints the encoder packs.
+        message = Message(np.int64(2), np.int16(0), "k", payload, np.uint32(9))
+        assert [type(v) for v in (message.sender, message.receiver, message.round_id)] == [int] * 3
+
+    def test_zero_itemsize_payload_refused_on_encode(self):
+        with pytest.raises(WireFormatError, match="zero-itemsize"):
+            encode_message(Message(0, 1, "k", np.empty(3, dtype="V0")))
+
+    @pytest.mark.parametrize("dtype", ["V0", "S0", "U0", np.dtype([])])
+    def test_zero_itemsize_dtype_refused_by_encoded_size(self, dtype):
+        with pytest.raises(WireFormatError, match="zero-itemsize"):
+            encoded_size("k", dtype, (3,))
+
+    @staticmethod
+    def _crafted(dtype_str: bytes, shape: tuple, payload: bytes = b"") -> bytes:
+        """A frame with a valid CRC naming any dtype string and shape."""
+        kind = b"feature_block"
+        header = _HEADER.pack(
+            MAGIC, WIRE_VERSION, 1, 0, 3, len(kind), len(dtype_str), len(shape)
+        )
+        meta = kind + dtype_str + struct.pack("<" + "q" * len(shape), *shape)
+        crc = zlib.crc32(payload, zlib.crc32(meta, zlib.crc32(header)))
+        return header + _CRC.pack(crc) + meta + payload
+
+    def test_frame_declaring_zero_itemsize_dtype_refused(self, cold_codec):
+        """Refused at the string check, before any payload is built."""
+        frame = self._crafted(b"|V0", (5,))
+        for _ in range(2):  # a refused frame never seeds the cache
+            with pytest.raises(WireFormatError, match="zero-itemsize"):
+                decode_message(frame)
+        assert not cold_codec._DECODE_CACHE
+
+    @pytest.mark.parametrize(
+        "shape", [(1,) * 70, (0, 2**62), (2**40, 0, 2**40)], ids=["rank70", "big", "big3"]
+    )
+    def test_frame_declaring_a_shape_numpy_cannot_hold_refused(self, shape):
+        with pytest.raises(WireFormatError, match="numpy cannot hold"):
+            decode_message(self._crafted(b"<f8", shape, bytes(8 * math.prod(shape))))
 
     def test_decoded_payload_never_aliases_the_wire_buffer(self):
         payload = np.arange(4.0)

@@ -315,6 +315,75 @@ class TestJsonlSink:
             complete = sum(len(b"".join(lines[: k + 1])) - 1 <= cut for k in range(4))
             assert load_trace(path) == records[:complete], cut
 
+    def test_sink_refuses_a_merged_last_line_and_keeps_the_file(self, tmp_path):
+        # A flipped newline before the last record used to make the
+        # reopening sink cut the trace silently down to two records.
+        path = tmp_path / "trace.jsonl"
+        sink = JsonlSink(path)
+        self.emit_n(sink, 4)
+        sink.close()
+        clean = path.read_bytes()
+        last = clean.rindex(b"\n", 0, len(clean) - 1)
+        merged = clean[:last] + b" " + clean[last + 1 :]
+        path.write_bytes(merged)
+        with pytest.raises(TelemetryError, match="only truncates"):
+            JsonlSink(path)
+        assert path.read_bytes() == merged
+
+    def test_sink_refuses_mid_file_damage_and_non_objects(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        for text, match in (
+            ('{"seq": 0}\nnot json\n{"seq": 2}\n', "mid-file"),
+            ('{"seq": 0}\n[1, 2]\n', "not a JSON object"),
+        ):
+            path.write_text(text)
+            with pytest.raises(TelemetryError, match=match):
+                JsonlSink(path)
+            assert path.read_text() == text
+
+    def test_sink_reopen_bit_flip_and_truncation_fuzz(self, tmp_path):
+        """Every flip and cut of a small trace, reopened through the sink.
+
+        The sink agrees with :func:`load_trace` on every input: a trace
+        the reader refuses is refused and left byte-for-byte as it was;
+        otherwise the sink counts exactly the reader's records. A cut
+        never errors, and resuming from it rebuilds the clean file.
+        """
+        path = tmp_path / "trace.jsonl"
+        sink = JsonlSink(path)
+        self.emit_n(sink, 4)
+        sink.close()
+        clean = path.read_bytes()
+
+        def reopen(data: bytes):
+            path.write_bytes(data)
+            try:
+                expected = load_trace(path)
+            except TelemetryError:
+                with pytest.raises(TelemetryError):
+                    JsonlSink(path)
+                assert path.read_bytes() == data
+                return None
+            JsonlSink(path).close()
+            kept = path.read_bytes()
+            assert load_trace(path) == expected
+            # Repair only cuts, or restores the newline a kill cut off.
+            assert data.startswith(kept) or data + b"\n" == kept
+            assert kept == b"" or kept.endswith(b"\n")
+            return expected
+
+        for index in range(len(clean) * 8):
+            damaged = bytearray(clean)
+            damaged[index // 8] ^= 1 << (index % 8)
+            reopen(bytes(damaged))
+        for cut in range(len(clean) + 1):
+            kept = reopen(clean[:cut])
+            assert kept is not None, cut
+            resumed = JsonlSink(path)
+            self.emit_n(resumed, 4)
+            resumed.close()
+            assert path.read_bytes() == clean, cut
+
 
 # ----------------------------------------------------------------------
 # Checkpoint codec
