@@ -40,9 +40,10 @@ seeds the cache; the magic, version, length, shape and CRC checks run
 on every frame. Cached values are immutable, so decoders on concurrent
 scheduler threads share them safely.
 
-Every frame sent and every frame decoded is a :class:`Message`; the
-codec and the party nodes build them with :func:`build_message`, which
-skips the frozen-dataclass ``__init__``.
+Every frame sent and every frame decoded is a :class:`Message`. Its
+hand-written ``__init__`` normalizes ids to ``int`` and the payload to
+an ``ndarray`` with exact type checks, then fills the instance dict in
+one update instead of one ``object.__setattr__`` per field.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ from repro.exceptions import WireFormatError
 __all__ = [
     "Message",
     "WIRE_VERSION",
-    "build_message",
     "decode_message",
     "encode_message",
     "encoded_size",
@@ -90,7 +90,7 @@ _PREFIX = _HEADER.size + _CRC.size
 _HEADER_CRC = struct.Struct(_HEADER.format + _CRC.format[1:])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Message:
     """One protocol message: who, what round, which kind, which array.
 
@@ -117,15 +117,32 @@ class Message:
     payload: np.ndarray = field(repr=False)
     round_id: int = 0
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        sender: int,
+        receiver: int,
+        kind: str,
+        payload: np.ndarray,
+        round_id: int = 0,
+    ) -> None:
         # Normalize once so nbytes/encode agree on dtype and shape, and
-        # the encoder packs plain ints.
-        for name in ("sender", "receiver", "round_id"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                object.__setattr__(self, name, int(value))
-        if type(self.payload) is not np.ndarray:
-            object.__setattr__(self, "payload", np.asarray(self.payload))
+        # the encoder packs plain ints. The instance is frozen, so the
+        # fields go straight into its dict.
+        if type(sender) is not int:
+            sender = int(sender)
+        if type(receiver) is not int:
+            receiver = int(receiver)
+        if type(round_id) is not int:
+            round_id = int(round_id)
+        if type(payload) is not np.ndarray:
+            payload = np.asarray(payload)
+        self.__dict__.update(
+            sender=sender,
+            receiver=receiver,
+            kind=kind,
+            payload=payload,
+            round_id=round_id,
+        )
 
     @property
     def nbytes(self) -> int:
@@ -140,24 +157,6 @@ class Message:
     def decode(cls, data: bytes) -> "Message":
         """Parse wire bytes back into a message (see :func:`decode_message`)."""
         return decode_message(data)
-
-
-def build_message(
-    sender: int, receiver: int, kind: str, payload: np.ndarray, round_id: int
-) -> Message:
-    """A :class:`Message` from fields already in normal form.
-
-    The codec and the party nodes build one per frame, always from int
-    ids and an ``ndarray`` payload, so they skip the frozen-dataclass
-    ``__init__`` (one ``object.__setattr__`` per field) and its
-    normalization: the result equals ``Message(...)`` of the same
-    fields at about a quarter of the cost.
-    """
-    built = object.__new__(Message)
-    built.__dict__.update(
-        sender=sender, receiver=receiver, kind=kind, payload=payload, round_id=round_id
-    )
-    return built
 
 
 #: Bound on each metadata cache. A deployment speaks two kinds in one
@@ -370,4 +369,4 @@ def decode_message(data: bytes) -> Message:
         raise WireFormatError(
             f"frame declares shape {shape}, which numpy cannot hold ({exc})"
         ) from exc
-    return build_message(sender, receiver, kind, payload, round_id)
+    return Message(sender, receiver, kind, payload, round_id)

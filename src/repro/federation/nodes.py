@@ -26,7 +26,7 @@ import numpy as np
 from repro.exceptions import PartyUnavailableError, ProtocolError
 from repro.federated.party import ActiveParty, Party
 from repro.federation.faults import FaultPlan
-from repro.federation.message import Message, build_message
+from repro.federation.message import Message
 from repro.federation.transport import Transport
 from repro.resilience.chaos import FaultOutcome
 
@@ -106,7 +106,7 @@ class PassivePartyNode(PartyNode):
         if delay:
             time.sleep(delay)
         # local_features normalizes and bounds-checks the decoded ids.
-        return build_message(
+        return Message(
             self.party_id,
             request.sender,
             FEATURE_BLOCK,
@@ -132,12 +132,12 @@ class ActivePartyNode(PartyNode):
         self, receiver: int, sample_indices: np.ndarray, round_id: int
     ) -> Message:
         """A request naming the rows ``receiver`` must contribute."""
-        return build_message(
+        return Message(
             self.party_id,
-            int(receiver),
+            receiver,
             FEATURE_REQUEST,
             np.asarray(sample_indices, dtype=np.int64).ravel(),
-            int(round_id),
+            round_id,
         )
 
     def assemble(

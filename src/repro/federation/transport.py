@@ -37,11 +37,6 @@ class DeliveryRecord(NamedTuple):
     round_id: int
 
 
-#: ``DeliveryRecord`` from one field tuple, without the generated
-#: ``__new__``'s keyword handling: one record per frame sent.
-_record = tuple.__new__
-
-
 class Transport:
     """Point-to-point channels between parties, metered by a ledger.
 
@@ -99,9 +94,7 @@ class Transport:
         nbytes = len(data)
         self.ledger.charge(sender, receiver, nbytes)
         self._inboxes[receiver].append(data)
-        self.delivery_log.append(
-            _record(DeliveryRecord, (sender, receiver, kind, nbytes, round_id))
-        )
+        self.delivery_log.append(DeliveryRecord(sender, receiver, kind, nbytes, round_id))
         return nbytes
 
     def receive(self, party_id: int) -> Message:

@@ -11,6 +11,7 @@ The two load-bearing contracts:
   analytic :meth:`estimate_predict_bytes` equals the measured traffic.
 """
 
+import dataclasses
 import math
 import struct
 import zlib
@@ -209,14 +210,17 @@ class TestMessageCodec:
             assert strided.encode() == contiguous.encode()
             assert decode_message(strided.encode()).payload.shape == np.shape(payload)
 
-    def test_built_message_equals_the_constructed_one(self):
+    def test_constructor_normalizes_ids_and_payload(self):
         payload = np.arange(3, dtype=np.int64)
-        built = codec.build_message(2, 0, "feature_request", payload, 9)
-        assert built == Message(2, 0, "feature_request", payload, 9)
-        assert built.encode() == Message(2, 0, "feature_request", payload, 9).encode()
-        # The constructor normalizes numpy ids to the ints the encoder packs.
         message = Message(np.int64(2), np.int16(0), "k", payload, np.uint32(9))
         assert [type(v) for v in (message.sender, message.receiver, message.round_id)] == [int] * 3
+        assert message == Message(2, 0, "k", payload, 9)
+        assert message.encode() == Message(2, 0, "k", payload, 9).encode()
+        listed = Message(sender=1, receiver=0, kind="k", payload=[1.0, 2.0])
+        assert type(listed.payload) is np.ndarray and listed.round_id == 0
+        assert dataclasses.replace(listed, round_id=4).round_id == 4
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            message.sender = 3
 
     def test_zero_itemsize_payload_refused_on_encode(self):
         with pytest.raises(WireFormatError, match="zero-itemsize"):
