@@ -34,7 +34,7 @@ bench:
 bench-smoke:
 	$(PY) benchmarks/gates.py --tiny
 
-## bench-correct: one short perfbench run per workload; fails unless the committed digests match
+## bench-correct: one short perfbench run per workload at seeds 0 and 1009; fails unless the committed digests match
 bench-correct:
 	$(PY) scripts/bench_correct.py
 

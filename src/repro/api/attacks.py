@@ -157,9 +157,11 @@ class EsaScenarioAttack(ScenarioAttack):
 class PraScenarioAttack(ScenarioAttack):
     """Path Restriction Attack (§IV-B) behind the unified protocol.
 
-    ``run`` restricts the tree once per sample (consuming the historical
-    ``spawn_rngs(seed, 2)[0]`` stream for the uniform path choice) and
-    folds the per-sample results into one :class:`AttackResult`:
+    ``run`` restricts the whole pool in one pass, draws every sample's
+    uniform path choice with one call on the historical
+    ``spawn_rngs(seed, 2)[0]`` stream (the same draws, in the same order,
+    as one ``choice`` per sample) and folds the result into one
+    :class:`AttackResult`:
     ``x_target_hat`` holds the midpoints of the inferred per-feature
     intervals, ``info`` keeps the selected paths, surviving-path counts,
     and the raw intervals.
@@ -205,46 +207,47 @@ class PraScenarioAttack(ScenarioAttack):
         view = self._view
         position = {int(f): j for j, f in enumerate(view.target_indices)}
         midpoint = 0.5 * (self.interval_low + self.interval_high)
-        x_hat = np.full((x_adv.shape[0], view.d_target), midpoint)
-        paths: list[list[int] | None] = []
-        restricted: list[int] = []
-        intervals: list[dict[int, tuple[float, float]]] = []
-        n_failed = 0
-        # One vectorized Algorithm-1 pass restricts the whole pool; only
-        # the uniform path choice stays sequential, consuming the rng
-        # stream in the same per-sample order as the historical loop.
-        indicators = self._attack.restrict_batch(x_adv, labels)
-        for i in range(x_adv.shape[0]):
-            candidates = np.flatnonzero(indicators[i])
-            if candidates.size == 0:
-                # A defended output can reveal a class label inconsistent
-                # with every path the adversary's features allow (e.g. a
-                # noise-flipped argmax); that sample is unattackable.
-                paths.append(None)
-                restricted.append(0)
-                intervals.append({})
-                n_failed += 1
-                continue
-            leaf = int(rng.choice(candidates))
-            path = self._attack.cached_path(leaf)
-            paths.append(path)
-            restricted.append(int(candidates.size))
-            bounds = self._attack.infer_intervals(
-                path, low=self.interval_low, high=self.interval_high
+        n = x_adv.shape[0]
+        x_hat = np.full((n, view.d_target), midpoint)
+        # One vectorized Algorithm-1 pass restricts the whole pool. Row i's
+        # candidates are its live leaves in ascending slot order, exactly
+        # what a per-row ``rng.choice(candidates)`` would sample from.
+        rows, leaves = np.nonzero(self._attack.restrict_batch(x_adv, labels))
+        restricted = np.bincount(rows, minlength=n)
+        hit = restricted > 0
+        starts = np.cumsum(restricted) - restricted
+        # One bounded draw over the attackable rows, in row order, is the
+        # per-row choice() stream draw for draw (a one-candidate row draws
+        # nothing) and leaves the generator in the same state. A row with
+        # no candidate has a defended output inconsistent with every path
+        # its features allow (e.g. a noise-flipped argmax): unattackable.
+        chosen = np.full(n, -1)
+        chosen[hit] = leaves[starts[hit] + rng.integers(0, restricted[hit])]
+        paths: dict[int, list[int]] = {}
+        bounds: dict[int, dict[int, tuple[float, float]]] = {}
+        for leaf in np.unique(chosen[hit]).tolist():
+            paths[leaf] = self._attack.cached_path(leaf)
+            bounds[leaf] = self._attack.infer_intervals(
+                paths[leaf], low=self.interval_low, high=self.interval_high
             )
-            intervals.append(bounds)
-            for feature, (low, high) in bounds.items():
-                x_hat[i, position[int(feature)]] = 0.5 * (low + high)
+            members = chosen == leaf
+            for feature, (low, high) in bounds[leaf].items():
+                x_hat[members, position[int(feature)]] = 0.5 * (low + high)
+        chosen_list = chosen.tolist()
         return AttackResult(
             x_target_hat=x_hat,
             view=view,
             info={
-                "selected_paths": paths,
-                "n_paths_restricted": restricted,
+                "selected_paths": [
+                    None if leaf < 0 else list(paths[leaf]) for leaf in chosen_list
+                ],
+                "n_paths_restricted": restricted.tolist(),
                 "n_paths_total": int(self.structure.n_prediction_paths()),
-                "intervals": intervals,
-                "n_failed": n_failed,
-                "n_predictions_used": int(x_adv.shape[0]),
+                "intervals": [
+                    {} if leaf < 0 else dict(bounds[leaf]) for leaf in chosen_list
+                ],
+                "n_failed": n - int(np.count_nonzero(hit)),
+                "n_predictions_used": n,
             },
         )
 

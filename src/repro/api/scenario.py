@@ -626,34 +626,50 @@ class ScenarioReport:
         canonical tuple syntax; a policy object comes back as its payload
         dict, which configures the same policy. A deployment key may be
         absent: payloads persisted before its layer existed mean the
-        default. Any other missing key raises
-        :class:`~repro.exceptions.ScenarioError` naming it.
+        default. Any other missing key, a non-object payload, config or
+        metrics, a field the config cannot be rebuilt from, and a config
+        :meth:`ScenarioConfig.validate` refuses all raise
+        :class:`~repro.exceptions.ScenarioError`.
         """
+        _require_object(payload, "report")
         _require_keys(payload, ("config", "metrics", "queries_used"), "report")
-        data = payload["config"]
+        data = _require_object(payload["config"], "scenario config")
+        metrics = dict(_require_object(payload["metrics"], "report metrics"))
         deployment = {knob.name for knob in fields(Deployment)}
         _require_keys(
             data,
             [knob.name for knob in fields(ScenarioConfig) if knob.name not in deployment],
             "scenario config",
         )
-        config = ScenarioConfig(
-            **{
-                knob.name: _DECODERS.get(knob.name, _decode_plain)(
-                    data.get(knob.name, knob.default)
-                )
-                for knob in fields(ScenarioConfig)
-            }
-        )
+        try:
+            config = ScenarioConfig(
+                **{
+                    knob.name: _DECODERS.get(knob.name, _decode_plain)(
+                        data.get(knob.name, knob.default)
+                    )
+                    for knob in fields(ScenarioConfig)
+                }
+            )
+            queries_used = int(payload["queries_used"])
+        except (KeyError, TypeError, ValueError) as exc:
+            # Nested decoders (scale, topology, defense specs) index and
+            # convert without checks of their own.
+            raise ScenarioError(
+                f"report payload has a malformed field: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
+        config.validate()
+        extras = {
+            key: dict(_require_object(payload.get(key, {}), key))
+            for key in ("comm_cost", "availability", "telemetry")
+        }
         return cls(
             config=config,
             scenario=None,
             result=None,
-            metrics=dict(payload["metrics"]),
-            queries_used=int(payload["queries_used"]),
-            comm_cost=dict(payload.get("comm_cost", {})),
-            availability=dict(payload.get("availability", {})),
-            telemetry=dict(payload.get("telemetry", {})),
+            metrics=metrics,
+            queries_used=queries_used,
+            **extras,
         )
 
     def to_json(self) -> str:
@@ -661,9 +677,26 @@ class ScenarioReport:
         return json.dumps(self.to_payload(), sort_keys=True)
 
     @classmethod
-    def from_json(cls, line: str) -> "ScenarioReport":
-        """Parse a :meth:`to_json` line back into a (storable) report."""
-        return cls.from_payload(json.loads(line))
+    def from_json(cls, line: "str | bytes") -> "ScenarioReport":
+        """Parse a :meth:`to_json` line back into a (storable) report.
+
+        A line that is not JSON raises
+        :class:`~repro.exceptions.ScenarioError`, like every other
+        malformed report (see :meth:`from_payload`).
+        """
+        try:
+            payload = json.loads(line)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ScenarioError(f"report line is not valid JSON: {exc}") from exc
+        return cls.from_payload(payload)
+
+
+def _require_object(value, what: str) -> dict[str, Any]:
+    if not isinstance(value, dict):
+        raise ScenarioError(
+            f"{what} payload must be a JSON object, got {type(value).__name__}"
+        )
+    return value
 
 
 def _require_keys(payload: dict[str, Any], keys, what: str) -> None:

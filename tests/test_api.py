@@ -528,6 +528,92 @@ class TestReportPersistence:
         assert restored.queries_used == report.queries_used
 
 
+class TestReportDecoding:
+    """A damaged report line or payload raises ``ScenarioError``, never guesses."""
+
+    def _line(self) -> bytes:
+        from repro.federation import TopologyConfig
+
+        # Every nested decoder: a ScaleConfig dict, a defense spec with
+        # params, a topology and the deployment knobs.
+        report = run_scenario(
+            ScenarioConfig(
+                dataset="bank", model="dt", attack="pra", scale=MICRO, seed=0,
+                target_fraction=0.4, defenses=(("rounding", {"digits": 3}),),
+                baselines=("path",), topology=TopologyConfig(n_parties=3),
+                retry=2, quorum=2, telemetry=True, query_budget=40, batch_size=8,
+            )
+        )
+        return report.to_json().encode()
+
+    def test_every_single_bit_flip_raises_only_repro_errors(self):
+        from repro.api import ScenarioReport
+        from repro.exceptions import ReproError
+
+        line = self._line()
+        refused = decoded = 0
+        for bit in range(len(line) * 8):
+            damaged = bytearray(line)
+            damaged[bit // 8] ^= 1 << (bit % 8)
+            try:
+                restored = ScenarioReport.from_json(bytes(damaged))
+            except ReproError:
+                refused += 1
+                continue
+            restored.config.validate()  # whatever decodes is a valid config
+            decoded += 1
+        # Flips inside metric digits decode (JSON carries no checksum).
+        assert refused and decoded and refused + decoded == len(line) * 8
+
+    def test_undecodable_lines_chain_the_decode_error(self):
+        import json
+
+        from repro.api import ScenarioReport
+
+        line = self._line()
+        with pytest.raises(ScenarioError, match="not valid JSON") as info:
+            ScenarioReport.from_json(line[:-1])
+        assert isinstance(info.value.__cause__, json.JSONDecodeError)
+        with pytest.raises(ScenarioError, match="not valid JSON") as info:
+            ScenarioReport.from_json(line.replace(b"bank", b"b\xffnk"))
+        assert isinstance(info.value.__cause__, UnicodeDecodeError)
+
+    @pytest.mark.parametrize(
+        "damage, match",
+        [
+            (lambda p: [p], "report payload must be a JSON object, got list"),
+            (lambda p: {**p, "config": "bank"}, "scenario config payload must be"),
+            (lambda p: {**p, "metrics": [["mse", 1.0]]}, "report metrics payload must be"),
+            (lambda p: {**p, "comm_cost": 7}, "comm_cost payload must be"),
+            (lambda p: {**p, "queries_used": "many"}, "malformed field"),
+            (
+                lambda p: {**p, "config": {**p["config"], "scale": {"name": "x"}}},
+                "malformed field",
+            ),
+            (
+                lambda p: {**p, "config": {**p["config"], "scheduler": "sequentail"}},
+                "unknown scheduler",
+            ),
+            (
+                lambda p: {**p, "config": {**p["config"], "cache_size": 4}},
+                "cache_size",
+            ),
+        ],
+        ids=[
+            "list-payload", "string-config", "pair-list-metrics", "int-comm-cost",
+            "string-queries", "partial-scale", "unknown-scheduler", "orphan-cache-size",
+        ],
+    )
+    def test_malformed_payloads_raise_scenario_error(self, damage, match):
+        import json
+
+        from repro.api import ScenarioReport
+
+        payload = json.loads(self._line())
+        with pytest.raises(ScenarioError, match=match):
+            ScenarioReport.from_payload(damage(payload))
+
+
 class TestPackaging:
     def test_console_script_target_resolves(self):
         from repro.experiments.runner import main

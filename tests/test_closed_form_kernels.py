@@ -3,9 +3,12 @@
 Presorted growth sorts every column once per fit and filters the sorted
 blocks down the recursion; it must grow the same tree, node for node and
 bit for bit, as the retained oracle (``_fast_split=False``: a per-node
-sort and per-feature scan), and consume the same random stream.
-``path_cbr_batch`` must equal the summed per-path ``path_cbr`` counts, and
-the vectorized random-path draw must equal one ``random_path`` draw per row.
+sort and per-feature scan), and consume the same random stream. The gini
+screen may drop a split position only when it cannot attain its row's
+float maximum gain. ``path_cbr_batch`` must equal the summed per-path
+``path_cbr`` counts, the vectorized random-path draw must equal one
+``random_path`` draw per row, and PRA's one-call path choice must equal
+one ``rng.choice`` per row.
 """
 
 import re
@@ -13,9 +16,13 @@ import re
 import numpy as np
 import pytest
 
+import repro.api.attacks as api_attacks
+import repro.models.tree as tree_module
+from repro.api import ATTACKS
 from repro.attacks import random_path
 from repro.datasets.synthetic import _rank_transform_marginals
 from repro.exceptions import ValidationError
+from repro.federated import FeaturePartition
 from repro.metrics import (
     path_cbr,
     path_cbr_batch,
@@ -23,7 +30,15 @@ from repro.metrics import (
     reconstruction_cbr_batch,
 )
 from repro.models.forest import RandomForestClassifier
-from repro.models.tree import DecisionTreeClassifier, _class_sum
+from repro.models.tree import (
+    DecisionTreeClassifier,
+    _class_sum,
+    _gini_candidates,
+    _weighted_impurity,
+    gini_impurity,
+)
+from repro.utils.numeric import one_hot
+from repro.utils.random import spawn_rngs
 
 
 def _nodes_equal(a, b) -> bool:
@@ -119,6 +134,227 @@ class TestPresortedGrowth:
         expected = rows.sum(axis=-1)
         got = _class_sum(np.ascontiguousarray(np.moveaxis(rows, -1, 0)))
         assert (got.view(np.int64) == expected.view(np.int64)).all()
+
+
+def _mirrored_labels(rng, m: int, c: int) -> np.ndarray:
+    """A length-``m`` label palindrome.
+
+    Splits ``i`` and ``m - 2 - i`` swap the left and right class counts,
+    so their gains are equal; every maximum of a row has a twin.
+    """
+    head = rng.integers(0, c, size=m // 2)
+    return np.concatenate([head, rng.integers(0, c, size=m % 2), head[::-1]])
+
+
+def _screen_problem(trial: int, c: int):
+    """Fit problem for the screen: mirrored labels, value ties, ``c`` classes."""
+    rng = np.random.default_rng(7000 + trial)
+    m = int(rng.integers(60, 700))
+    d = int(rng.integers(2, 12))
+    X = rng.random((m, d))
+    if trial % 3 == 0:
+        X = np.round(X, 1)  # heavy value ties: most positions are inadmissible
+    if trial % 2 == 0:
+        # Column 0 ascends while the labels mirror around the middle, so
+        # splits i and m-2-i have the same real gain.
+        X[:, 0] = np.arange(m) / m
+        y = _mirrored_labels(rng, m, c)
+    else:
+        y = rng.integers(0, c, size=m)
+    y[0] = y[-1] = c - 1  # c classes wide, and still a palindrome
+    kwargs = dict(
+        max_depth=int(rng.integers(2, 8)),
+        min_samples_leaf=(1, 3, 9)[trial % 3],
+        max_features=(None, "sqrt")[(trial // 2) % 2],
+    )
+    return X, y, kwargs
+
+
+class TestGiniScreen:
+    """The two-phase gini split search grows the oracle's trees, bit for bit."""
+
+    @pytest.mark.parametrize("c", [2, 3, 5, 11, 20, 129])
+    @pytest.mark.parametrize("trial", range(6))
+    def test_screened_growth_matches_oracle(self, c, trial, monkeypatch):
+        # Screen every node, not only the large ones, so the small and
+        # mirrored nodes deep in the tree go through it as well.
+        monkeypatch.setattr(tree_module, "_SCREEN_MIN_WORK", 0)
+        X, y, kwargs = _screen_problem(trial, c)
+        fast = DecisionTreeClassifier(rng=trial, **kwargs).fit(X, y)
+        slow = DecisionTreeClassifier(rng=trial, **kwargs)
+        slow._fast_split = False
+        slow.fit(X, y)
+        assert _nodes_equal(fast.root_, slow.root_)
+        assert _structures_equal(fast.tree_structure(), slow.tree_structure())
+        assert fast.rng.bit_generator.state == slow.rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "labels",
+        [[1, 0, 1, 1, 0, 1, 0, 0, 1, 0, 1, 1, 1, 1, 1, 0], [1, 2, 1, 0, 0, 1, 2, 1, 0]],
+    )
+    def test_tolerance_keeps_a_first_max_the_score_rounds_lower(self, labels, monkeypatch):
+        """Rows where the float score ranks the first float-max gain below another position.
+
+        Their scores are equal within rounding; without the tolerance
+        the screen would drop the first maximum and split elsewhere.
+        """
+        monkeypatch.setattr(tree_module, "_SCREEN_MIN_WORK", 0)
+        X = np.arange(len(labels), dtype=np.float64)[:, None]
+        y = np.array(labels)
+        fast = DecisionTreeClassifier(max_depth=1, rng=0).fit(X, y)
+        slow = DecisionTreeClassifier(max_depth=1, rng=0)
+        slow._fast_split = False
+        slow.fit(X, y)
+        assert _nodes_equal(fast.root_, slow.root_)
+
+    def test_default_threshold_screens_large_nodes_only(self, monkeypatch):
+        calls = []
+        original = tree_module._gini_candidates
+
+        def spy(prefix, *args):
+            calls.append(prefix.size)
+            return original(prefix, *args)
+
+        monkeypatch.setattr(tree_module, "_gini_candidates", spy)
+        rng = np.random.default_rng(3)
+        X = rng.random((1200, 8))
+        y = rng.integers(0, 5, size=1200)
+        DecisionTreeClassifier(max_depth=6, rng=0).fit(X, y)
+        assert calls and min(calls) >= tree_module._SCREEN_MIN_WORK
+        calls.clear()
+        DecisionTreeClassifier(max_depth=6, criterion="entropy", rng=0).fit(X, y)
+        assert calls == []  # the entropy criterion always evaluates in full
+
+    @pytest.mark.parametrize("c", [2, 3, 5, 11, 20, 129])
+    def test_candidates_hold_every_float_argmax(self, c):
+        rng = np.random.default_rng(c)
+        tied_rows = 0
+        for trial in range(60):
+            # Short rows often score equal, within rounding, at unrelated
+            # positions: there the score and the gain formula can round apart.
+            k = int(rng.integers(1, 17))
+            m = int(rng.integers(3, 40)) if trial % 3 else int(rng.integers(40, 400))
+            if trial % 2:
+                labels = np.stack([_mirrored_labels(rng, m, c) for _ in range(k)])
+            else:
+                n_labels = c if trial % 4 else min(c, 2)  # a few skewed blocks
+                labels = rng.integers(0, n_labels, size=(k, m))
+            prefix = np.cumsum(one_hot(labels.ravel(), c).T.reshape(c, k, m), axis=2)
+            total = prefix[:, 0, -1].copy()
+            left = np.arange(1, m, dtype=np.float64)
+            min_leaf = int(rng.integers(1, 4))
+            valid = (left >= min_leaf) & (m - left >= min_leaf) & (rng.random((k, m - 1)) < 0.9)
+            valid[0] &= trial % 5 != 0  # some rows admit no position at all
+            weighted = _weighted_impurity(
+                "gini", prefix[:, :, :-1].copy(), total[:, None, None], left, m - left, m
+            )
+            gains = np.where(valid, float(gini_impurity(total)) - weighted, -np.inf)
+            attains = valid & (gains == gains.max(axis=1, keepdims=True))
+            candidates = _gini_candidates(prefix, total, valid)
+            assert not (candidates & ~valid).any()
+            assert not (attains & ~candidates).any()
+            tied_rows += int((attains.sum(axis=1) > 1).sum())
+        assert tied_rows > 0  # several positions shared a row's float max
+
+
+def _pra_reference(attack, x_adv, v):
+    """The per-row loop PRA ran before the one-call draw."""
+    rng, _ = spawn_rngs(attack._seed, 2)
+    labels = np.argmax(v, axis=1)
+    view = attack._view
+    position = {int(f): j for j, f in enumerate(view.target_indices)}
+    low, high = attack.interval_low, attack.interval_high
+    x_hat = np.full((x_adv.shape[0], view.d_target), 0.5 * (low + high))
+    paths, restricted, intervals, n_failed = [], [], [], 0
+    for i in range(x_adv.shape[0]):
+        candidates = np.flatnonzero(attack._attack._restrict_slow(x_adv[i], labels[i]))
+        if candidates.size == 0:
+            paths.append(None)
+            restricted.append(0)
+            intervals.append({})
+            n_failed += 1
+            continue
+        path = attack._attack.structure.path_to(int(rng.choice(candidates)))
+        paths.append(path)
+        restricted.append(int(candidates.size))
+        bounds = attack._attack.infer_intervals(path, low=low, high=high)
+        intervals.append(bounds)
+        for feature, (lo, hi) in bounds.items():
+            x_hat[i, position[int(feature)]] = 0.5 * (lo + hi)
+    info = {
+        "selected_paths": paths,
+        "n_paths_restricted": restricted,
+        "n_paths_total": int(attack.structure.n_prediction_paths()),
+        "intervals": intervals,
+        "n_failed": n_failed,
+        "n_predictions_used": int(x_adv.shape[0]),
+    }
+    return x_hat, info, rng
+
+
+class _Scenario:
+    """Hand-built scenario: PRA reads only the released model and the view."""
+
+    def __init__(self, model, view):
+        self.model = model
+        self.view = view
+
+
+class TestPraOneDraw:
+    """PRA's single bounded draw equals one ``rng.choice`` per row."""
+
+    def _attack(self, seed: int):
+        rng = np.random.default_rng(seed)
+        X = rng.random((500, 7))
+        y = (X[:, 0] + 0.5 * rng.random(500) > 0.7).astype(np.int64) + (X[:, 1] > 0.6)
+        tree = DecisionTreeClassifier(max_depth=6, min_samples_leaf=2, rng=0).fit(X, y)
+        # One or two target features: the adversary's columns pin most of
+        # the path, so many rows keep a single candidate.
+        view = FeaturePartition.adversary_target(7, 0.2, rng=seed).adversary_view()
+        attack = ATTACKS.create("pra").prepare(_Scenario(tree, view), seed=seed)
+        Xq = rng.random((300, 7))
+        v = one_hot(tree.predict(Xq), 3)
+        return attack, Xq[:, view.adversary_indices], v, rng
+
+    def _run(self, attack, x_adv, v, monkeypatch):
+        streams = []
+
+        def recording(seed, n):
+            rngs = spawn_rngs(seed, n)
+            streams.append(rngs[0])
+            return rngs
+
+        monkeypatch.setattr(api_attacks, "spawn_rngs", recording)
+        result = attack.run(x_adv, v)
+        return result, streams[0]
+
+    def test_equals_per_row_choice(self, monkeypatch):
+        seen = set()
+        for seed in range(6):
+            attack, x_adv, v, rng = self._attack(seed)
+            # Noise-flip some labels: such rows may keep no candidate path.
+            flip = rng.random(v.shape[0]) < 0.2
+            v[flip] = np.roll(v[flip], 1, axis=1)
+            result, stream = self._run(attack, x_adv, v, monkeypatch)
+            x_hat, info, ref_stream = _pra_reference(attack, x_adv, v)
+            assert result.info == info
+            assert (result.x_target_hat.view(np.int64) == x_hat.view(np.int64)).all()
+            assert stream.bit_generator.state == ref_stream.bit_generator.state
+            seen |= {min(n, 2) for n in info["n_paths_restricted"]}
+        # Unattackable rows, one-candidate rows (no draw) and real draws.
+        assert seen == {0, 1, 2}
+
+    def test_pool_without_any_candidate_draws_nothing(self, monkeypatch):
+        attack, x_adv, v, _ = self._attack(0)
+        # Every row reveals a fourth class that no leaf carries.
+        v = np.hstack([np.zeros_like(v), np.ones((v.shape[0], 1))])
+        result, stream = self._run(attack, x_adv, v, monkeypatch)
+        x_hat, info, ref_stream = _pra_reference(attack, x_adv, v)
+        assert result.info == info
+        assert info["n_failed"] == x_adv.shape[0]
+        assert (result.x_target_hat == x_hat).all()
+        assert stream.bit_generator.state == spawn_rngs(attack._seed, 2)[0].bit_generator.state
+        assert ref_stream.bit_generator.state == stream.bit_generator.state
 
 
 def _random_tree(seed: int, depth: int = 6):
