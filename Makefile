@@ -1,7 +1,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-dev lint smoke docs-check examples-smoke bench bench-smoke bench-correct resume-smoke storm-smoke trace-smoke
+.PHONY: test test-dev lint smoke docs-check examples-smoke bench bench-smoke bench-correct gil-check resume-smoke storm-smoke trace-smoke
 
 ## test: run the full test suite (tier-1 gate)
 test:
@@ -37,6 +37,10 @@ bench-smoke:
 ## bench-correct: one short perfbench run per workload at seeds 0 and 1009; fails unless the committed digests match
 bench-correct:
 	$(PY) scripts/bench_correct.py
+
+## gil-check: a one-row in-process round releases the GIL at most once, a cache hit never (needs cc; exits 0 without)
+gil-check:
+	$(PY) scripts/gil_releases.py --check
 
 ## resume-smoke: SIGKILL a GRNA run mid-epoch, resume it, assert bit-identical report
 resume-smoke:

@@ -18,13 +18,18 @@ and four parties, rounds padded to 32 rows):
 
 Only calls made through the dynamic linker are counted (NumPy's kernels
 and other extension modules); the interpreter's own internal calls may
-bypass the shim. Counts are deterministic for a given NumPy build, so
-they are comparable across commits. Run from the repository root::
+bypass the shim. The counter is read without releasing the GIL, so a
+reading counts nothing of its own. Counts are deterministic for a given
+NumPy build, so they are comparable across commits. Run from the
+repository root::
 
-    python scripts/gil_releases.py
+    python scripts/gil_releases.py          # print the table
+    python scripts/gil_releases.py --check  # also gate it (make gil-check)
 
-Without a C compiler, or on a platform without ``LD_PRELOAD``, it says
-so and exits 0. It is a diagnostic, not a test.
+With ``--check`` it exits 1 when a one-row round on two or four parties
+releases the GIL more than once (:data:`MAX_PER_ROUND`), or a cache hit
+releases it at all. Without a C compiler, or on a platform without
+``LD_PRELOAD``, it says so and exits 0.
 """
 
 from __future__ import annotations
@@ -57,11 +62,17 @@ unsigned long long gil_releases(void) { return releases; }
 #: Environment variable naming the shim in the re-run child.
 CHILD = "REPRO_GIL_SHIM"
 
+#: ``--check``: most releases per one-row in-process round (the row
+#: gather from the deployment's joint table) and per cache hit.
+MAX_PER_ROUND = 1
+MAX_PER_HIT = 0
+
 
 def main() -> int:
+    check = "--check" in sys.argv[1:]
     shim = os.environ.get(CHILD)
     if shim:
-        return measure(shim)
+        return measure(shim, check)
     compiler = shutil.which("cc")
     if compiler is None or not sys.platform.startswith("linux"):
         print("gil_releases: needs `cc` and LD_PRELOAD (Linux); nothing measured")
@@ -76,10 +87,10 @@ def main() -> int:
         env = dict(os.environ, LD_PRELOAD=str(library), **{CHILD: str(library)})
         src = str(REPO / "src")
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        return subprocess.run([sys.executable, __file__], env=env).returncode
+        return subprocess.run([sys.executable, __file__, *sys.argv[1:]], env=env).returncode
 
 
-def measure(shim: str) -> int:
+def measure(shim: str, check: bool) -> int:
     import ctypes
 
     import numpy as np
@@ -90,7 +101,9 @@ def measure(shim: str) -> int:
     from repro.federation import TopologyConfig
     from repro.workload import ShardedPredictionService, attacker_trace, make_trace
 
-    counter = ctypes.CDLL(shim).gil_releases
+    # PyDLL: calling the counter keeps the GIL, so it counts no release
+    # of its own.
+    counter = ctypes.PyDLL(shim).gil_releases
     counter.argtypes = []
     counter.restype = ctypes.c_ulonglong
 
@@ -103,7 +116,9 @@ def measure(shim: str) -> int:
 
     VerticalFLModel.predict = counted_predict
 
-    def count(label: str, run, per: str = "round") -> None:
+    failures: list[str] = []
+
+    def count(label: str, run, per: str = "round", limit: "int | None" = None) -> None:
         rounds[0] = 0
         before = counter()
         queries = run()
@@ -113,6 +128,8 @@ def measure(shim: str) -> int:
             f"{label:<36} {releases:>6} releases {rounds[0]:>5} rounds "
             f"{queries:>5} queries {releases / max(units, 1):6.2f} per {per}"
         )
+        if limit is not None and releases > limit * units:
+            failures.append(f"{label}: {releases} releases over {units} {per}s (limit {limit} per {per})")
 
     ids = np.arange(200)  # fewer rows than the 256-entry cache holds
 
@@ -137,11 +154,20 @@ def measure(shim: str) -> int:
         tag = f"P={n_parties}"
         plain = deploy(1, False, ()).shards[0]
         plain.query(ids[:1], consumer="warm")  # first-call setup is not a round's cost
-        count(f"{tag} plain one-row round", lambda: one_row_queries(plain))
+        count(f"{tag} plain one-row round", lambda: one_row_queries(plain), limit=MAX_PER_ROUND)
         audited = deploy(1, True, ("query_audit",)).shards[0]
         audited.query(ids[:1], consumer="warm")
-        count(f"{tag} cached+audited miss round", lambda: one_row_queries(audited))
-        count(f"{tag} cached+audited all-hit", lambda: one_row_queries(audited), per="query")
+        count(
+            f"{tag} cached+audited miss round",
+            lambda: one_row_queries(audited),
+            limit=MAX_PER_ROUND,
+        )
+        count(
+            f"{tag} cached+audited all-hit",
+            lambda: one_row_queries(audited),
+            per="query",
+            limit=MAX_PER_HIT,
+        )
         if n_parties != 2:
             continue
         trace = make_trace(100, 600, n_samples=vfl.n_samples, process="bursty", seed=2).merge(
@@ -157,6 +183,12 @@ def measure(shim: str) -> int:
                 f"{tag} {label}",
                 lambda: service.replay(trace, mode=mode).ledger["queries_used"],
             )
+    if check:
+        for failure in failures:
+            print(f"gil_releases --check FAILED: {failure}")
+        if failures:
+            return 1
+        print("gil_releases --check: passed")
     return 0
 
 

@@ -41,13 +41,13 @@ import numpy as np
 
 from repro.api.attacks import ATTACKS, ScenarioAttack
 from repro.api.datasets import DATASETS
-from repro.api.defenses import Defense, DefenseStack, unwrap_model
+from repro.api.defenses import DEFENSES, Defense, DefenseStack, unwrap_model
 from repro.api.models import MODELS, make_model
 from repro.attacks import AttackResult, RandomGuessAttack
 from repro.checkpoint import CheckpointPlan
 from repro.config import ScaleConfig, get_scale
 from repro.datasets import Dataset, load_dataset
-from repro.exceptions import IncompatibleScenarioError, ScenarioError
+from repro.exceptions import IncompatibleScenarioError, ScenarioError, ValidationError
 from repro.federated import (
     AdversaryView,
     FeaturePartition,
@@ -68,6 +68,7 @@ from repro.resilience import DEGRADATIONS, BreakerPolicy, RetryPolicy
 from repro.serving import PredictionService
 from repro.telemetry import NULL_TRACER, check_telemetry_spec, make_tracer
 from repro.utils.random import check_random_state, spawn_rngs
+from repro.utils.validation import is_int
 
 __all__ = [
     "Deployment",
@@ -627,9 +628,10 @@ class ScenarioReport:
         dict, which configures the same policy. A deployment key may be
         absent: payloads persisted before its layer existed mean the
         default. Any other missing key, a non-object payload, config or
-        metrics, a field the config cannot be rebuilt from, and a config
-        :meth:`ScenarioConfig.validate` refuses all raise
-        :class:`~repro.exceptions.ScenarioError`.
+        metrics, a field the config cannot be rebuilt from, a config
+        :meth:`ScenarioConfig.validate` refuses, and one naming an
+        unregistered dataset, model, attack, defense or baseline all
+        raise :class:`~repro.exceptions.ScenarioError`.
         """
         _require_object(payload, "report")
         _require_keys(payload, ("config", "metrics", "queries_used"), "report")
@@ -652,13 +654,16 @@ class ScenarioReport:
             )
             queries_used = int(payload["queries_used"])
         except (KeyError, TypeError, ValueError) as exc:
-            # Nested decoders (scale, topology, defense specs) index and
-            # convert without checks of their own.
+            # The defense-spec decoder and queries_used convert without
+            # checks of their own; the scale and topology decoders raise
+            # ScenarioError and ValidationError (a ValueError) naming the
+            # field, kept in the message.
             raise ScenarioError(
                 f"report payload has a malformed field: "
                 f"{type(exc).__name__}: {exc}"
             ) from exc
         config.validate()
+        _check_registered(config)
         extras = {
             key: dict(_require_object(payload.get(key, {}), key))
             for key in ("comm_cost", "availability", "telemetry")
@@ -689,6 +694,29 @@ class ScenarioReport:
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise ScenarioError(f"report line is not valid JSON: {exc}") from exc
         return cls.from_payload(payload)
+
+
+def _check_registered(config: ScenarioConfig) -> None:
+    """Refuse a decoded config that names an unregistered component.
+
+    A stored config exists to be re-run, so its dataset, model, attack,
+    defense and baseline keys are checked where it is read, each with the
+    registered choices listed, rather than when a re-run reaches them.
+    """
+    keys = [(DATASETS, config.dataset), (MODELS, config.model), (ATTACKS, config.attack)]
+    keys += [
+        (DEFENSES, spec if isinstance(spec, str) else spec[0]) for spec in config.defenses
+    ]
+    for registry, key in keys:
+        if not isinstance(key, str) or key not in registry:
+            raise ScenarioError(
+                f"unknown {registry.kind} {key!r}; choose from {registry.names()}"
+            )
+    for name in config.baselines:
+        if name not in BASELINES:
+            raise ScenarioError(
+                f"unknown baseline {name!r}; choose from {list(BASELINES)}"
+            )
 
 
 def _require_object(value, what: str) -> dict[str, Any]:
@@ -742,13 +770,53 @@ def _encode_scale(scale: "str | ScaleConfig"):
     return dataclasses.asdict(scale)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _decode_scale(data) -> "str | ScaleConfig":
+    """A preset name as is, or the :class:`ScaleConfig` its payload describes.
+
+    The payload is :func:`_encode_scale`'s: every field present, ``name``
+    a string, ``fractions`` a list (or tuple) of numbers, the hidden
+    widths lists of ints and every other field an int. Anything else
+    raises :class:`~repro.exceptions.ScenarioError` naming the field.
+    """
     if isinstance(data, str):
         return data
-    fields = dict(data)
-    for name in _SCALE_TUPLE_FIELDS:
-        fields[name] = tuple(fields[name])
-    return ScaleConfig(**fields)
+    if not isinstance(data, dict):
+        raise ScenarioError(
+            "scale must be a preset name or a ScaleConfig object, got "
+            f"{type(data).__name__}"
+        )
+    knobs = [knob.name for knob in fields(ScaleConfig)]
+    missing = [name for name in knobs if name not in data]
+    unknown = sorted(map(str, set(data) - set(knobs)))
+    if missing or unknown:
+        raise ScenarioError(
+            f"scale payload is missing field(s) {missing} or has unknown "
+            f"field(s) {unknown}"
+        )
+    values: dict[str, Any] = {}
+    for name in knobs:
+        value = data[name]
+        if name == "name":
+            expected, ok = "a string", isinstance(value, str)
+        elif name == "fractions":
+            expected = "a list of numbers"
+            ok = isinstance(value, (list, tuple)) and all(map(_is_number, value))
+        elif name in _SCALE_TUPLE_FIELDS:
+            expected = "a list of ints"
+            ok = isinstance(value, (list, tuple)) and all(map(is_int, value))
+        else:
+            expected, ok = "an int", is_int(value)
+        if not ok:
+            raise ScenarioError(f"scale field {name!r} must be {expected}, got {value!r}")
+        values[name] = tuple(value) if isinstance(value, list) else value
+    try:
+        return ScaleConfig(**values)
+    except ValidationError as exc:
+        raise ScenarioError(f"scale payload is inconsistent: {exc}") from exc
 
 
 def _encode_defense_spec(spec):

@@ -11,6 +11,10 @@ interface below.
 :class:`VerticalFLModel.predict` simulates the secure prediction protocol:
 the active party names sample ids, each party feeds its columns into the
 protocol, and **only the confidence-score vector v is revealed** (§II-B).
+The parties' blocks are fixed once a deployment exists, so their columns
+are placed once, at construction, into one private, read-only joint-row
+table in global column order; a round gathers its rows from it with one
+``take``, and the lazily built table of row digests sits beside it.
 The adversary additionally receives the plaintext model parameters through
 :meth:`VerticalFLModel.release_model`, mirroring the paper's assumption
 that θ is released to the active party for interpretability (§III-B).
@@ -62,10 +66,19 @@ class VerticalFLModel:
                 )
         self.parties = parties
         self._n_samples = n
-        #: Permutes the parties' side-by-side columns into global order.
+        #: Permutes the parties' side-by-side columns into global order
+        #: (the federation runtime assembles its wire blocks with it).
         self._column_order = np.argsort(
             np.concatenate([p.feature_indices for p in parties])
         )
+        #: Every joint row in global column order: the parties' frozen
+        #: blocks placed once, here, so a round gathers its rows with one
+        #: ``take``. Private and read-only like the blocks it copies.
+        joint = np.empty((n, partition.n_features))
+        for p in parties:
+            joint[:, p.feature_indices] = p._data
+        joint.flags.writeable = False
+        self._joint = joint
         #: sha1 digest of every joint row, built by the first
         #: :meth:`sample_hashes` call; ``None`` until then.
         self._digests: "list[str] | None" = None
@@ -116,12 +129,15 @@ class VerticalFLModel:
         inside this call and never returned; the caller (the active party)
         sees just the confidence-score matrix.
 
-        The request's ids are checked here; the rows are not. Every party
-        block was validated once (finite float64) and frozen when its
-        :class:`~repro.federated.party.Party` was built, and the model's
-        width is checked whenever :attr:`model` is set, so the assembled
-        rows go straight to the model's ``_proba`` kernel. The answer is
-        byte-identical to ``model.predict_proba`` on the same rows.
+        The request's ids are checked here; the rows are not. The joint
+        rows live in one private, read-only table in global column order,
+        built at construction from party blocks that were validated
+        (finite float64) and frozen when each
+        :class:`~repro.federated.party.Party` was built; the model's
+        width is checked whenever :attr:`model` is set. So a round is one
+        row gather from that table straight into the model's ``_proba``
+        kernel, and the answer is byte-identical to
+        ``model.predict_proba`` on the same rows.
         """
         sample_indices = self._check_ids(sample_indices, "prediction")
         joint = self._assemble(sample_indices)
@@ -142,12 +158,12 @@ class VerticalFLModel:
         the sha1 hex digest of the row's float64 bytes, and it reveals
         equality, never values.
 
-        The parties' data never changes after construction, so the first
-        call assembles every joint row once, inside the protocol, and
-        keeps only the table of their digests; every call after that is
-        a lookup and assembles nothing. Ids are checked like
-        :meth:`predict`'s: a negative or out-of-range id raises
-        :class:`~repro.exceptions.ProtocolError`, never wraps.
+        The joint rows never change after construction, so the first
+        call assembles every row of the joint table once, inside the
+        protocol, and keeps only their digests, beside the table; every
+        call after that is a lookup and assembles nothing. Ids are
+        checked like :meth:`predict`'s: a negative or out-of-range id
+        raises :class:`~repro.exceptions.ProtocolError`, never wraps.
         """
         sample_indices = self._check_ids(sample_indices, "hash")
         digests = self._digests
@@ -168,7 +184,7 @@ class VerticalFLModel:
             raise ProtocolError(f"{request} request with no sample ids")
         # Viewed unsigned, a negative id is >= 2**63: one reduction checks
         # both ends.
-        if sample_indices.view(np.uint64).max() >= self._n_samples:
+        if np.maximum.reduce(sample_indices.view(np.uint64)) >= self._n_samples:
             raise ProtocolError(
                 f"sample index out of range [0, {self._n_samples})"
             )
@@ -177,16 +193,13 @@ class VerticalFLModel:
     def _assemble(self, sample_indices: np.ndarray) -> np.ndarray:
         """The joint rows of already-checked ids, in global column order.
 
-        The parties' rows side by side, then one column permutation. That
-        releases the GIL once per party plus once; a fancy column scatter
-        would release it three times per party, and every release hands
-        the GIL to a waiting shard thread. The rows need no finiteness
-        check: they come from party blocks validated and frozen at
-        construction, so a :meth:`predict` round releases the GIL exactly
-        these P+1 times.
+        One ``take`` from the joint table built at construction: a
+        :meth:`predict` round releases the GIL once, whatever the party
+        count, and every release hands the GIL to a waiting shard
+        thread. The rows need no finiteness check: the table copies
+        party blocks validated and frozen at construction.
         """
-        blocks = [party._gather(sample_indices) for party in self.parties]
-        return np.concatenate(blocks, axis=1).take(self._column_order, axis=1)
+        return self._joint.take(sample_indices, axis=0)
 
     # ------------------------------------------------------------------
     # What the adversary legitimately receives
@@ -202,22 +215,14 @@ class VerticalFLModel:
         CBR against ground truth.
         """
         view = self.partition.adversary_view(colluders)
-        joint = self._assemble(np.arange(self._n_samples))
-        return joint[:, view.target_indices]
+        return self._joint[:, view.target_indices]
 
     def adversary_features(self, colluders: tuple[int, ...] = ()) -> np.ndarray:
-        """The adversary coalition's own feature values for all samples."""
-        coalition = sorted({0, *colluders})
-        all_rows = np.arange(self._n_samples)
-        stacked = np.hstack(
-            [self.parties[pid].local_features(all_rows) for pid in coalition]
-        )
-        joint_cols = np.concatenate(
-            [self.parties[pid].feature_indices for pid in coalition]
-        )
-        # Reorder the coalition's columns into ascending global-column order
-        # so they line up with adversary_view().adversary_indices.
-        return stacked[:, np.argsort(joint_cols)]
+        """The adversary coalition's own feature values for all samples,
+        in ascending global-column order (lined up with
+        ``adversary_view().adversary_indices``)."""
+        view = self.partition.adversary_view(colluders)
+        return self._joint[:, view.adversary_indices]
 
 
 def build_parties(

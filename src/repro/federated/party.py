@@ -38,8 +38,8 @@ class Party:
         # Row-major, so one sample's columns are adjacent: every protocol
         # round gathers whole rows. Private and read-only, so the block
         # validated above is the block every later round serves: the
-        # in-process round assembles from it without re-checking, and the
-        # deployment's row digests stay true.
+        # deployment copies it into its joint table without re-checking,
+        # and the deployment's row digests stay true.
         self._data = np.array(data, order="C")
         self._data.flags.writeable = False
 
@@ -76,16 +76,6 @@ class Party:
                 f"party {self.party_id}: sample index out of range [0, {self.n_samples})"
             )
         return sample_indices
-
-    def _gather(self, sample_indices: np.ndarray) -> np.ndarray:
-        """:meth:`local_features` for ids the protocol already checked.
-
-        :class:`~repro.federated.model.VerticalFLModel` checks a
-        request's ids once against the sample count every aligned party
-        shares, then gathers each party's rows here without a second
-        check. A negative id would wrap to a row from the end.
-        """
-        return self._data.take(sample_indices, axis=0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -150,10 +150,11 @@ class ActivePartyNode(PartyNode):
         """The joint matrix: every party's block side by side, then
         ``column_order`` (the deployment's global column permutation).
 
-        Byte-identical to :meth:`VerticalFLModel._assemble`, which places
-        columns the same way: every non-local block arrived through the
-        wire codec, which is lossless for float64, and placing columns
-        copies values without arithmetic. Unlike the in-process
+        Byte-identical to :meth:`VerticalFLModel._assemble`, which
+        gathers the same rows from a joint table whose columns were
+        placed the same way at construction: every non-local block
+        arrived through the wire codec, which is lossless for float64,
+        and placing columns copies values without arithmetic. Unlike the in-process
         assembly, these rows are not trusted as-is: the caller hands
         them to the model's validating ``predict_proba``, because a
         passive block is whatever a frame decoded to.

@@ -19,6 +19,7 @@ from typing import Any
 from repro.exceptions import ValidationError
 from repro.federated.partition import PARTITION_STRATEGIES
 from repro.federation.faults import FaultPlan
+from repro.utils.validation import is_int
 
 __all__ = ["TopologyConfig"]
 
@@ -105,7 +106,7 @@ class TopologyConfig:
             raise ValidationError(
                 "the coalition covers every passive party; no attack target left"
             )
-        if self.partition not in PARTITION_STRATEGIES:
+        if not isinstance(self.partition, str) or self.partition not in PARTITION_STRATEGIES:
             raise ValidationError(
                 f"unknown partition strategy {self.partition!r}; choose from "
                 f"{sorted(PARTITION_STRATEGIES)}"
@@ -131,13 +132,57 @@ class TopologyConfig:
 
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> "TopologyConfig":
-        """Rebuild from :meth:`to_payload` output (lists back to tuples)."""
+        """Rebuild from :meth:`to_payload` output (lists back to tuples).
+
+        Every field must be present in its JSON shape (a tuple stands for
+        a list): ``n_parties`` an int, ``colluders`` a list of ints,
+        ``partition`` a string, ``partition_params`` an object and
+        ``faults`` a list of ``[kind, params]`` pairs. Anything else raises
+        :class:`~repro.exceptions.ValidationError` naming the field;
+        whether the values make a valid topology is :meth:`validate`'s.
+        """
+        if not isinstance(payload, dict):
+            raise ValidationError(
+                f"topology payload must be a JSON object, got {type(payload).__name__}"
+            )
+        missing = [name for name in _PAYLOAD_SHAPES if name not in payload]
+        if missing:
+            raise ValidationError(f"topology payload is missing field(s) {missing}")
+        for name, (expected, ok) in _PAYLOAD_SHAPES.items():
+            if not ok(payload[name]):
+                raise ValidationError(
+                    f"topology field {name!r} must be {expected}, got {payload[name]!r}"
+                )
         return cls(
-            n_parties=int(payload["n_parties"]),
-            colluders=tuple(int(p) for p in payload["colluders"]),
+            n_parties=payload["n_parties"],
+            colluders=tuple(payload["colluders"]),
             partition=payload["partition"],
             partition_params=dict(payload["partition_params"]),
-            faults=tuple(
-                (kind, dict(params)) for kind, params in payload["faults"]
-            ),
+            faults=tuple((kind, dict(params)) for kind, params in payload["faults"]),
         )
+
+
+def _is_fault_pair(spec) -> bool:
+    return (
+        isinstance(spec, (list, tuple))
+        and len(spec) == 2
+        and isinstance(spec[0], str)
+        and isinstance(spec[1], dict)
+    )
+
+
+#: :meth:`TopologyConfig.from_payload`'s field shapes: what each must be,
+#: and the check.
+_PAYLOAD_SHAPES = {
+    "n_parties": ("an int", is_int),
+    "colluders": (
+        "a list of ints",
+        lambda value: isinstance(value, (list, tuple)) and all(map(is_int, value)),
+    ),
+    "partition": ("a string", lambda value: isinstance(value, str)),
+    "partition_params": ("an object", lambda value: isinstance(value, dict)),
+    "faults": (
+        "a list of [kind, params] pairs",
+        lambda value: isinstance(value, (list, tuple)) and all(map(_is_fault_pair, value)),
+    ),
+}

@@ -139,7 +139,7 @@ class QueryLedger:
                 f"{self.count(consumer)} of a budget of "
                 f"{self._binding_budget(consumer)})"
             )
-        self._counts[consumer] = self.count(consumer) + n
+        self._counts[consumer] = self._counts.get(consumer, 0) + n
         return n
 
     def grant(self, n: int, consumer: str = "anonymous") -> int:

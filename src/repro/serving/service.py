@@ -136,8 +136,8 @@ class QueryContext:
 def _at(chunk: np.ndarray, positions: "list[int]") -> np.ndarray:
     """``chunk[positions]`` for ascending distinct positions.
 
-    The chunk itself when they cover it (a one-row round's only
-    position), so the common case costs no gather.
+    The chunk itself when they cover it, so a chunk of all misses or
+    all replays costs no gather.
     """
     if len(positions) == chunk.size:
         return chunk
@@ -362,9 +362,7 @@ class PredictionService:
         indices = np.asarray(sample_indices, dtype=np.int64).ravel()
         if indices.size == 0:
             raise ProtocolError("prediction request with no sample ids")
-        with self.tracer.span(
-            "serving.query", consumer=consumer, rows=int(indices.size)
-        ) as span:
+        with self.tracer.span("serving.query", consumer=consumer, rows=indices.size) as span:
             if self.breaker_policy is None:
                 result = self._query_dispatch(indices, consumer, checkpoint)
             else:
@@ -387,7 +385,7 @@ class PredictionService:
                         f"{breaker.state!r}"
                     ) from exc
                 self._trace_breaker(consumer, breaker, breaker.record_success)
-            span["served"] = int(result.shape[0])
+            span["served"] = result.shape[0]
             return result
 
     def _trace_breaker(self, consumer: str, breaker: CircuitBreaker, operation):
@@ -428,14 +426,16 @@ class PredictionService:
         snapshots each chunk boundary; without one it is never consulted.
         """
         blocks: list[np.ndarray] = []
-        step = self.max_batch or indices.size
+        size = indices.size
+        step = self.max_batch or size
         start_pos = 0
         if checkpoint is not None:
             blocks, start_pos = self._resume_query(indices, consumer, checkpoint)
-        for start in range(start_pos, indices.size, step):
+        for start in range(start_pos, size, step):
             try:
                 block, exhausted = self._serve_chunk(
-                    indices[start : start + step], consumer
+                    indices if start == 0 and step >= size else indices[start : start + step],
+                    consumer,
                 )
             except CommBudgetExceededError:
                 if self.exhaustion != "truncate":
@@ -624,98 +624,101 @@ class PredictionService:
     def _serve_chunk(
         self, chunk: np.ndarray, consumer: str
     ) -> tuple[np.ndarray, bool]:
-        """Serve one ``max_batch``-sized chunk; True means budget exhausted."""
-        with self.tracer.span(
-            "serving.chunk", consumer=consumer, rows=int(chunk.size)
-        ) as span:
+        """Serve one ``max_batch``-sized chunk; True means budget exhausted.
+
+        Without a cache every position is a miss, so the budget grants a
+        prefix of the chunk and that prefix is the response: no position
+        lists, no gathers.
+        """
+        with self.tracer.span("serving.chunk", consumer=consumer, rows=chunk.size) as span:
             hashes = self.vfl.sample_hashes(chunk) if self.hashes_chunks else None
-            cache = None if self._caches is None else self._cache_for(consumer)
-            if cache is not None:
-                # A repeated sample id (or repeated content) within one chunk
-                # is a single chargeable computation; later occurrences replay.
-                miss_pos: list[int] = []
-                replay_pos: list[int] = []
-                pending: set[str] = set()
-                for i, digest in enumerate(hashes):
-                    if digest in cache or digest in pending:
-                        replay_pos.append(i)
-                    else:
-                        miss_pos.append(i)
-                        pending.add(digest)
-            else:
-                miss_pos = list(range(chunk.size))
-                replay_pos = []
-
-            granted = 0
-            if miss_pos:
+            if self._caches is None:
+                size = chunk.size
                 if self.exhaustion == "raise":
-                    granted = self.ledger.charge(len(miss_pos), consumer)
+                    granted = self.ledger.charge(size, consumer)
                 else:
-                    granted = self.ledger.grant(len(miss_pos), consumer)
-
-            # Positions past the first unserved miss are withheld (truncation);
-            # every miss before it was granted, so the rest before it replay.
-            cutoff = chunk.size if granted == len(miss_pos) else miss_pos[granted]
-            served_miss = miss_pos[:granted]
-            hit_pos = (
-                replay_pos
-                if cutoff == chunk.size
-                else [position for position in replay_pos if position < cutoff]
-            )
-
-            computed = np.empty((0, self.n_classes))
-            if granted or hit_pos:
-                released = False
-                try:
-                    if granted:
-                        computed = self._protocol_predict(_at(chunk, served_miss))
-                    computed = self._apply_on_query(
-                        computed, chunk, served_miss, hit_pos, hashes, consumer
-                    )
-                    released = True
-                finally:
-                    # A refused batch released nothing; un-charge it so the
-                    # ledger keeps meaning "responses the consumer received".
-                    # try/finally instead of a broad except: the defense's
-                    # refusal (or any genuine bug) propagates untouched.
-                    if not released:
-                        self.ledger.refund(granted, consumer)
-
-            if cache is None:
-                # No cache: the computed block is the response (hot path);
-                # every position is a miss, so cutoff == granted.
-                block = computed
+                    granted = self.ledger.grant(size, consumer)
+                if granted < size:
+                    chunk = chunk[:granted]
+                    if hashes is not None:
+                        hashes = hashes[:granted]
+                block = self._release(chunk, granted, None, hashes, consumer)
+                exhausted = granted < size
             else:
-                # Stage every row this chunk releases before any insert: with an
-                # LRU bound, writing the computed rows could evict an entry a
-                # later position of this very chunk still replays.
-                staged: dict[str, np.ndarray] = {}
-                for position in hit_pos:
-                    digest = hashes[position]
-                    if digest not in staged and digest in cache:
-                        staged[digest] = cache.get(digest)
-                block = np.empty((cutoff, self.n_classes))
-                evicted = 0
-                next_miss = 0
-                for position in range(cutoff):
-                    digest = hashes[position]
-                    if next_miss < granted and position == served_miss[next_miss]:
-                        row = computed[next_miss].copy()
-                        staged[digest] = row
-                        evicted += cache.put(digest, row)
-                        next_miss += 1
-                    # A non-miss position replays a stored row — or, for an
-                    # intra-chunk duplicate, the row its first occurrence staged.
-                    block[position] = staged[digest]
-                if evicted:
-                    self.ledger.record_evictions(evicted, consumer)
-                if hit_pos:
-                    self.ledger.record_cache_hits(len(hit_pos), consumer)
-                    self.tracer.count("serving.cache_hits", len(hit_pos))
-            exhausted = cutoff < chunk.size
-            span["served"] = int(block.shape[0])
+                block, exhausted = self._serve_cached(chunk, hashes, consumer)
+            span["served"] = block.shape[0]
             span["exhausted"] = exhausted
             return block, exhausted
+
+    def _serve_cached(
+        self, chunk: np.ndarray, hashes: "list[str]", consumer: str
+    ) -> tuple[np.ndarray, bool]:
+        """:meth:`_serve_chunk` with the response cache: misses are
+        charged and computed, repeats replay their stored rows."""
+        cache = self._cache_for(consumer)
+        # A repeated sample id (or repeated content) within one chunk
+        # is a single chargeable computation; later occurrences replay.
+        miss_pos: list[int] = []
+        replay_pos: list[int] = []
+        pending: set[str] = set()
+        for i, digest in enumerate(hashes):
+            if digest in cache or digest in pending:
+                replay_pos.append(i)
+            else:
+                miss_pos.append(i)
+                pending.add(digest)
+
+        granted = 0
+        if miss_pos:
+            if self.exhaustion == "raise":
+                granted = self.ledger.charge(len(miss_pos), consumer)
+            else:
+                granted = self.ledger.grant(len(miss_pos), consumer)
+
+        # Positions past the first unserved miss are withheld (truncation);
+        # every miss before it was granted, so the rest before it replay.
+        cutoff = chunk.size if granted == len(miss_pos) else miss_pos[granted]
+        served_miss = miss_pos[:granted]
+        hit_pos = (
+            replay_pos
+            if cutoff == chunk.size
+            else [position for position in replay_pos if position < cutoff]
+        )
+        computed = self._release(
+            _at(chunk, served_miss),
+            granted,
+            _at(chunk, hit_pos),
+            [hashes[i] for i in served_miss + hit_pos],
+            consumer,
+        )
+
+        # Stage every row this chunk releases before any insert: with an
+        # LRU bound, writing the computed rows could evict an entry a
+        # later position of this very chunk still replays.
+        staged: dict[str, np.ndarray] = {}
+        for position in hit_pos:
+            digest = hashes[position]
+            if digest not in staged and digest in cache:
+                staged[digest] = cache.get(digest)
+        block = np.empty((cutoff, self.n_classes))
+        evicted = 0
+        next_miss = 0
+        for position in range(cutoff):
+            digest = hashes[position]
+            if next_miss < granted and position == served_miss[next_miss]:
+                row = computed[next_miss].copy()
+                staged[digest] = row
+                evicted += cache.put(digest, row)
+                next_miss += 1
+            # A non-miss position replays a stored row — or, for an
+            # intra-chunk duplicate, the row its first occurrence staged.
+            block[position] = staged[digest]
+        if evicted:
+            self.ledger.record_evictions(evicted, consumer)
+        if hit_pos:
+            self.ledger.record_cache_hits(len(hit_pos), consumer)
+            self.tracer.count("serving.cache_hits", len(hit_pos))
+        return block, cutoff < chunk.size
 
     def _protocol_predict(self, indices: np.ndarray) -> np.ndarray:
         """Execute one protocol round at the service's canonical shape.
@@ -742,34 +745,56 @@ class PredictionService:
         predict = self.vfl.predict if self.runtime is None else self.runtime.predict
         if self.max_batch is None or indices.size == self.max_batch:
             return predict(indices)
-        padded = np.full(self.max_batch, indices[-1], dtype=np.int64)
+        padded = np.empty(self.max_batch, dtype=np.int64)
+        padded.fill(indices[-1])
         padded[: indices.size] = indices
         return predict(padded)[: indices.size]
 
-    def _apply_on_query(
+    def _release(
         self,
-        responses: np.ndarray,
-        chunk: np.ndarray,
-        served_miss: list[int],
-        hit_pos: list[int],
+        served: np.ndarray,
+        granted: int,
+        replayed: "np.ndarray | None",
         hashes: "list[str] | None",
         consumer: str,
     ) -> np.ndarray:
+        """The responses to the ``granted`` ids ``served``, as released.
+
+        One protocol round computes them; a non-empty defense stack's
+        ``on_query`` then sees them beside the chunk's cache replays
+        (``replayed``, ``None`` without a cache) and the fingerprints of
+        ``served`` followed by ``replayed``. With nothing to compute and
+        nothing replayed, no round runs and no hook is called. A batch
+        that is not released refunds its charge, so the ledger keeps
+        meaning "responses the consumer received".
+        """
+        if not granted and (replayed is None or not replayed.size):
+            return np.empty((0, self.n_classes))
         stack = self.defense_stack
-        if stack is None or not len(stack):
-            return responses
-        context = QueryContext(
-            consumer=consumer,
-            sample_indices=_at(chunk, served_miss),
-            service=self,
-            replayed_indices=_at(chunk, hit_pos),
-            sample_hashes=(
-                None
-                if hashes is None
-                else tuple([hashes[i] for i in served_miss + hit_pos])
-            ),
-        )
-        return stack.on_query(responses, context)
+        released = False
+        try:
+            computed = (
+                self._protocol_predict(served)
+                if granted
+                else np.empty((0, self.n_classes))
+            )
+            if stack is not None and len(stack):
+                context = QueryContext(
+                    consumer=consumer,
+                    sample_indices=served,
+                    service=self,
+                    replayed_indices=served[:0] if replayed is None else replayed,
+                    sample_hashes=None if hashes is None else tuple(hashes),
+                )
+                computed = stack.on_query(computed, context)
+            released = True
+        finally:
+            # try/finally instead of a broad except: a protocol failure,
+            # the defense's refusal (or any genuine bug) propagates
+            # untouched.
+            if not released:
+                self.ledger.refund(granted, consumer)
+        return computed
 
     def __repr__(self) -> str:
         spans = self.tracer.records_emitted

@@ -56,6 +56,11 @@ def check_X_y(X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
+def is_int(value) -> bool:
+    """True for a plain Python int; ``bool`` is not one here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_positive_int(value, *, name: str) -> int:
     """Validate that ``value`` is a positive integer and return it as int."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):

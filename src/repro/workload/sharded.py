@@ -291,13 +291,15 @@ class ShardedPredictionService:
     def _warm_kernels(self) -> None:
         """Build the deployment's lazy tables before concurrent fan-out.
 
-        Tree/forest deployments flatten their structures into decision
+        The joint-row table is built with the deployment, but
+        tree/forest deployments flatten their structures into decision
         tables on first predict, and the deployment builds its sample
-        digest table on first ``sample_hashes``; racing those first
-        calls from several shard workers is the one write the otherwise
-        read-only deployment would see. One serial throwaway round
-        (never charged, never logged), plus one hash lookup when the
-        shards fingerprint chunks, makes every later call a pure read.
+        digest table (beside the joint-row table) on first
+        ``sample_hashes``; racing those first calls from several shard
+        workers is the one write the otherwise read-only deployment
+        would see. One serial throwaway round (never charged, never
+        logged), plus one hash lookup when the shards fingerprint
+        chunks, makes every later call a pure read.
         """
         probe = np.zeros(1, dtype=np.int64)
         self.vfl.predict(probe)
@@ -517,19 +519,24 @@ class ShardedPredictionService:
         """
         service = self.shards[shard]
         names = trace.names
-        consumer_ids = trace.consumer_ids
-        offsets = trace.offsets
+        # Indexed through memoryviews, the trace's arrays yield Python
+        # ints, which index and slice cheaper than numpy scalars (no
+        # copy for the usual int64 arrays).
+        events, consumer_ids, offsets = (
+            memoryview(np.ascontiguousarray(array, dtype=np.int64))
+            for array in (events, trace.consumer_ids, trace.offsets)
+        )
         sample_ids = trace.sample_ids
         query = service.query
         tracer = service.tracer
         if refused is None:
             refused = {}
-        for cursor in range(start, events.size):
+        for cursor in range(start, len(events)):
             i = events[cursor]
             # Stamp the *global* trace event index, not the shard-local
             # cursor: it survives re-pinning, so merged records can be
             # compared across shard counts.
-            tracer.step = int(i)
+            tracer.step = i
             name = names[consumer_ids[i]]
             try:
                 query(sample_ids[offsets[i] : offsets[i + 1]], consumer=name)

@@ -528,6 +528,18 @@ class TestReportPersistence:
         assert restored.queries_used == report.queries_used
 
 
+def _assert_registered(config):
+    from repro.api import ATTACKS, DATASETS, DEFENSES, MODELS
+    from repro.api.scenario import BASELINES
+
+    assert config.dataset in DATASETS
+    assert config.model in MODELS
+    assert config.attack in ATTACKS
+    for spec in config.defenses:
+        assert (spec if isinstance(spec, str) else spec[0]) in DEFENSES
+    assert set(config.baselines) <= set(BASELINES)
+
+
 class TestReportDecoding:
     """A damaged report line or payload raises ``ScenarioError``, never guesses."""
 
@@ -561,6 +573,7 @@ class TestReportDecoding:
                 refused += 1
                 continue
             restored.config.validate()  # whatever decodes is a valid config
+            _assert_registered(restored.config)  # ... naming only known components
             decoded += 1
         # Flips inside metric digits decode (JSON carries no checksum).
         assert refused and decoded and refused + decoded == len(line) * 8
@@ -577,6 +590,31 @@ class TestReportDecoding:
         with pytest.raises(ScenarioError, match="not valid JSON") as info:
             ScenarioReport.from_json(line.replace(b"bank", b"b\xffnk"))
         assert isinstance(info.value.__cause__, UnicodeDecodeError)
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("dataset", "bamk", r"unknown dataset 'bamk'; choose from \[.*'bank'"),
+            ("model", "dr", r"unknown model 'dr'; choose from \[.*'dt'"),
+            ("attack", "pr`", r"unknown attack 'pr`'; choose from \[.*'pra'"),
+            ("defenses", [["roundimg", {"digits": 3}]], r"unknown defense 'roundimg'; choose from \[.*'rounding'"),
+            ("defenses", ["noize"], r"unknown defense 'noize'"),
+            ("baselines", ["pat"], r"unknown baseline 'pat'; choose from \[.*'path'"),
+        ],
+        ids=["dataset", "model", "attack", "defense-pair", "defense-key", "baseline"],
+    )
+    def test_unregistered_component_keys_are_refused(self, field, value, match):
+        import json
+
+        from repro.api import ScenarioReport
+        from repro.api.resume import config_from_payload
+
+        payload = json.loads(self._line())
+        payload["config"][field] = value
+        with pytest.raises(ScenarioError, match=match):
+            ScenarioReport.from_payload(payload)
+        with pytest.raises(ScenarioError, match=match):
+            config_from_payload(payload["config"])
 
     @pytest.mark.parametrize(
         "damage, match",
@@ -612,6 +650,140 @@ class TestReportDecoding:
         payload = json.loads(self._line())
         with pytest.raises(ScenarioError, match=match):
             ScenarioReport.from_payload(damage(payload))
+
+
+class TestNestedDecoders:
+    """The scale and topology decoders, called directly on a damaged
+    payload, raise their typed error naming the field."""
+
+    TOPOLOGY_WRONG = {
+        "n_parties": "3",
+        "colluders": [1.0],
+        "partition": ["uniform"],
+        "partition_params": [["alpha", 0.3]],
+        "faults": [["drop"]],
+    }
+    SCALE_WRONG = {
+        "name": 7,
+        "n_samples": 120.0,
+        "n_predictions": "40",
+        "n_trials": True,
+        "fractions": [0.4, "0.6"],
+        "lr_epochs": None,
+        "mlp_hidden": [8, 4.0],
+        "mlp_epochs": [2],
+        "rf_trees": {"n": 3},
+        "rf_depth": 2.5,
+        "dt_depth": "3",
+        "grna_hidden": "8",
+        "grna_epochs": False,
+        "grna_batch_size": 32.0,
+        "distiller_hidden": 16,
+        "distiller_dummy": [120],
+        "distiller_epochs": "2",
+    }
+
+    @staticmethod
+    def _topology_payload():
+        from repro.federation import TopologyConfig
+
+        return TopologyConfig(
+            n_parties=4, colluders=(1,), partition="dirichlet",
+            partition_params={"alpha": 0.3},
+            faults=(("straggler", {"party": 2, "delay": 0.001}),),
+        ).to_payload()
+
+    def test_topology_round_trips(self):
+        from repro.federation import TopologyConfig
+
+        payload = self._topology_payload()
+        assert TopologyConfig.from_payload(payload).to_payload() == payload
+
+    def test_every_topology_field_is_covered(self):
+        assert set(self.TOPOLOGY_WRONG) == set(self._topology_payload())
+
+    @pytest.mark.parametrize("field", list(TOPOLOGY_WRONG))
+    def test_topology_missing_field(self, field):
+        from repro.exceptions import ValidationError
+        from repro.federation import TopologyConfig
+
+        payload = self._topology_payload()
+        del payload[field]
+        with pytest.raises(ValidationError, match=f"missing field.*'{field}'"):
+            TopologyConfig.from_payload(payload)
+
+    @pytest.mark.parametrize("field", list(TOPOLOGY_WRONG))
+    def test_topology_wrong_type(self, field):
+        from repro.exceptions import ValidationError
+        from repro.federation import TopologyConfig
+
+        payload = {**self._topology_payload(), field: self.TOPOLOGY_WRONG[field]}
+        with pytest.raises(ValidationError, match=f"topology field '{field}' must be"):
+            TopologyConfig.from_payload(payload)
+
+    def test_topology_validate_refuses_an_unhashable_partition(self):
+        from repro.exceptions import ValidationError
+        from repro.federation import TopologyConfig
+
+        with pytest.raises(ValidationError, match="unknown partition strategy"):
+            TopologyConfig(partition=["uniform"]).validate()
+
+    def test_topology_payload_must_be_an_object(self):
+        from repro.exceptions import ValidationError
+        from repro.federation import TopologyConfig
+
+        with pytest.raises(ValidationError, match="must be a JSON object, got list"):
+            TopologyConfig.from_payload([4, [1]])
+
+    @staticmethod
+    def _scale_payload():
+        import dataclasses
+
+        return dataclasses.asdict(MICRO)
+
+    def test_scale_round_trips(self):
+        import json
+
+        from repro.api.scenario import _decode_scale
+
+        assert _decode_scale(json.loads(json.dumps(self._scale_payload()))) == MICRO
+        assert _decode_scale("smoke") == "smoke"
+
+    def test_every_scale_field_is_covered(self):
+        assert set(self.SCALE_WRONG) == set(self._scale_payload())
+
+    @pytest.mark.parametrize("field", list(SCALE_WRONG))
+    def test_scale_missing_field(self, field):
+        from repro.api.scenario import _decode_scale
+
+        payload = self._scale_payload()
+        del payload[field]
+        with pytest.raises(ScenarioError, match=f"missing field.*'{field}'"):
+            _decode_scale(payload)
+
+    @pytest.mark.parametrize("field", list(SCALE_WRONG))
+    def test_scale_wrong_type(self, field):
+        from repro.api.scenario import _decode_scale
+
+        payload = {**self._scale_payload(), field: self.SCALE_WRONG[field]}
+        with pytest.raises(ScenarioError, match=f"scale field '{field}' must be"):
+            _decode_scale(payload)
+
+    @pytest.mark.parametrize(
+        "damage, match",
+        [
+            (lambda p: [p], "preset name or a ScaleConfig object, got list"),
+            (lambda p: {**p, "extra": 1}, r"unknown field\(s\) \['extra'\]"),
+            (lambda p: {**p, "n_predictions": p["n_samples"] + 1}, "inconsistent.*exceeds"),
+            (lambda p: {**p, "fractions": [1.5]}, "inconsistent.*fractions"),
+        ],
+        ids=["list", "unknown-field", "too-many-predictions", "fraction-range"],
+    )
+    def test_scale_shape_and_consistency(self, damage, match):
+        from repro.api.scenario import _decode_scale
+
+        with pytest.raises(ScenarioError, match=match):
+            _decode_scale(damage(self._scale_payload()))
 
 
 class TestPackaging:

@@ -31,7 +31,12 @@ from repro.api.defenses import QueryAuditDefense
 from repro.config import ScaleConfig
 from repro.defenses import NoisyModel, RoundedModel
 from repro.exceptions import ProtocolError, ValidationError
-from repro.federated import FeaturePartition, VerticalFLModel, train_vertical_model
+from repro.federated import (
+    FeaturePartition,
+    VerticalFLModel,
+    build_parties,
+    train_vertical_model,
+)
 from repro.federated.party import ActiveParty, PassiveParty
 from repro.federation import FederationRuntime
 from repro.models.base import BaseClassifier
@@ -197,15 +202,93 @@ class TestDigestTable:
         assert len(results) == 8
         assert all(result == expected for result in results)
 
-    @pytest.mark.parametrize("kind", ["lr", "dt", "rf", "nn"])
-    def test_predict_matches_fresh_assembly(self, kind):
-        vfl = make_vfl(kind, n_parties=4)
+    # The four-party cases keep the ids they had before two parties
+    # were added.
+    @pytest.mark.parametrize(
+        ("kind", "n_parties"),
+        [
+            pytest.param(kind, n, id=kind if n == 4 else f"{kind}-{n}parties")
+            for n in (4, 2)
+            for kind in ("lr", "dt", "rf", "nn")
+        ],
+    )
+    def test_predict_matches_fresh_assembly(self, kind, n_parties):
+        """Everything read from the joint table equals a per-party
+        assembly through each party's checked API, to the byte."""
+        vfl = make_vfl(kind, n_parties=n_parties)
         ids = np.array([3, 0, 3, 79, 41])
         expected = vfl.model.predict_proba(reference_rows(vfl, ids))
         np.testing.assert_array_equal(vfl.predict(ids), expected)
         # The round calls the kernel unvalidated; it must still be the
         # validated entry point's answer to the byte.
         assert vfl.predict(ids).tobytes() == expected.tobytes()
+
+        all_ids = np.arange(vfl.n_samples)
+        joint = reference_rows(vfl, all_ids)
+        assert vfl.sample_hashes(ids) == [
+            hashlib.sha1(joint[i].tobytes()).hexdigest() for i in ids
+        ]
+        for colluders in [(), (1,)][: n_parties - 1]:
+            view = vfl.partition.adversary_view(colluders)
+            target = vfl.ground_truth_target(colluders)
+            assert target.tobytes() == joint[:, view.target_indices].tobytes()
+            # The coalition's own blocks, side by side, then ascending
+            # global column order.
+            coalition = sorted({0, *colluders})
+            stacked = np.hstack(
+                [vfl.parties[pid].local_features(all_ids) for pid in coalition]
+            )
+            order = np.argsort(
+                np.concatenate([vfl.parties[pid].feature_indices for pid in coalition])
+            )
+            own = vfl.adversary_features(colluders)
+            assert own.shape == (vfl.n_samples, view.adversary_indices.size)
+            assert own.tobytes() == stacked[:, order].tobytes()
+
+
+class TestJointTable:
+    """The deployment's one joint-row table: private, read-only, fixed."""
+
+    def _deployment(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(120, 9))
+        y = rng.integers(0, 2, size=120)
+        partition = FeaturePartition.random_split(9, [3, 2, 2, 2], rng=3)
+        model = make_model("lr", TINY, spawn_rngs(3, 1)[0]).fit(X, y)
+        return X, y, VerticalFLModel(model, partition, build_parties(X, y, partition))
+
+    def test_table_is_read_only(self):
+        _, _, vfl = self._deployment()
+        assert not vfl._joint.flags.writeable
+        with pytest.raises(ValueError):
+            vfl._joint[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            vfl._joint[:, 1] += 1.0
+        # What a round hands out is a copy the caller may write.
+        vfl._assemble(np.array([0, 1]))[0, 0] = 1.0
+        vfl.ground_truth_target()[0, 0] = 1.0
+        vfl.adversary_features()[0, 0] = 1.0
+        assert vfl._joint[0, 0] == reference_rows(vfl, [0])[0, 0]
+
+    def test_mutating_the_built_arrays_changes_nothing(self):
+        X, y, vfl = self._deployment()
+        ids = np.array([0, 5, 5, 119])
+        table = vfl._joint.copy()
+        served, hashes = vfl.predict(ids), vfl.sample_hashes(ids)
+        target, own = vfl.ground_truth_target(), vfl.adversary_features()
+        X += 1.0
+        X[:, 0] = np.nan
+        y[:] = 1 - y
+        np.testing.assert_array_equal(vfl._joint, table)
+        np.testing.assert_array_equal(vfl.predict(ids), served)
+        assert vfl.sample_hashes(ids) == hashes
+        np.testing.assert_array_equal(vfl.ground_truth_target(), target)
+        np.testing.assert_array_equal(vfl.adversary_features(), own)
+
+    def test_table_is_the_original_rows(self):
+        X, _, vfl = self._deployment()
+        assert vfl._joint.tobytes() == X.tobytes()
+        assert vfl._joint.flags.c_contiguous
 
 
 class TestOneAssemblyPerRound:
@@ -241,6 +324,32 @@ class TestOneAssemblyPerRound:
         # the only other assembly is the one digest-table build.
         assert len(assembled) <= len(rounds) + 1
         assert assembled.count(vfl.n_samples) >= 1
+
+    def test_threaded_four_party_replay_matches_serial(self):
+        """A threaded, cached, audited replay on a four-party deployment
+        has the serial replay's accounting, and the per-consumer part of
+        a one-shard serial replay."""
+        vfl = make_vfl(n_parties=4)
+        trace = make_trace(
+            40, 400, n_samples=vfl.n_samples, process="bursty", seed=6
+        ).merge(attacker_trace("needle", np.arange(24), repeats=5, batch_size=8, seed=7))
+
+        def replay(n_shards, mode):
+            return ShardedPredictionService(
+                vfl,
+                n_shards=n_shards,
+                defense_specs=("query_audit",),
+                max_batch=32,
+                cache=True,
+                cache_size=64,
+                seed=2,
+            ).replay(trace, mode=mode)
+
+        threaded = replay(2, "threads")
+        assert threaded.ledger["cache_hits"] > 0
+        assert threaded.ledger["queries_used"] + threaded.ledger["cache_hits"] == trace.n_queries
+        assert threaded.accounting() == replay(2, "serial").accounting()
+        assert threaded.consumer_accounting() == replay(1, "serial").consumer_accounting()
 
     def test_audit_without_cache_hashes_without_assembling(self, monkeypatch):
         vfl = make_vfl()
