@@ -13,6 +13,8 @@ The acceptance bar of the traffic-simulation PR, as tests:
 - the merged report ranks the accumulating attacker top-1.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -261,6 +263,36 @@ class TestShardedReplay:
         trace = small_trace(vfl)
         report = ShardedPredictionService(vfl, n_shards=4, seed=5).replay(trace)
         assert len(report.ledger["counts"]) == trace.n_consumers
+
+    def test_threaded_replay_serves_shard_zero_on_the_calling_thread(
+        self, monkeypatch
+    ):
+        """The caller serves shard 0 and pool workers the other shards;
+        a worker's failure still surfaces from ``replay``."""
+        vfl = make_vfl("lr")
+        trace = small_trace(vfl)
+        service = ShardedPredictionService(vfl, n_shards=3, seed=5)
+        replay_shard = service._replay_shard
+        threads: dict[int, int] = {}
+
+        def record(trace, shard, events, **kwargs):
+            threads[shard] = threading.get_ident()
+            return replay_shard(trace, shard, events, **kwargs)
+
+        monkeypatch.setattr(service, "_replay_shard", record)
+        service.replay(trace, mode="threads")
+        assert threads[0] == threading.get_ident()
+        assert threading.get_ident() not in (threads[1], threads[2])
+
+        def fail_on_shard_two(trace, shard, events, **kwargs):
+            if shard == 2:
+                raise RuntimeError("shard 2 failed")
+            return replay_shard(trace, shard, events, **kwargs)
+
+        monkeypatch.setattr(service, "_replay_shard", fail_on_shard_two)
+        with pytest.raises(RuntimeError, match="shard 2 failed"):
+            service.replay(trace, mode="threads")
+        assert vfl.log_predictions  # restored after the failed replay
 
     def test_consumer_budgets_refuse_and_refund(self):
         vfl = make_vfl("lr")
