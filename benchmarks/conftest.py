@@ -4,16 +4,23 @@ Each benchmark module regenerates one table or figure of the paper at the
 ``smoke`` scale (seconds per experiment) and prints the resulting series so
 a run of ``pytest benchmarks/ --benchmark-only`` doubles as a compact
 reproduction report. Set ``REPRO_BENCH_SCALE=default`` (or ``full``) in the
-environment to regenerate at larger scales.
+environment to regenerate at larger scales. At the ``smoke`` scale each
+result must also equal its pinned table under
+``tests/fixtures/pinned_experiments`` (see ``tests/pinned_tables.py``).
 """
 
 from __future__ import annotations
 
 import os
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.config import PRESETS
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
+from pinned_tables import assert_pinned  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -30,4 +37,7 @@ def run_and_report(benchmark, runner, *args, **kwargs):
     )
     print()
     print(result.to_text())
+    # Table II carries no scale: its statistics are the same at every one.
+    if result.meta.get("scale", "smoke") == "smoke":
+        assert_pinned(result, **kwargs)
     return result
