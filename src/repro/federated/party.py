@@ -89,7 +89,11 @@ class PassiveParty(Party):
 
 
 class ActiveParty(Party):
-    """The label-owning party that initiates training and predictions."""
+    """The label-owning party that initiates training and predictions.
+
+    Like the feature block, the labels are kept as a private read-only
+    copy: changing the caller's array afterwards changes no label.
+    """
 
     def __init__(
         self,
@@ -104,7 +108,8 @@ class ActiveParty(Party):
             raise ValidationError(
                 f"labels length {labels.shape[0]} != n_samples {self.n_samples}"
             )
-        self._labels = labels
+        self._labels = labels.copy()
+        self._labels.flags.writeable = False
 
     def local_labels(self, sample_indices: np.ndarray) -> np.ndarray:
         """Ground-truth labels for the requested samples."""

@@ -31,6 +31,14 @@ class TestParties:
         party = ActiveParty(0, np.array([0, 1]), np.ones((4, 2)), np.array([0, 1, 0, 1]))
         np.testing.assert_array_equal(party.local_labels(np.array([1, 3])), [1, 1])
 
+    def test_active_party_labels_do_not_alias_the_caller(self):
+        y = np.array([0, 1, 0, 1], dtype=np.int64)
+        party = ActiveParty(0, np.array([0, 1]), np.ones((4, 2)), y)
+        y[0] = 5
+        assert party.local_labels([0])[0] == 0
+        with pytest.raises(ValueError):
+            party._labels[0] = 5
+
     def test_passive_party_has_no_labels(self):
         party = PassiveParty(1, np.array([0]), np.ones((3, 1)))
         assert not hasattr(party, "local_labels")
