@@ -12,12 +12,13 @@ a direct value, or through ``functools.partial``) must provide the
 protocol root itself (whose stubs just raise), plus a ``name`` (class
 attribute or ``self.name`` assignment).
 
-**Experiments** — every ``ExperimentSpec(...)`` construction must wire
-module-level functions (the batch engine pickles them into worker
-processes), its ``trial_units`` function must actually consume its
-``ScaleConfig`` parameter — an experiment that ignores scale cannot
-offer the ``--smoke`` tier every entry owes the CI — and experiment ids
-must be unique (``register_experiment`` replaces silently).
+**Experiments** — experiment ids must be unique across every
+``ExperimentSpec(...)`` declaration (``register_experiment`` replaces
+silently), and a declaration's grid must follow its ``ScaleConfig``: a
+literal ``trials=N`` above one repeats every cell N times at every
+scale, so the experiment cannot offer the ``--smoke`` tier every entry
+owes the CI. Cells may be any callable: a pool worker receives only the
+experiment id and looks the declaration up itself.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ class RegistryCompletenessRule(LintRule):
     rule_id = "registry-completeness"
     summary = (
         "registered attacks must carry the ScenarioAttack surface; "
-        "ExperimentSpec entries must wire scale-aware module-level functions"
+        "ExperimentSpec declarations need unique ids and scale-following trials"
     )
     scope = "project"
 
@@ -120,17 +121,13 @@ class RegistryCompletenessRule(LintRule):
         self, sources: "list[SourceFile]", config
     ) -> "Iterator[Finding]":
         class_index: dict[str, tuple[ast.ClassDef, SourceFile]] = {}
-        functions: dict[tuple[str, str], ast.FunctionDef] = {}
         for src in sources:
             for node in ast.walk(src.tree):
                 if isinstance(node, ast.ClassDef) and node.name not in class_index:
                     class_index[node.name] = (node, src)
-            for stmt in src.tree.body:
-                if isinstance(stmt, ast.FunctionDef):
-                    functions[(src.relpath, stmt.name)] = stmt
 
         yield from self._check_attacks(sources, class_index, config)
-        yield from self._check_experiments(sources, functions)
+        yield from self._check_experiments(sources)
 
     def _check_attacks(self, sources, class_index, config) -> "Iterator[Finding]":
         registered: list[tuple[str, ast.AST, SourceFile]] = []
@@ -185,9 +182,8 @@ class RegistryCompletenessRule(LintRule):
                     "reports and ledgers identify attacks by name",
                 )
 
-    def _check_experiments(self, sources, functions) -> "Iterator[Finding]":
+    def _check_experiments(self, sources) -> "Iterator[Finding]":
         seen_ids: dict[str, str] = {}
-        component_names = ("trial_units", "run_unit", "aggregate")
         for src in sources:
             for node in ast.walk(src.tree):
                 if not isinstance(node, ast.Call):
@@ -214,67 +210,18 @@ class RegistryCompletenessRule(LintRule):
                     )
                 else:
                     seen_ids[experiment_id] = src.relpath
-                for position, component in enumerate(component_names, start=1):
-                    if position >= len(node.args):
-                        continue
-                    arg = node.args[position]
-                    if not isinstance(arg, ast.Name):
-                        yield Finding(
-                            src.relpath,
-                            arg.lineno,
-                            arg.col_offset,
-                            self.rule_id,
-                            f"{experiment_id}: {component} must be a reference "
-                            "to a module-level function — the batch engine "
-                            "pickles it into worker processes",
-                        )
-                        continue
-                    fn = functions.get((src.relpath, arg.id))
-                    if fn is None:
-                        yield Finding(
-                            src.relpath,
-                            arg.lineno,
-                            arg.col_offset,
-                            self.rule_id,
-                            f"{experiment_id}: {component} {arg.id!r} is not a "
-                            "module-level function in this module (pickling "
-                            "into workers requires one)",
-                        )
-                        continue
-                    if component == "trial_units":
-                        yield from self._check_trial_units(
-                            src, experiment_id, fn
-                        )
-
-    def _check_trial_units(
-        self, src: SourceFile, experiment_id: str, fn: ast.FunctionDef
-    ) -> "Iterator[Finding]":
-        params = [a.arg for a in fn.args.posonlyargs + fn.args.args]
-        if not params:
-            yield Finding(
-                src.relpath,
-                fn.lineno,
-                fn.col_offset,
-                self.rule_id,
-                f"{experiment_id}: trial_units takes no ScaleConfig "
-                "parameter, so the experiment cannot offer the --smoke tier",
-            )
-            return
-        scale_param = params[0]
-        used = any(
-            isinstance(sub, ast.Name)
-            and sub.id == scale_param
-            and isinstance(sub.ctx, ast.Load)
-            for stmt in fn.body
-            for sub in ast.walk(stmt)
-        )
-        if not used:
-            yield Finding(
-                src.relpath,
-                fn.lineno,
-                fn.col_offset,
-                self.rule_id,
-                f"{experiment_id}: trial_units ignores its "
-                f"{scale_param!r} parameter — an experiment that does not "
-                "consume its ScaleConfig cannot scale down to --smoke",
-            )
+                trials = next((k.value for k in node.keywords if k.arg == "trials"), None)
+                if (
+                    isinstance(trials, ast.Constant)
+                    and isinstance(trials.value, int)
+                    and trials.value > 1
+                ):
+                    yield Finding(
+                        src.relpath,
+                        trials.lineno,
+                        trials.col_offset,
+                        self.rule_id,
+                        f"{experiment_id}: trials={trials.value} repeats every "
+                        "cell at every scale; leave trials to "
+                        "ScaleConfig.n_trials so the grid scales down to --smoke",
+                    )

@@ -1,14 +1,19 @@
 """Experiment harness regenerating every table and figure of the paper.
 
-Two ways to run an experiment:
+Each experiment is one declaration, an
+:class:`~repro.experiments.spec.ExperimentSpec`: its grid axes, the
+cell function naming the scenario(s) a unit runs, its columns with
+their reductions, and its title. One generic runner, the spec's own
+``trial_units``/``aggregate`` around the batch engine's loop, reads
+them all. Two ways to run one:
 
-**Classic serial call** — each ``figN``/``tableN`` function runs its trial
-units in-process and returns an
-:class:`~repro.experiments.reporting.ExperimentResult`::
+**Call the declaration** — it runs its trial units serially in-process
+and returns an :class:`~repro.experiments.reporting.ExperimentResult`;
+keyword overrides replace a grid axis or the master seed::
 
     from repro.experiments import fig5_esa
 
-    result = fig5_esa("smoke")
+    result = fig5_esa("smoke", datasets=("bank",), seed=1)
     print(result.to_text())
 
 **Batch engine** — :func:`~repro.experiments.batch.run_batch` fans the
@@ -51,6 +56,9 @@ from repro.experiments.spec import (
     get_experiment_spec,
 )
 from repro.experiments.store import ResultsStore, RunSummary
+# Import order is the registry's order: the tables, the figures, the two
+# serving-layer experiments.
+from repro.experiments.tables import table2_datasets, table3_ablation
 from repro.experiments.figures import (
     fig5_esa,
     fig6_pra,
@@ -60,7 +68,8 @@ from repro.experiments.figures import (
     fig10_correlations,
     fig11_defenses,
 )
-from repro.experiments.tables import table2_datasets, table3_ablation
+from repro.experiments import traffic
+from repro.experiments import fault_storm
 from repro.experiments.batch import run_batch, run_batch_experiments
 from repro.experiments.runner import EXPERIMENTS, run_experiment
 

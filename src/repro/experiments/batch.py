@@ -28,9 +28,9 @@ from repro.exceptions import ValidationError
 from repro.config import ScaleConfig, get_scale
 from repro.experiments.reporting import ExperimentResult
 from repro.experiments.spec import (
+    ExperimentSpec,
     TrialSpec,
     config_hash,
-    ensure_unique_unit_ids,
     get_experiment_spec,
 )
 from repro.experiments.store import ResultsStore, RunSummary
@@ -39,17 +39,22 @@ from repro.telemetry import NULL_TRACER
 ProgressFn = Callable[[str], None]
 
 
+def _timed_run(experiment, spec: TrialSpec, scale: ScaleConfig) -> tuple[dict, float]:
+    start = time.perf_counter()
+    payload = experiment.run_unit(spec, scale)
+    return payload, time.perf_counter() - start
+
+
 def _execute_unit(
     experiment_id: str, spec: TrialSpec, scale: ScaleConfig
 ) -> tuple[dict, float]:
     """Worker entry point: run one unit, return (payload, elapsed seconds).
 
-    Module-level so it pickles into pool workers; experiment lookup happens
-    inside the worker, importing the runner modules on demand.
+    Module-level so it pickles into pool workers; the experiment is
+    looked up by id inside the worker, importing its declaration on
+    demand.
     """
-    start = time.perf_counter()
-    payload = get_experiment_spec(experiment_id).run_unit(spec, scale)
-    return payload, time.perf_counter() - start
+    return _timed_run(get_experiment_spec(experiment_id), spec, scale)
 
 
 def run_batch(
@@ -91,8 +96,8 @@ def run_batch(
         follows pool completion, so it sits outside the determinism
         contract the serving/federation spans honor.
 
-    Experiments that declare ``shard_unit``/``merge_shards`` (see
-    :class:`~repro.experiments.spec.ExperimentSpec`) are cached at
+    Experiments that declare a ``shard`` axis (see
+    :class:`~repro.experiments.spec.ExperimentSpec`) run and are cached at
     *shard* granularity: a unit missing from the store is expanded into
     its shards, every already-stored shard is served from cache, only
     the missing shards execute, and the merged unit payload is persisted
@@ -100,14 +105,39 @@ def run_batch(
     hit/miss split, so an interrupted-and-resumed batch shows exactly
     which work was redone (none, when every shard landed).
     """
+    experiment = get_experiment_spec(experiment_id)
+    scale = get_scale(scale)
+    units = experiment.trial_units(scale)
+    results = execute_units(
+        experiment,
+        scale,
+        units,
+        jobs=jobs,
+        store=store,
+        force=force,
+        on_progress=on_progress,
+        tracer=tracer,
+    )
+    return experiment.aggregate(scale, units, results)
+
+
+def execute_units(
+    experiment: ExperimentSpec,
+    scale: ScaleConfig,
+    units: "list[TrialSpec]",
+    *,
+    jobs: int = 1,
+    store: "ResultsStore | str | None" = None,
+    force: bool = False,
+    on_progress: "ProgressFn | None" = None,
+    tracer=None,
+) -> "dict[str, dict]":
+    """The one loop: every unit's payload by unit id (see :func:`run_batch`)."""
     if jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
     if isinstance(store, (str, Path)):
         store = ResultsStore(store)
-    experiment = get_experiment_spec(experiment_id)
-    scale = get_scale(scale)
-    units = ensure_unique_unit_ids(experiment.trial_units(scale))
-
+    experiment_id = experiment.experiment_id
     tracer = tracer or NULL_TRACER
 
     def trace_unit(unit_id: str, status: str) -> None:
@@ -137,10 +167,9 @@ def run_batch(
             results[unit.unit_id] = payload
             unit_hits += 1
             trace_unit(unit.unit_id, "hit")
-        elif experiment.shard_unit is None:
+        elif not (shards := experiment.shard_unit(unit, scale)):
             pending.append((unit, digest))
         else:
-            shards = ensure_unique_unit_ids(experiment.shard_unit(unit, scale))
             to_merge.append((unit, digest, shards))
             for shard in shards:
                 shard_digest = config_hash(scale, shard)
@@ -186,7 +215,7 @@ def run_batch(
     if jobs == 1 or len(pending) <= 1:
         for unit, digest in pending:
             trace_unit(unit.unit_id, "start")
-            payload, elapsed = _execute_unit(experiment_id, unit, scale)
+            payload, elapsed = _timed_run(experiment, unit, scale)
             record(unit, digest, payload, elapsed)
     else:
         with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
@@ -210,7 +239,7 @@ def run_batch(
             sum(elapsed_by_id.get(shard.unit_id, 0.0) for shard in shards),
         )
 
-    return experiment.aggregate(scale, units, results)
+    return results
 
 
 def run_batch_experiments(

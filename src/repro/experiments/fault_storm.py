@@ -25,25 +25,20 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api import ScenarioConfig, run_scenario
-from repro.config import ScaleConfig, get_scale
+from repro.config import ScaleConfig
 from repro.exceptions import PartyUnavailableError
-from repro.experiments.figures import _run_serial
-from repro.experiments.reporting import ExperimentResult
 from repro.experiments.spec import (
+    Axis,
     ExperimentSpec,
     TrialSpec,
     derive_trial_seeds,
-    group_payloads as _group_by,
+    param,
+    reduce,
     register_experiment,
 )
 from repro.federation import TopologyConfig
 
-__all__ = [
-    "fault_storm_units",
-    "fault_storm_run_unit",
-    "fault_storm_aggregate",
-    "fault_storm_sweep",
-]
+__all__ = ["fault_storm_run_unit", "fault_storm_sweep"]
 
 #: Per-attempt failure probability of each passive party.
 STORM_RATES = (0.0, 0.15, 0.3)
@@ -63,38 +58,11 @@ N_PARTIES = 3
 STORM_BATCH = 16
 
 
-def fault_storm_units(
-    scale: "str | ScaleConfig",
-    *,
-    rates: tuple = STORM_RATES,
-    retries: tuple = STORM_RETRIES,
-    quorums: tuple = STORM_QUORUMS,
-    seed: int = 29,
-) -> list[TrialSpec]:
-    """One unit per (fault rate, retry budget, quorum, trial) cell."""
-    scale = get_scale(scale)
-    trial_seeds = derive_trial_seeds(seed, scale.n_trials)
-    return [
-        TrialSpec.make(
-            "fault_storm",
-            f"r{round(rate * 100)}:a{budget}:q{round(quorum * 100)}:t{t}",
-            trial_seed,
-            rate=rate,
-            retries=budget,
-            quorum=quorum,
-        )
-        for rate in rates
-        for budget in retries
-        for quorum in quorums
-        for t, trial_seed in enumerate(trial_seeds)
-    ]
-
-
-def fault_storm_run_unit(spec: TrialSpec, scale: ScaleConfig) -> dict:
+def fault_storm_run_unit(unit: TrialSpec, scale: ScaleConfig) -> dict:
     """Run one storm cell end to end; report survival, MSE, and the bill."""
-    params = spec.kwargs
+    params = unit.kwargs
     rate = float(params["rate"])
-    fault_seeds = derive_trial_seeds(spec.seed, N_PARTIES - 1)
+    fault_seeds = derive_trial_seeds(unit.seed, N_PARTIES - 1)
     faults = tuple(
         ("flaky", {"party": party, "p": rate, "seed": fault_seeds[party - 1]})
         for party in range(1, N_PARTIES)
@@ -105,7 +73,7 @@ def fault_storm_run_unit(spec: TrialSpec, scale: ScaleConfig) -> dict:
         model=STORM_MODEL,
         attack=STORM_ATTACK,
         scale=scale,
-        seed=spec.seed,
+        seed=unit.seed,
         topology=TopologyConfig(n_parties=N_PARTIES, faults=faults),
         batch_size=STORM_BATCH,
         retry=int(params["retries"]),
@@ -131,87 +99,42 @@ def fault_storm_run_unit(spec: TrialSpec, scale: ScaleConfig) -> dict:
     }
 
 
-def fault_storm_aggregate(
-    scale: "str | ScaleConfig",
-    units: list[TrialSpec],
-    results: dict[str, dict],
-    *,
-    seed: int = 29,
-) -> ExperimentResult:
-    """Fold trials into the per-(rate, retries, quorum) resilience table."""
-    scale = get_scale(scale)
-    rows = []
-    for (rate, budget, quorum), payloads in _group_by(
-        units, results, "rate", "retries", "quorum"
-    ).items():
+def _survivors(value, how=np.mean, cast=float, empty=float("nan")):
+    """A column over the trials whose scenario survived the storm."""
+
+    def column(params: dict, payloads: list[dict]):
         survived = [p for p in payloads if not p["failed"]]
-        rows.append(
-            (
-                float(rate),
-                int(budget),
-                round(float(quorum), 4),
-                float(np.mean([p["failed"] for p in payloads])),
-                (
-                    float(np.mean([p["mse"] for p in survived]))
-                    if survived
-                    else float("nan")
-                ),
-                (
-                    float(np.mean([p["bytes"] for p in survived]))
-                    if survived
-                    else float("nan")
-                ),
-                int(sum(p["retries"] for p in survived)),
-                int(sum(p["timeouts"] for p in survived)),
-                (
-                    float(
-                        np.mean(
-                            [p["rounds_degraded"] / p["rounds_total"] for p in survived]
-                        )
-                    )
-                    if survived
-                    else float("nan")
-                ),
-            )
-        )
-    return ExperimentResult(
-        experiment_id="fault_storm",
+        return cast(how([value(p) for p in survived])) if survived else empty
+
+    return column
+
+
+fault_storm_sweep = register_experiment(
+    ExperimentSpec(
+        "fault_storm",
         title=f"Fault storm: {STORM_ATTACK} on {STORM_MODEL}/{STORM_DATASET} "
         f"({N_PARTIES} parties) vs fault rate × retry budget × quorum",
-        columns=[
-            "fault_rate",
-            "retry_budget",
-            "quorum",
-            "failure_rate",
-            "mse",
-            "comm_bytes",
-            "retries",
-            "timeouts",
-            "degraded_fraction",
-        ],
-        rows=rows,
-        meta={"scale": scale.name, "trials": scale.n_trials, "seed": seed},
-    )
-
-
-def fault_storm_sweep(
-    scale: "str | ScaleConfig" = "default",
-    *,
-    rates: tuple = STORM_RATES,
-    retries: tuple = STORM_RETRIES,
-    quorums: tuple = STORM_QUORUMS,
-    seed: int = 29,
-) -> ExperimentResult:
-    """Attack MSE and comm cost across the storm grid."""
-    scale = get_scale(scale)
-    units = fault_storm_units(
-        scale, rates=rates, retries=retries, quorums=quorums, seed=seed
-    )
-    return _run_serial(units, fault_storm_run_unit, fault_storm_aggregate, scale, seed=seed)
-
-
-register_experiment(
-    ExperimentSpec(
-        "fault_storm", fault_storm_units, fault_storm_run_unit, fault_storm_aggregate
+        grid=(
+            Axis("rate", STORM_RATES, "rates"),
+            Axis("retries", STORM_RETRIES, "retries"),
+            Axis("quorum", STORM_QUORUMS, "quorums"),
+        ),
+        unit_id="r{rate:pct}:a{retries}:q{quorum:pct}:t{trial}",
+        run_unit=fault_storm_run_unit,
+        columns=(
+            ("fault_rate", param("rate", float)),
+            ("retry_budget", param("retries", int)),
+            ("quorum", param("quorum", lambda quorum: round(float(quorum), 4))),
+            ("failure_rate", reduce("failed")),
+            ("mse", _survivors(lambda p: p["mse"])),
+            ("comm_bytes", _survivors(lambda p: p["bytes"])),
+            ("retries", _survivors(lambda p: p["retries"], sum, int, 0)),
+            ("timeouts", _survivors(lambda p: p["timeouts"], sum, int, 0)),
+            (
+                "degraded_fraction",
+                _survivors(lambda p: p["rounds_degraded"] / p["rounds_total"]),
+            ),
+        ),
+        seed=29,
     )
 )

@@ -1,22 +1,18 @@
-"""Runners regenerating every figure of the paper's evaluation (§VI).
+"""The paper's figures (§VI) and two serving-layer sweeps, as declarations.
 
-Each ``figN`` function returns an :class:`ExperimentResult` whose rows are
-the series plotted in the corresponding figure. Absolute values depend on
-the synthetic stand-in datasets (see DESIGN.md); the claims under
-reproduction are the *shapes*: who beats whom, monotonicity in d_target,
-and where the exactness threshold falls.
+Each experiment is one :class:`~repro.experiments.spec.ExperimentSpec`:
+its grid, its unit-id template, one cell function naming the
+:class:`~repro.api.ScenarioConfig` (or two) a unit runs and the report
+metrics it keeps, its columns with their reductions (a mean over trials
+unless stated), and its title. The spec's generic methods expand, run
+and aggregate it; calling a spec (``fig5_esa("smoke")``) runs it
+serially, and ``run_batch`` runs the same units in parallel and
+resumably. Absolute values depend on the synthetic stand-in datasets
+(see DESIGN.md); the claims under reproduction are the *shapes*: who
+beats whom, monotonicity in d_target, and where the exactness threshold
+falls.
 
-Every figure is decomposed into independent trial units (see
-:mod:`repro.experiments.spec`): ``figN_units`` enumerates the
-``(dataset, fraction, trial)`` grid, ``figN_run_unit`` executes one cell,
-and ``figN_aggregate`` folds payloads back into the paper's table. The
-public ``figN`` entry points run the same units serially, so classic
-calls, ``run_batch(..., jobs=N)``, and store-resumed runs all produce
-identical tables.
-
-Since the scenario-API refactor every ``figN_run_unit`` is a thin
-declaration over :func:`repro.api.run_scenario` — one
-:class:`~repro.api.ScenarioConfig` per grid cell. The facade's seed
+The cells run through :func:`repro.api.run_scenario`, whose seed
 schedule replicates the historical runners, so the tables are
 bit-identical to the pre-refactor implementation (regression-tested in
 ``tests/test_api_equivalence.py``).
@@ -27,87 +23,46 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api import DefenseStack, ScenarioConfig, build_scenario, run_scenario
-from repro.config import ScaleConfig, get_scale
-from repro.experiments.reporting import ExperimentResult
+from repro.config import ScaleConfig
 from repro.experiments.spec import (
+    FRACTIONS,
+    Axis,
     ExperimentSpec,
     TrialSpec,
-    derive_trial_seeds,
-    ensure_unique_unit_ids,
-    group_payloads as _group_by,
+    param,
+    pct,
+    reduce,
     register_experiment,
 )
 from repro.metrics import correlation_report, feature_wise_mse
 
 REAL_DATASETS = ("bank", "credit", "drive", "news")
 
-#: Fig. 10 panels: (dataset, model kind, d_target fraction), as in the paper.
-FIG10_PANELS = (("bank", "lr", 0.4), ("credit", "rf", 0.3))
-
-#: Fig. 11 rounding levels: (row label, decimal digits kept; None = undefended).
-ROUNDING_LEVELS = (("round_0.1", 1), ("round_0.001", 3), ("no_round", None))
-
-#: Fig. 11 dropout levels for the NN panels: (row label, dropout probability).
-DROPOUT_LEVELS = (("dropout", 0.25), ("no_dropout", 0.0))
+#: The leading columns of every d_target series.
+DATASET = ("dataset", param("dataset"))
+DTARGET = ("dtarget_pct", param("fraction", pct))
 
 
-def _pct(fraction: float) -> int:
-    return int(round(fraction * 100))
+def _datasets(default: tuple[str, ...]) -> Axis:
+    return Axis("dataset", default, "datasets")
 
 
-def _run_serial(
-    units: list[TrialSpec],
-    run_unit,
-    aggregate,
-    scale: ScaleConfig,
-    **aggregate_kwargs,
-) -> ExperimentResult:
-    """Execute units in-process and aggregate — the classic serial path."""
-    ensure_unique_unit_ids(units)
-    results = {unit.unit_id: run_unit(unit, scale) for unit in units}
-    return aggregate(scale, units, results, **aggregate_kwargs)
+def _scenario(unit: TrialSpec, scale: ScaleConfig, **knobs):
+    """Run one scenario on the unit's dataset, d_target fraction and seed."""
+    params = unit.kwargs
+    if "fraction" in params:
+        knobs.setdefault("target_fraction", params["fraction"])
+    return run_scenario(
+        ScenarioConfig(dataset=params["dataset"], scale=scale, seed=unit.seed, **knobs)
+    )
 
 
 # ----------------------------------------------------------------------
 # Fig. 5 — Equality Solving Attack, MSE per feature vs d_target
 # ----------------------------------------------------------------------
-def fig5_units(
-    scale: "str | ScaleConfig",
-    *,
-    datasets: tuple[str, ...] = REAL_DATASETS,
-    seed: int = 5,
-) -> list[TrialSpec]:
-    """One unit per (dataset, fraction, trial) cell of Fig. 5."""
-    scale = get_scale(scale)
-    trial_seeds = derive_trial_seeds(seed, scale.n_trials)
-    return [
-        TrialSpec.make(
-            "fig5",
-            f"{dataset}:{_pct(fraction)}:t{t}",
-            trial_seed,
-            dataset=dataset,
-            fraction=fraction,
-        )
-        for dataset in datasets
-        for fraction in scale.fractions
-        for t, trial_seed in enumerate(trial_seeds)
-    ]
-
-
-def fig5_run_unit(spec: TrialSpec, scale: ScaleConfig) -> dict:
+def fig5_run_unit(unit: TrialSpec, scale: ScaleConfig) -> dict:
     """ESA + random-guess baselines on one scenario."""
-    params = spec.kwargs
-    report = run_scenario(
-        ScenarioConfig(
-            dataset=params["dataset"],
-            model="lr",
-            attack="esa",
-            target_fraction=params["fraction"],
-            scale=scale,
-            seed=spec.seed,
-            baselines=("uniform", "gaussian"),
-        )
-    )
+    report = _scenario(unit, scale, model="lr", attack="esa", baselines=("uniform", "gaussian"))
     return {
         "esa_mse": report.metrics["mse"],
         "rg_uniform_mse": report.metrics["rg_uniform_mse"],
@@ -116,90 +71,33 @@ def fig5_run_unit(spec: TrialSpec, scale: ScaleConfig) -> dict:
     }
 
 
-def fig5_aggregate(
-    scale: "str | ScaleConfig",
-    units: list[TrialSpec],
-    results: dict[str, dict],
-    *,
-    seed: int = 5,
-) -> ExperimentResult:
-    """Average trials into the Fig. 5 series."""
-    scale = get_scale(scale)
-    rows = []
-    for (dataset, fraction), payloads in _group_by(
-        units, results, "dataset", "fraction"
-    ).items():
-        rows.append(
-            (
-                dataset,
-                _pct(fraction),
-                float(np.mean([p["esa_mse"] for p in payloads])),
-                float(np.mean([p["rg_uniform_mse"] for p in payloads])),
-                float(np.mean([p["rg_gaussian_mse"] for p in payloads])),
-                all(p["exact"] for p in payloads),
-            )
-        )
-    return ExperimentResult(
-        experiment_id="fig5",
+fig5_esa = register_experiment(
+    ExperimentSpec(
+        "fig5",
         title="ESA: MSE per feature vs d_target fraction",
-        columns=["dataset", "dtarget_pct", "esa_mse", "rg_uniform_mse", "rg_gaussian_mse", "exact"],
-        rows=rows,
-        meta={"scale": scale.name, "trials": scale.n_trials, "seed": seed},
+        grid=(_datasets(REAL_DATASETS), FRACTIONS),
+        unit_id="{dataset}:{fraction:pct}:t{trial}",
+        run_unit=fig5_run_unit,
+        columns=(
+            DATASET,
+            DTARGET,
+            "esa_mse",
+            "rg_uniform_mse",
+            "rg_gaussian_mse",
+            ("exact", reduce("exact", all, bool)),
+        ),
+        seed=5,
     )
-
-
-def fig5_esa(
-    scale: "str | ScaleConfig" = "default",
-    *,
-    datasets: tuple[str, ...] = REAL_DATASETS,
-    seed: int = 5,
-) -> ExperimentResult:
-    """ESA vs random guess across d_target fractions (Fig. 5 series)."""
-    scale = get_scale(scale)
-    units = fig5_units(scale, datasets=datasets, seed=seed)
-    return _run_serial(units, fig5_run_unit, fig5_aggregate, scale, seed=seed)
+)
+fig5_units = fig5_esa.trial_units
 
 
 # ----------------------------------------------------------------------
 # Fig. 6 — Path Restriction Attack, CBR vs d_target
 # ----------------------------------------------------------------------
-def fig6_units(
-    scale: "str | ScaleConfig",
-    *,
-    datasets: tuple[str, ...] = REAL_DATASETS,
-    seed: int = 6,
-) -> list[TrialSpec]:
-    """One unit per (dataset, fraction, trial) cell of Fig. 6."""
-    scale = get_scale(scale)
-    trial_seeds = derive_trial_seeds(seed, scale.n_trials)
-    return [
-        TrialSpec.make(
-            "fig6",
-            f"{dataset}:{_pct(fraction)}:t{t}",
-            trial_seed,
-            dataset=dataset,
-            fraction=fraction,
-        )
-        for dataset in datasets
-        for fraction in scale.fractions
-        for t, trial_seed in enumerate(trial_seeds)
-    ]
-
-
-def fig6_run_unit(spec: TrialSpec, scale: ScaleConfig) -> dict:
+def fig6_run_unit(unit: TrialSpec, scale: ScaleConfig) -> dict:
     """PRA + random-path baseline over every accumulated prediction."""
-    params = spec.kwargs
-    report = run_scenario(
-        ScenarioConfig(
-            dataset=params["dataset"],
-            model="dt",
-            attack="pra",
-            target_fraction=params["fraction"],
-            scale=scale,
-            seed=spec.seed,
-            baselines=("path",),
-        )
-    )
+    report = _scenario(unit, scale, model="dt", attack="pra", baselines=("path",))
     return {
         "pra_cbr": report.metrics["pra_cbr"],
         "rg_cbr": report.metrics["rg_path_cbr"],
@@ -207,101 +105,53 @@ def fig6_run_unit(spec: TrialSpec, scale: ScaleConfig) -> dict:
     }
 
 
-def fig6_aggregate(
-    scale: "str | ScaleConfig",
-    units: list[TrialSpec],
-    results: dict[str, dict],
-    *,
-    seed: int = 6,
-) -> ExperimentResult:
-    """Average trials into the Fig. 6 series."""
-    scale = get_scale(scale)
-    rows = []
-    for (dataset, fraction), payloads in _group_by(
-        units, results, "dataset", "fraction"
-    ).items():
-        restricted = [value for p in payloads for value in p["restricted"]]
-        rows.append(
-            (
-                dataset,
-                _pct(fraction),
-                float(np.nanmean([p["pra_cbr"] for p in payloads])),
-                float(np.nanmean([p["rg_cbr"] for p in payloads])),
-                float(np.mean(restricted)),
-            )
-        )
-    return ExperimentResult(
-        experiment_id="fig6",
+fig6_pra = register_experiment(
+    ExperimentSpec(
+        "fig6",
         title="PRA: correct branching rate vs d_target fraction",
-        columns=["dataset", "dtarget_pct", "pra_cbr", "rg_cbr", "restricted_fraction"],
-        rows=rows,
-        meta={"scale": scale.name, "trials": scale.n_trials, "seed": seed},
+        grid=(_datasets(REAL_DATASETS), FRACTIONS),
+        unit_id="{dataset}:{fraction:pct}:t{trial}",
+        run_unit=fig6_run_unit,
+        columns=(
+            DATASET,
+            DTARGET,
+            ("pra_cbr", reduce("pra_cbr", np.nanmean)),
+            ("rg_cbr", reduce("rg_cbr", np.nanmean)),
+            # The mean over every trial's restricted fractions, pooled.
+            (
+                "restricted_fraction",
+                lambda params, payloads: float(
+                    np.mean([value for p in payloads for value in p["restricted"]])
+                ),
+            ),
+        ),
+        seed=6,
     )
-
-
-def fig6_pra(
-    scale: "str | ScaleConfig" = "default",
-    *,
-    datasets: tuple[str, ...] = REAL_DATASETS,
-    seed: int = 6,
-) -> ExperimentResult:
-    """PRA vs random-path guess across d_target fractions (Fig. 6 series)."""
-    scale = get_scale(scale)
-    units = fig6_units(scale, datasets=datasets, seed=seed)
-    return _run_serial(units, fig6_run_unit, fig6_aggregate, scale, seed=seed)
+)
+fig6_units = fig6_pra.trial_units
 
 
 # ----------------------------------------------------------------------
 # Fig. 7 — GRNA MSE for LR / RF / NN models
 # ----------------------------------------------------------------------
-def fig7_units(
-    scale: "str | ScaleConfig",
-    *,
-    datasets: tuple[str, ...] = REAL_DATASETS,
-    models: tuple[str, ...] = ("lr", "rf", "nn"),
-    seed: int = 7,
-) -> list[TrialSpec]:
-    """One unit per (dataset, fraction, trial); a unit spans all models.
+def fig7_run_unit(unit: TrialSpec, scale: ScaleConfig) -> dict:
+    """GRNA against every model kind of the unit on one trial's scenarios.
 
-    The random-guess baseline is scored on the last model's scenario (the
-    paper's protocol accumulates one pool per trial), so the whole trial
-    is one unit rather than one unit per model.
+    The random-guess baselines are scored on the last model's scenario
+    (the paper's protocol accumulates one pool per trial); they depend
+    only on the trial's pool and seed, so every per-model shard scores
+    them bit-identically.
     """
-    scale = get_scale(scale)
-    trial_seeds = derive_trial_seeds(seed, scale.n_trials)
-    return [
-        TrialSpec.make(
-            "fig7",
-            f"{dataset}:{_pct(fraction)}:t{t}",
-            trial_seed,
-            dataset=dataset,
-            fraction=fraction,
-            models=tuple(models),
-        )
-        for dataset in datasets
-        for fraction in scale.fractions
-        for t, trial_seed in enumerate(trial_seeds)
-    ]
-
-
-def fig7_run_unit(spec: TrialSpec, scale: ScaleConfig) -> dict:
-    """GRNA against every model kind on one trial's scenarios."""
-    params = spec.kwargs
-    models = tuple(params["models"])
+    models = tuple(unit.kwargs["models"])
     payload: dict[str, float] = {}
-    report = None
     for model_kind in models:
-        is_last = model_kind == models[-1]
-        report = run_scenario(
-            ScenarioConfig(
-                dataset=params["dataset"],
-                model=model_kind,
-                attack="grna",
-                target_fraction=params["fraction"],
-                scale=scale,
-                seed=spec.seed,
-                baselines=("uniform", "gaussian") if is_last else (),
-            )
+        last = model_kind == models[-1]
+        report = _scenario(
+            unit,
+            scale,
+            model=model_kind,
+            attack="grna",
+            baselines=("uniform", "gaussian") if last else (),
         )
         payload[f"grna_{model_kind}_mse"] = report.metrics["mse"]
     payload["rg_uniform_mse"] = report.metrics["rg_uniform_mse"]
@@ -309,235 +159,70 @@ def fig7_run_unit(spec: TrialSpec, scale: ScaleConfig) -> dict:
     return payload
 
 
-def fig7_shard_unit(unit: TrialSpec, scale: ScaleConfig) -> list[TrialSpec]:
-    """One shard per model kind: ``bank:40:t0`` → ``bank:40:t0@lr`` ...
-
-    A fig7 unit runs GRNA against every model on one trial's pool; each
-    model's scenario is built from the same derived streams, so the
-    per-model runs are independent and cache cleanly as shards. Every
-    shard carries ``models=(kind,)`` — :func:`fig7_run_unit` then treats
-    its single model as the last one and scores the random-guess
-    baselines, which are bit-identical across shards (the guess depends
-    only on the trial's pool and seed, never on the model kind).
-    """
-    params = unit.kwargs
-    return [
-        TrialSpec.make(
-            unit.experiment_id,
-            f"{unit.unit_id}@{model_kind}",
-            unit.seed,
-            dataset=params["dataset"],
-            fraction=params["fraction"],
-            models=(model_kind,),
-        )
-        for model_kind in params["models"]
-    ]
-
-
-def fig7_merge_shards(
-    unit: TrialSpec, shards: list[TrialSpec], results: dict[str, dict]
-) -> dict:
-    """Fold per-model shard payloads back into the unit payload.
-
-    Each shard contributes its ``grna_<model>_mse``; the baseline keys
-    overwrite left-to-right, leaving the last shard's — matching the
-    unsharded protocol, which scores baselines on the last model's
-    scenario (and the values agree bitwise anyway).
-    """
-    merged: dict[str, float] = {}
-    for shard in shards:
-        merged.update(results[shard.unit_id])
-    return merged
-
-
-def fig7_aggregate(
-    scale: "str | ScaleConfig",
-    units: list[TrialSpec],
-    results: dict[str, dict],
-    *,
-    seed: int = 7,
-) -> ExperimentResult:
-    """Average trials into the Fig. 7 series (one MSE column per model)."""
-    scale = get_scale(scale)
-    models = tuple(units[0].kwargs["models"]) if units else ("lr", "rf", "nn")
-    rows = []
-    for (dataset, fraction), payloads in _group_by(
-        units, results, "dataset", "fraction"
-    ).items():
-        rows.append(
-            (
-                dataset,
-                _pct(fraction),
-                *(
-                    float(np.mean([p[f"grna_{m}_mse"] for p in payloads]))
-                    for m in models
-                ),
-                float(np.mean([p["rg_uniform_mse"] for p in payloads])),
-                float(np.mean([p["rg_gaussian_mse"] for p in payloads])),
-            )
-        )
-    return ExperimentResult(
-        experiment_id="fig7",
+fig7_grna = register_experiment(
+    ExperimentSpec(
+        "fig7",
         title="GRNA: MSE per feature vs d_target fraction (LR/RF/NN)",
-        columns=[
-            "dataset",
-            "dtarget_pct",
-            *(f"grna_{m}_mse" for m in models),
+        grid=(_datasets(REAL_DATASETS), FRACTIONS),
+        unit_id="{dataset}:{fraction:pct}:t{trial}",
+        run_unit=fig7_run_unit,
+        columns=lambda settings: (
+            DATASET,
+            DTARGET,
+            *(f"grna_{m}_mse" for m in settings["models"]),
             "rg_uniform_mse",
             "rg_gaussian_mse",
-        ],
-        rows=rows,
-        meta={"scale": scale.name, "trials": scale.n_trials, "seed": seed},
+        ),
+        seed=7,
+        # One shard per model kind: bank:40:t0 → bank:40:t0@lr ...
+        shard=Axis("models", ("lr", "rf", "nn"), "models"),
     )
-
-
-def fig7_grna(
-    scale: "str | ScaleConfig" = "default",
-    *,
-    datasets: tuple[str, ...] = REAL_DATASETS,
-    models: tuple[str, ...] = ("lr", "rf", "nn"),
-    seed: int = 7,
-) -> ExperimentResult:
-    """GRNA on LR/RF/NN vs random guess (Fig. 7 series)."""
-    scale = get_scale(scale)
-    units = fig7_units(scale, datasets=datasets, models=models, seed=seed)
-    return _run_serial(units, fig7_run_unit, fig7_aggregate, scale, seed=seed)
+)
+fig7_units = fig7_grna.trial_units
 
 
 # ----------------------------------------------------------------------
 # Fig. 8 — GRNA on the RF model, CBR metric
 # ----------------------------------------------------------------------
-def fig8_units(
-    scale: "str | ScaleConfig",
-    *,
-    datasets: tuple[str, ...] = REAL_DATASETS,
-    seed: int = 8,
-) -> list[TrialSpec]:
-    """One unit per (dataset, fraction, trial) cell of Fig. 8."""
-    scale = get_scale(scale)
-    trial_seeds = derive_trial_seeds(seed, scale.n_trials)
-    return [
-        TrialSpec.make(
-            "fig8",
-            f"{dataset}:{_pct(fraction)}:t{t}",
-            trial_seed,
-            dataset=dataset,
-            fraction=fraction,
-        )
-        for dataset in datasets
-        for fraction in scale.fractions
-        for t, trial_seed in enumerate(trial_seeds)
-    ]
-
-
-def fig8_run_unit(spec: TrialSpec, scale: ScaleConfig) -> dict:
+def fig8_run_unit(unit: TrialSpec, scale: ScaleConfig) -> dict:
     """Branch agreement of one GRNA reconstruction on the true forest."""
-    params = spec.kwargs
-    report = run_scenario(
-        ScenarioConfig(
-            dataset=params["dataset"],
-            model="rf",
-            attack="grna",
-            target_fraction=params["fraction"],
-            scale=scale,
-            seed=spec.seed,
-            baselines=("uniform",),
-            compute_cbr=True,
-        )
+    report = _scenario(
+        unit, scale, model="rf", attack="grna", baselines=("uniform",), compute_cbr=True
     )
-    return {
-        "grna_cbr": report.metrics["cbr"],
-        "rg_cbr": report.metrics["rg_uniform_cbr"],
-    }
+    return {"grna_cbr": report.metrics["cbr"], "rg_cbr": report.metrics["rg_uniform_cbr"]}
 
 
-def fig8_aggregate(
-    scale: "str | ScaleConfig",
-    units: list[TrialSpec],
-    results: dict[str, dict],
-    *,
-    seed: int = 8,
-) -> ExperimentResult:
-    """Average trials into the Fig. 8 series."""
-    scale = get_scale(scale)
-    rows = []
-    for (dataset, fraction), payloads in _group_by(
-        units, results, "dataset", "fraction"
-    ).items():
-        rows.append(
-            (
-                dataset,
-                _pct(fraction),
-                float(np.nanmean([p["grna_cbr"] for p in payloads])),
-                float(np.nanmean([p["rg_cbr"] for p in payloads])),
-            )
-        )
-    return ExperimentResult(
-        experiment_id="fig8",
+fig8_grna_rf_cbr = register_experiment(
+    ExperimentSpec(
+        "fig8",
         title="GRNA on RF: correct branching rate vs d_target fraction",
-        columns=["dataset", "dtarget_pct", "grna_cbr", "rg_cbr"],
-        rows=rows,
-        meta={"scale": scale.name, "trials": scale.n_trials, "seed": seed},
+        grid=(_datasets(REAL_DATASETS), FRACTIONS),
+        unit_id="{dataset}:{fraction:pct}:t{trial}",
+        run_unit=fig8_run_unit,
+        columns=(
+            DATASET,
+            DTARGET,
+            ("grna_cbr", reduce("grna_cbr", np.nanmean)),
+            ("rg_cbr", reduce("rg_cbr", np.nanmean)),
+        ),
+        seed=8,
     )
-
-
-def fig8_grna_rf_cbr(
-    scale: "str | ScaleConfig" = "default",
-    *,
-    datasets: tuple[str, ...] = REAL_DATASETS,
-    seed: int = 8,
-) -> ExperimentResult:
-    """Branch agreement of GRNA reconstructions on the true forest (Fig. 8)."""
-    scale = get_scale(scale)
-    units = fig8_units(scale, datasets=datasets, seed=seed)
-    return _run_serial(units, fig8_run_unit, fig8_aggregate, scale, seed=seed)
+)
 
 
 # ----------------------------------------------------------------------
 # Fig. 9 — effect of the number of accumulated predictions
 # ----------------------------------------------------------------------
-def fig9_units(
-    scale: "str | ScaleConfig",
-    *,
-    datasets: tuple[str, ...] = ("synthetic1", "synthetic2", "drive", "news"),
-    pool_fractions: tuple[float, ...] = (0.1, 0.3, 0.5),
-    seed: int = 9,
-) -> list[TrialSpec]:
-    """One unit per (dataset, fraction, pool fraction, trial) cell."""
-    scale = get_scale(scale)
-    trial_seeds = derive_trial_seeds(seed, scale.n_trials)
-    return [
-        TrialSpec.make(
-            "fig9",
-            f"{dataset}:{_pct(fraction)}:p{_pct(pool_fraction)}:t{t}",
-            trial_seed,
-            dataset=dataset,
-            fraction=fraction,
-            pool_fraction=pool_fraction,
-        )
-        for dataset in datasets
-        for fraction in scale.fractions
-        for pool_fraction in pool_fractions
-        for t, trial_seed in enumerate(trial_seeds)
-    ]
-
-
-def fig9_run_unit(spec: TrialSpec, scale: ScaleConfig) -> dict:
+def fig9_run_unit(unit: TrialSpec, scale: ScaleConfig) -> dict:
     """GRNA-NN with a restricted prediction pool on one scenario."""
-    params = spec.kwargs
     pool_size = scale.n_samples // 2  # half the data is the prediction pool
-    n_pred = max(16, int(pool_size * params["pool_fraction"]))
-    report = run_scenario(
-        ScenarioConfig(
-            dataset=params["dataset"],
-            model="nn",
-            attack="grna",
-            target_fraction=params["fraction"],
-            n_predictions=n_pred,
-            scale=scale,
-            seed=spec.seed,
-            baselines=("uniform", "gaussian"),
-        )
+    report = _scenario(
+        unit,
+        scale,
+        model="nn",
+        attack="grna",
+        n_predictions=max(16, int(pool_size * unit.kwargs["pool_fraction"])),
+        baselines=("uniform", "gaussian"),
     )
     return {
         "grna_mse": report.metrics["mse"],
@@ -546,97 +231,36 @@ def fig9_run_unit(spec: TrialSpec, scale: ScaleConfig) -> dict:
     }
 
 
-def fig9_aggregate(
-    scale: "str | ScaleConfig",
-    units: list[TrialSpec],
-    results: dict[str, dict],
-    *,
-    seed: int = 9,
-) -> ExperimentResult:
-    """Average trials into the Fig. 9 series."""
-    scale = get_scale(scale)
-    rows = []
-    for (dataset, fraction, pool_fraction), payloads in _group_by(
-        units, results, "dataset", "fraction", "pool_fraction"
-    ).items():
-        rows.append(
-            (
-                dataset,
-                _pct(fraction),
-                _pct(pool_fraction),
-                float(np.mean([p["grna_mse"] for p in payloads])),
-                float(np.mean([p["rg_uniform_mse"] for p in payloads])),
-                float(np.mean([p["rg_gaussian_mse"] for p in payloads])),
-            )
-        )
-    return ExperimentResult(
-        experiment_id="fig9",
+fig9_num_predictions = register_experiment(
+    ExperimentSpec(
+        "fig9",
         title="GRNA-NN: effect of number of accumulated predictions",
-        columns=[
-            "dataset",
-            "dtarget_pct",
-            "predictions_pct",
+        grid=(
+            _datasets(("synthetic1", "synthetic2", "drive", "news")),
+            FRACTIONS,
+            Axis("pool_fraction", (0.1, 0.3, 0.5), "pool_fractions"),
+        ),
+        unit_id="{dataset}:{fraction:pct}:p{pool_fraction:pct}:t{trial}",
+        run_unit=fig9_run_unit,
+        columns=(
+            DATASET,
+            DTARGET,
+            ("predictions_pct", param("pool_fraction", pct)),
             "grna_mse",
             "rg_uniform_mse",
             "rg_gaussian_mse",
-        ],
-        rows=rows,
-        meta={"scale": scale.name, "trials": scale.n_trials, "seed": seed},
+        ),
+        seed=9,
     )
-
-
-def fig9_num_predictions(
-    scale: "str | ScaleConfig" = "default",
-    *,
-    datasets: tuple[str, ...] = ("synthetic1", "synthetic2", "drive", "news"),
-    pool_fractions: tuple[float, ...] = (0.1, 0.3, 0.5),
-    seed: int = 9,
-) -> ExperimentResult:
-    """GRNA-NN accuracy vs number of accumulated predictions (Fig. 9)."""
-    scale = get_scale(scale)
-    units = fig9_units(
-        scale, datasets=datasets, pool_fractions=pool_fractions, seed=seed
-    )
-    return _run_serial(units, fig9_run_unit, fig9_aggregate, scale, seed=seed)
+)
 
 
 # ----------------------------------------------------------------------
 # Fig. 10 — per-feature MSE vs correlation diagnostics
 # ----------------------------------------------------------------------
-def fig10_units(
-    scale: "str | ScaleConfig",
-    *,
-    seed: int = 10,
-) -> list[TrialSpec]:
-    """One unit per Fig. 10 panel."""
-    get_scale(scale)
-    trial_seed = derive_trial_seeds(seed, 1)[0]
-    return [
-        TrialSpec.make(
-            "fig10",
-            f"{dataset}:{model_kind}:{_pct(fraction)}",
-            trial_seed,
-            dataset=dataset,
-            model=model_kind,
-            fraction=fraction,
-        )
-        for dataset, model_kind, fraction in FIG10_PANELS
-    ]
-
-
-def fig10_run_unit(spec: TrialSpec, scale: ScaleConfig) -> dict:
+def fig10_run_unit(unit: TrialSpec, scale: ScaleConfig) -> dict:
     """One panel: per-feature errors and correlation diagnostics."""
-    params = spec.kwargs
-    report = run_scenario(
-        ScenarioConfig(
-            dataset=params["dataset"],
-            model=params["model"],
-            attack="grna",
-            target_fraction=params["fraction"],
-            scale=scale,
-            seed=spec.seed,
-        )
-    )
+    report = _scenario(unit, scale, model=unit.kwargs["model"], attack="grna")
     scenario = report.scenario
     diagnostics = correlation_report(
         scenario.X_adv,
@@ -652,255 +276,133 @@ def fig10_run_unit(spec: TrialSpec, scale: ScaleConfig) -> dict:
     }
 
 
-def fig10_aggregate(
-    scale: "str | ScaleConfig",
-    units: list[TrialSpec],
-    results: dict[str, dict],
-    *,
-    seed: int = 10,
-) -> ExperimentResult:
-    """Concatenate the panels into the Fig. 10 table."""
-    scale = get_scale(scale)
-    rows = []
-    for unit in units:
-        params = unit.kwargs
-        for feature_id, mse, corr_adv, corr_pred in results[unit.unit_id]["rows"]:
-            rows.append(
-                (params["dataset"], params["model"], feature_id, mse, corr_adv, corr_pred)
-            )
-    return ExperimentResult(
-        experiment_id="fig10",
+fig10_correlations = register_experiment(
+    ExperimentSpec(
+        "fig10",
         title="Per-feature MSE vs correlation with x_adv and predictions",
-        columns=["dataset", "model", "feature_id", "mse", "corr_with_adv", "corr_with_pred"],
-        rows=rows,
-        meta={"scale": scale.name, "seed": seed},
+        # The paper's panels: (a) bank + LR at 40%, (b) credit + RF at 30%.
+        grid=(
+            Axis(("dataset", "model", "fraction"), (("bank", "lr", 0.4), ("credit", "rf", 0.3))),
+        ),
+        unit_id="{dataset}:{model}:{fraction:pct}",
+        run_unit=fig10_run_unit,
+        columns=(DATASET, ("model", param("model"))),
+        passthrough=("feature_id", "mse", "corr_with_adv", "corr_with_pred"),
+        seed=10,
+        trials=1,
     )
-
-
-def fig10_correlations(
-    scale: "str | ScaleConfig" = "default",
-    *,
-    seed: int = 10,
-) -> ExperimentResult:
-    """Per-feature reconstruction error vs correlation with x_adv and v.
-
-    Panel (a): bank + LR at d_target = 40%; panel (b): credit + RF at 30%,
-    as in the paper.
-    """
-    scale = get_scale(scale)
-    units = fig10_units(scale, seed=seed)
-    return _run_serial(units, fig10_run_unit, fig10_aggregate, scale, seed=seed)
+)
 
 
 # ----------------------------------------------------------------------
 # Fig. 11 — countermeasures
 # ----------------------------------------------------------------------
-def fig11_units(
-    scale: "str | ScaleConfig",
-    *,
-    seed: int = 11,
-) -> list[TrialSpec]:
-    """Units for the rounding panels (a-d) and dropout panels (e-f)."""
-    scale = get_scale(scale)
-    trial_seeds = derive_trial_seeds(seed, scale.n_trials)
-    units = []
-    for dataset in ("bank", "drive"):
-        for fraction in scale.fractions:
-            for label, digits in ROUNDING_LEVELS:
-                for t, trial_seed in enumerate(trial_seeds):
-                    units.append(
-                        TrialSpec.make(
-                            "fig11",
-                            f"{dataset}:lr:{label}:{_pct(fraction)}:t{t}",
-                            trial_seed,
-                            dataset=dataset,
-                            model="lr",
-                            defense=label,
-                            digits=digits,
-                            fraction=fraction,
-                        )
-                    )
-    for dataset in ("credit", "news"):
-        for fraction in scale.fractions:
-            for label, dropout in DROPOUT_LEVELS:
-                for t, trial_seed in enumerate(trial_seeds):
-                    units.append(
-                        TrialSpec.make(
-                            "fig11",
-                            f"{dataset}:nn:{label}:{_pct(fraction)}:t{t}",
-                            trial_seed,
-                            dataset=dataset,
-                            model="nn",
-                            defense=label,
-                            dropout=dropout,
-                            fraction=fraction,
-                        )
-                    )
-    return units
+#: Fig. 11 defense levels per model: rounding on LR (decimal digits
+#: kept; None = undefended), dropout on NN (the dropout probability).
+FIG11_LEVELS = {
+    "lr": (
+        {"defense": "round_0.1", "digits": 1},
+        {"defense": "round_0.001", "digits": 3},
+        {"defense": "no_round", "digits": None},
+    ),
+    "nn": (
+        {"defense": "dropout", "dropout": 0.25},
+        {"defense": "no_dropout", "dropout": 0.0},
+    ),
+}
 
 
-def fig11_run_unit(spec: TrialSpec, scale: ScaleConfig) -> dict:
-    """One defended trial: rounding on LR, or dropout on NN.
+def fig11_run_unit(unit: TrialSpec, scale: ScaleConfig) -> dict:
+    """One defended trial: rounding on LR (ESA and GRNA), or dropout on NN.
 
     The rounding defense rides the scenario API's defense stack; the
     attacks automatically target the undefended released weights (the
     facade unwraps output defenses) while V passes through the rounding.
     """
-    params = spec.kwargs
-    if params["model"] == "lr":
-        digits = params["digits"]
-        defenses = (
-            (("rounding", {"digits": digits}),) if digits is not None else ()
-        )
-        # Both attacks score the same deployment, so build it once and
-        # hand the prebuilt scenario to each run_scenario call.
-        stack = DefenseStack.from_specs(defenses)
-        shared = build_scenario(
-            params["dataset"],
-            "lr",
-            params["fraction"],
+    params = unit.kwargs
+    if params["model"] == "nn":
+        report = _scenario(
+            unit,
             scale,
-            spec.seed,
-            defense_stack=stack if len(stack) else None,
-        )
-        esa_report = run_scenario(
-            ScenarioConfig(
-                dataset=params["dataset"],
-                model="lr",
-                attack="esa",
-                defenses=defenses,
-                target_fraction=params["fraction"],
-                scale=scale,
-                seed=spec.seed,
-                baselines=("uniform",),
-            ),
-            scenario=shared,
-        )
-        grna_report = run_scenario(
-            ScenarioConfig(
-                dataset=params["dataset"],
-                model="lr",
-                attack="grna",
-                defenses=defenses,
-                target_fraction=params["fraction"],
-                scale=scale,
-                seed=spec.seed,
-            ),
-            scenario=shared,
-        )
-        return {
-            "esa_mse": esa_report.metrics["mse"],
-            "grna_mse": grna_report.metrics["mse"],
-            "rg_uniform_mse": esa_report.metrics["rg_uniform_mse"],
-        }
-    report = run_scenario(
-        ScenarioConfig(
-            dataset=params["dataset"],
             model="nn",
             attack="grna",
-            target_fraction=params["fraction"],
-            scale=scale,
-            seed=spec.seed,
             model_params={"dropout": params["dropout"]},
             baselines=("uniform",),
         )
+        return {
+            "esa_mse": float("nan"),
+            "grna_mse": report.metrics["mse"],
+            "rg_uniform_mse": report.metrics["rg_uniform_mse"],
+        }
+    digits = params["digits"]
+    defenses = (("rounding", {"digits": digits}),) if digits is not None else ()
+    # Both attacks score the same deployment, so build it once and hand
+    # the prebuilt scenario to each run_scenario call.
+    stack = DefenseStack.from_specs(defenses)
+    shared = build_scenario(
+        params["dataset"],
+        "lr",
+        params["fraction"],
+        scale,
+        unit.seed,
+        defense_stack=stack if len(stack) else None,
     )
+    reports = {
+        attack: run_scenario(
+            ScenarioConfig(
+                dataset=params["dataset"],
+                model="lr",
+                attack=attack,
+                defenses=defenses,
+                target_fraction=params["fraction"],
+                scale=scale,
+                seed=unit.seed,
+                baselines=baselines,
+            ),
+            scenario=shared,
+        )
+        for attack, baselines in (("esa", ("uniform",)), ("grna", ()))
+    }
     return {
-        "esa_mse": float("nan"),
-        "grna_mse": report.metrics["mse"],
-        "rg_uniform_mse": report.metrics["rg_uniform_mse"],
+        "esa_mse": reports["esa"].metrics["mse"],
+        "grna_mse": reports["grna"].metrics["mse"],
+        "rg_uniform_mse": reports["esa"].metrics["rg_uniform_mse"],
     }
 
 
-def fig11_aggregate(
-    scale: "str | ScaleConfig",
-    units: list[TrialSpec],
-    results: dict[str, dict],
-    *,
-    seed: int = 11,
-) -> ExperimentResult:
-    """Average trials into the Fig. 11 table (ESA column NaN for NN rows)."""
-    scale = get_scale(scale)
-    rows = []
-    for (dataset, model, defense, fraction), payloads in _group_by(
-        units, results, "dataset", "model", "defense", "fraction"
-    ).items():
-        esa = (
-            float(np.mean([p["esa_mse"] for p in payloads]))
-            if model == "lr"
-            else float("nan")
-        )
-        rows.append(
-            (
-                dataset,
-                model,
-                defense,
-                _pct(fraction),
-                esa,
-                float(np.mean([p["grna_mse"] for p in payloads])),
-                float(np.mean([p["rg_uniform_mse"] for p in payloads])),
-            )
-        )
-    return ExperimentResult(
-        experiment_id="fig11",
+fig11_defenses = register_experiment(
+    ExperimentSpec(
+        "fig11",
         title="Countermeasures: rounding (LR) and dropout (NN)",
-        columns=[
-            "dataset",
-            "model",
-            "defense",
-            "dtarget_pct",
+        grid=(
+            Axis(
+                ("dataset", "model"),
+                (("bank", "lr"), ("drive", "lr"), ("credit", "nn"), ("news", "nn")),
+            ),
+            FRACTIONS,
+            Axis(None, lambda scale, bound: FIG11_LEVELS[bound["model"]]),
+        ),
+        unit_id="{dataset}:{model}:{defense}:{fraction:pct}:t{trial}",
+        run_unit=fig11_run_unit,
+        # The NN rows carry a NaN ESA column: ESA needs the LR weights.
+        columns=(
+            DATASET,
+            ("model", param("model")),
+            ("defense", param("defense")),
+            DTARGET,
             "esa_mse",
             "grna_mse",
             "rg_uniform_mse",
-        ],
-        rows=rows,
-        meta={"scale": scale.name, "trials": scale.n_trials, "seed": seed},
+        ),
+        seed=11,
     )
-
-
-def fig11_defenses(
-    scale: "str | ScaleConfig" = "default",
-    *,
-    seed: int = 11,
-) -> ExperimentResult:
-    """Rounding vs ESA/GRNA (panels a-d) and dropout vs GRNA (panels e-f)."""
-    scale = get_scale(scale)
-    units = fig11_units(scale, seed=seed)
-    return _run_serial(units, fig11_run_unit, fig11_aggregate, scale, seed=seed)
+)
 
 
 # ----------------------------------------------------------------------
 # Beyond the paper — query-budget sweep through the serving layer
 # ----------------------------------------------------------------------
-#: Budgets as fractions of the scale's full prediction pool.
-BUDGET_FRACTIONS = (0.25, 0.5, 1.0)
-
-
-def budget_units(
-    scale: "str | ScaleConfig",
-    *,
-    datasets: tuple[str, ...] = ("bank", "news"),
-    budget_fractions: tuple[float, ...] = BUDGET_FRACTIONS,
-    seed: int = 13,
-) -> list[TrialSpec]:
-    """One unit per (dataset, budget fraction, trial) cell."""
-    scale = get_scale(scale)
-    trial_seeds = derive_trial_seeds(seed, scale.n_trials)
-    return [
-        TrialSpec.make(
-            "budget",
-            f"{dataset}:q{_pct(budget_fraction)}:t{t}",
-            trial_seed,
-            dataset=dataset,
-            budget_fraction=budget_fraction,
-        )
-        for dataset in datasets
-        for budget_fraction in budget_fractions
-        for t, trial_seed in enumerate(trial_seeds)
-    ]
-
-
-def budget_run_unit(spec: TrialSpec, scale: ScaleConfig) -> dict:
+def budget_run_unit(unit: TrialSpec, scale: ScaleConfig) -> dict:
     """GRNA-NN against a metered deployment that truncates at the budget.
 
     The serving-layer twin of Fig. 9: instead of the adversary *choosing*
@@ -910,21 +412,17 @@ def budget_run_unit(spec: TrialSpec, scale: ScaleConfig) -> dict:
     fraction 1.0 the ledger never binds, which pins the sweep to the
     unmetered baseline.
     """
-    params = spec.kwargs
-    budget = max(16, int(round(scale.n_predictions * params["budget_fraction"])))
-    report = run_scenario(
-        ScenarioConfig(
-            dataset=params["dataset"],
-            model="nn",
-            attack="grna",
-            target_fraction=0.4,
-            scale=scale,
-            seed=spec.seed,
-            baselines=("uniform",),
-            query_budget=budget,
-            batch_size=max(16, budget // 4),
-            on_budget_exhausted="truncate",
-        )
+    budget = max(16, int(round(scale.n_predictions * unit.kwargs["budget_fraction"])))
+    report = _scenario(
+        unit,
+        scale,
+        model="nn",
+        attack="grna",
+        target_fraction=0.4,
+        baselines=("uniform",),
+        query_budget=budget,
+        batch_size=max(16, budget // 4),
+        on_budget_exhausted="truncate",
     )
     return {
         "grna_mse": report.metrics["mse"],
@@ -933,86 +431,34 @@ def budget_run_unit(spec: TrialSpec, scale: ScaleConfig) -> dict:
     }
 
 
-def budget_aggregate(
-    scale: "str | ScaleConfig",
-    units: list[TrialSpec],
-    results: dict[str, dict],
-    *,
-    seed: int = 13,
-) -> ExperimentResult:
-    """Average trials into the budget-sweep series."""
-    scale = get_scale(scale)
-    rows = []
-    for (dataset, budget_fraction), payloads in _group_by(
-        units, results, "dataset", "budget_fraction"
-    ).items():
-        rows.append(
-            (
-                dataset,
-                _pct(budget_fraction),
-                int(np.mean([p["queries_used"] for p in payloads])),
-                float(np.mean([p["grna_mse"] for p in payloads])),
-                float(np.mean([p["rg_uniform_mse"] for p in payloads])),
-            )
-        )
-    return ExperimentResult(
-        experiment_id="budget",
+budget_sweep = register_experiment(
+    ExperimentSpec(
+        "budget",
         title="GRNA-NN under a serving-layer query budget (truncating ledger)",
-        columns=["dataset", "budget_pct", "queries_used", "grna_mse", "rg_uniform_mse"],
-        rows=rows,
-        meta={"scale": scale.name, "trials": scale.n_trials, "seed": seed},
+        grid=(
+            _datasets(("bank", "news")),
+            # Budgets as fractions of the scale's full prediction pool.
+            Axis("budget_fraction", (0.25, 0.5, 1.0), "budget_fractions"),
+        ),
+        unit_id="{dataset}:q{budget_fraction:pct}:t{trial}",
+        run_unit=budget_run_unit,
+        columns=(
+            DATASET,
+            ("budget_pct", param("budget_fraction", pct)),
+            ("queries_used", reduce("queries_used", cast=int)),
+            "grna_mse",
+            "rg_uniform_mse",
+        ),
+        seed=13,
     )
-
-
-def budget_sweep(
-    scale: "str | ScaleConfig" = "default",
-    *,
-    datasets: tuple[str, ...] = ("bank", "news"),
-    budget_fractions: tuple[float, ...] = BUDGET_FRACTIONS,
-    seed: int = 13,
-) -> ExperimentResult:
-    """GRNA accuracy vs the deployment's query budget (serving layer)."""
-    scale = get_scale(scale)
-    units = budget_units(
-        scale, datasets=datasets, budget_fractions=budget_fractions, seed=seed
-    )
-    return _run_serial(units, budget_run_unit, budget_aggregate, scale, seed=seed)
+)
 
 
 # ----------------------------------------------------------------------
 # Beyond the paper — communication-budget sweep through the federation
 # runtime
 # ----------------------------------------------------------------------
-#: Comm budgets as fractions of the undefended accumulation's exact
-#: projected wire traffic (1.0 never binds — the unmetered baseline).
-COMM_FRACTIONS = (0.25, 0.5, 1.0)
-
-
-def comm_units(
-    scale: "str | ScaleConfig",
-    *,
-    datasets: tuple[str, ...] = ("bank", "news"),
-    comm_fractions: tuple[float, ...] = COMM_FRACTIONS,
-    seed: int = 17,
-) -> list[TrialSpec]:
-    """One unit per (dataset, comm fraction, trial) cell."""
-    scale = get_scale(scale)
-    trial_seeds = derive_trial_seeds(seed, scale.n_trials)
-    return [
-        TrialSpec.make(
-            "comm",
-            f"{dataset}:c{_pct(comm_fraction)}:t{t}",
-            trial_seed,
-            dataset=dataset,
-            comm_fraction=comm_fraction,
-        )
-        for dataset in datasets
-        for comm_fraction in comm_fractions
-        for t, trial_seed in enumerate(trial_seeds)
-    ]
-
-
-def comm_run_unit(spec: TrialSpec, scale: ScaleConfig) -> dict:
+def comm_run_unit(unit: TrialSpec, scale: ScaleConfig) -> dict:
     """GRNA-NN against a deployment whose *wire traffic* is budgeted.
 
     The federation twin of the ``budget`` experiment one layer down:
@@ -1027,21 +473,16 @@ def comm_run_unit(spec: TrialSpec, scale: ScaleConfig) -> dict:
     unmetered baseline bit-for-bit, and any legal custom scale still
     produces a data point instead of an empty pool.
     """
-    params = spec.kwargs
-    batch = max(1, -(-scale.n_predictions // 4))
-    report = run_scenario(
-        ScenarioConfig(
-            dataset=params["dataset"],
-            model="nn",
-            attack="grna",
-            target_fraction=0.4,
-            scale=scale,
-            seed=spec.seed,
-            baselines=("uniform",),
-            comm_budget=float(params["comm_fraction"]),
-            batch_size=batch,
-            on_budget_exhausted="truncate",
-        )
+    report = _scenario(
+        unit,
+        scale,
+        model="nn",
+        attack="grna",
+        target_fraction=0.4,
+        baselines=("uniform",),
+        comm_budget=float(unit.kwargs["comm_fraction"]),
+        batch_size=max(1, -(-scale.n_predictions // 4)),
+        on_budget_exhausted="truncate",
     )
     return {
         "grna_mse": report.metrics["mse"],
@@ -1051,77 +492,26 @@ def comm_run_unit(spec: TrialSpec, scale: ScaleConfig) -> dict:
     }
 
 
-def comm_aggregate(
-    scale: "str | ScaleConfig",
-    units: list[TrialSpec],
-    results: dict[str, dict],
-    *,
-    seed: int = 17,
-) -> ExperimentResult:
-    """Average trials into the communication-budget series."""
-    scale = get_scale(scale)
-    rows = []
-    for (dataset, comm_fraction), payloads in _group_by(
-        units, results, "dataset", "comm_fraction"
-    ).items():
-        rows.append(
-            (
-                dataset,
-                _pct(comm_fraction),
-                int(np.mean([p["comm_bytes"] for p in payloads])),
-                int(np.mean([p["queries_used"] for p in payloads])),
-                float(np.mean([p["grna_mse"] for p in payloads])),
-                float(np.mean([p["rg_uniform_mse"] for p in payloads])),
-            )
-        )
-    return ExperimentResult(
-        experiment_id="comm",
+comm_sweep = register_experiment(
+    ExperimentSpec(
+        "comm",
         title="GRNA-NN under a federation communication budget (truncating rounds)",
-        columns=[
-            "dataset",
-            "comm_pct",
-            "comm_bytes",
-            "queries_used",
+        grid=(
+            _datasets(("bank", "news")),
+            # Fractions of the undefended accumulation's exact projected
+            # wire traffic (1.0 never binds: the unmetered baseline).
+            Axis("comm_fraction", (0.25, 0.5, 1.0), "comm_fractions"),
+        ),
+        unit_id="{dataset}:c{comm_fraction:pct}:t{trial}",
+        run_unit=comm_run_unit,
+        columns=(
+            DATASET,
+            ("comm_pct", param("comm_fraction", pct)),
+            ("comm_bytes", reduce("comm_bytes", cast=int)),
+            ("queries_used", reduce("queries_used", cast=int)),
             "grna_mse",
             "rg_uniform_mse",
-        ],
-        rows=rows,
-        meta={"scale": scale.name, "trials": scale.n_trials, "seed": seed},
+        ),
+        seed=17,
     )
-
-
-def comm_sweep(
-    scale: "str | ScaleConfig" = "default",
-    *,
-    datasets: tuple[str, ...] = ("bank", "news"),
-    comm_fractions: tuple[float, ...] = COMM_FRACTIONS,
-    seed: int = 17,
-) -> ExperimentResult:
-    """GRNA accuracy vs the protocol's communication budget (federation)."""
-    scale = get_scale(scale)
-    units = comm_units(
-        scale, datasets=datasets, comm_fractions=comm_fractions, seed=seed
-    )
-    return _run_serial(units, comm_run_unit, comm_aggregate, scale, seed=seed)
-
-
-for _spec in (
-    ExperimentSpec("fig5", fig5_units, fig5_run_unit, fig5_aggregate),
-    ExperimentSpec("fig6", fig6_units, fig6_run_unit, fig6_aggregate),
-    ExperimentSpec(
-        "fig7",
-        fig7_units,
-        fig7_run_unit,
-        fig7_aggregate,
-        shard_unit=fig7_shard_unit,
-        merge_shards=fig7_merge_shards,
-    ),
-    ExperimentSpec("fig8", fig8_units, fig8_run_unit, fig8_aggregate),
-    ExperimentSpec("fig9", fig9_units, fig9_run_unit, fig9_aggregate),
-    ExperimentSpec("fig10", fig10_units, fig10_run_unit, fig10_aggregate),
-    ExperimentSpec("fig11", fig11_units, fig11_run_unit, fig11_aggregate),
-    ExperimentSpec("budget", budget_units, budget_run_unit, budget_aggregate),
-    ExperimentSpec("comm", comm_units, comm_run_unit, comm_aggregate),
-):
-    register_experiment(_spec)
-del _spec
+)

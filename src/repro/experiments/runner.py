@@ -10,7 +10,7 @@ Usage::
 ``--jobs N`` fans trial units out over N worker processes; ``--store-dir``
 makes runs resumable (completed units are cached on disk and skipped on
 the next run; ``--force`` recomputes them). ``--jobs 1`` without a store
-is the classic serial in-process path; every mode produces identical
+runs the units serially in-process; every mode produces identical
 tables for a given scale and seeds.
 
 ``list`` prints the scenario API's component registries — every attack,
@@ -22,32 +22,18 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable
 
-from repro.exceptions import ValidationError
-from repro.experiments import fault_storm, figures, tables, traffic
 from repro.experiments.batch import run_batch
 from repro.config import PRESETS
 from repro.experiments.reporting import ExperimentResult
+from repro.experiments.spec import EXPERIMENT_SPECS
 from repro.experiments.store import ResultsStore
 
-#: Every registry entry accepts one positional ``scale`` argument
-#: (a preset name or a :class:`~repro.config.ScaleConfig`).
-EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
-    "table2": tables.table2_datasets,
-    "table3": tables.table3_ablation,
-    "fig5": figures.fig5_esa,
-    "fig6": figures.fig6_pra,
-    "fig7": figures.fig7_grna,
-    "fig8": figures.fig8_grna_rf_cbr,
-    "fig9": figures.fig9_num_predictions,
-    "fig10": figures.fig10_correlations,
-    "fig11": figures.fig11_defenses,
-    "budget": figures.budget_sweep,
-    "comm": figures.comm_sweep,
-    "traffic": traffic.traffic_sweep,
-    "fault_storm": fault_storm.fault_storm_sweep,
-}
+#: The experiment registry, by paper id in declaration order. Each entry
+#: is its :class:`~repro.experiments.spec.ExperimentSpec`; calling one
+#: with a ``scale`` (a preset name or a :class:`~repro.config.ScaleConfig`)
+#: runs it serially.
+EXPERIMENTS = EXPERIMENT_SPECS
 
 
 def print_registries(stream=None) -> None:
@@ -91,18 +77,12 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run one experiment by its paper id (``fig5`` ... ``table3``).
 
-    With the defaults this is the classic serial in-process run; ``jobs``
-    and ``store`` (a directory path or an open
-    :class:`~repro.experiments.store.ResultsStore`) route through the
-    batch engine (see :func:`repro.experiments.batch.run_batch`), which
-    also validates ``jobs``.
+    With the defaults this is a serial in-process run; ``jobs`` and
+    ``store`` (a directory path or an open
+    :class:`~repro.experiments.store.ResultsStore`) fan the units out and
+    cache them (see :func:`repro.experiments.batch.run_batch`, which also
+    validates the id and ``jobs``).
     """
-    if experiment_id not in EXPERIMENTS:
-        raise ValidationError(
-            f"unknown experiment {experiment_id!r}; choose from {sorted(EXPERIMENTS)}"
-        )
-    if jobs == 1 and store is None:
-        return EXPERIMENTS[experiment_id](scale)
     return run_batch(
         experiment_id,
         scale,

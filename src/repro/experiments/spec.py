@@ -1,41 +1,50 @@
-"""Trial-unit decomposition of experiments.
+"""Experiments as declarations, and the one runner that reads them.
 
-Every figure/table runner used to be one monolithic loop; this module
-defines the split that makes parallelism and caching possible. Each
-experiment is described by an :class:`ExperimentSpec` triple:
+Every paper experiment is a grid: dataset × d_target fraction × trial,
+plus whatever axes one figure varies. An :class:`ExperimentSpec` declares
+that grid as data:
 
-``trial_units(scale)``
-    Decompose the experiment into independent :class:`TrialSpec` units
-    (typically one per ``(dataset, fraction, trial_seed)`` cell). Every
-    unit carries its own deterministically derived seed, so units can run
-    in any order — or in different processes — and still reproduce the
-    serial result bit-for-bit.
+- its :class:`Axis` tuple, outermost first, and the unit-id template
+  each grid point formats into (``"{dataset}:{fraction:pct}:t{trial}"``);
+- ``run_unit``, the cell: one small function that names the
+  ``ScenarioConfig`` (or two) a unit runs and the report metrics it keeps;
+- its columns, each a reduction over the trials of one grid cell (a mean
+  unless the declaration says otherwise);
+- its title and master seed.
 
-``run_unit(spec, scale)``
-    Execute one unit and return a JSON-serializable payload dict. This is
-    the function the batch runner fans out across a process pool; it must
-    be a module-level callable (picklable) with no shared state.
+The spec's own methods are the one generic runner. ``trial_units``
+expands the grid into independent :class:`TrialSpec` units, each with
+its own seed derived from the master seed, so units run in any order, in
+any process, and reproduce the serial result bit for bit.
+``aggregate`` folds their payloads into the paper's
+:class:`~repro.experiments.reporting.ExperimentResult`, one row per grid
+cell in grid order. Calling the spec runs it serially in-process through
+the batch engine's loop; :func:`~repro.experiments.batch.run_batch` runs
+the same units over a process pool and a results store.
 
-``aggregate(scale, units, results)``
-    Fold the per-unit payloads back into the paper's
-    :class:`~repro.experiments.reporting.ExperimentResult` table, in the
-    exact row order of the original serial loop.
+Keyword overrides replace an axis's values by its ``override`` name
+(``datasets=("bank",)``), or the master seed (``seed=1``); an axis
+without an override name is fixed by the paper.
 
-The registry (:data:`EXPERIMENT_SPECS`) is populated when
-:mod:`repro.experiments.figures` / :mod:`repro.experiments.tables` are
-imported; :func:`get_experiment_spec` imports them lazily so worker
-processes that only import this module still resolve every experiment.
+The registry (:data:`EXPERIMENT_SPECS`) is filled when
+:mod:`repro.experiments.tables`, :mod:`~repro.experiments.figures`,
+:mod:`~repro.experiments.traffic` and :mod:`~repro.experiments.fault_storm`
+are imported; :func:`get_experiment_spec` imports them lazily, so a pool
+worker resolves every experiment by id.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import string
 from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
+import numpy as np
+
 from repro.exceptions import ValidationError
-from repro.config import ScaleConfig
+from repro.config import ScaleConfig, get_scale
 from repro.experiments.reporting import ExperimentResult
 from repro.utils.random import check_random_state
 
@@ -78,40 +87,238 @@ class TrialSpec:
         return dict(self.params)
 
 
+#: A column's reduction: (the cell's unit params, its trials' payloads) → value.
+Reduction = Callable[[dict, "list[dict]"], Any]
+
+
+@dataclass(frozen=True)
+class Axis:
+    """One grid axis.
+
+    ``params`` names the unit parameter a value sets; a tuple of names
+    sets one parameter per element of a tuple value; ``None`` means each
+    value is already a dict of parameters. ``values`` are the defaults,
+    or a function of the :class:`ScaleConfig` and the parameters the
+    outer axes bound. ``override`` is the keyword that replaces the
+    values at call time.
+    """
+
+    params: "str | tuple[str, ...] | None"
+    values: "tuple | Callable[[ScaleConfig, dict], tuple]"
+    override: "str | None" = None
+
+    def bind(self, value: Any) -> dict:
+        """The unit parameters one value sets."""
+        if self.params is None:
+            return dict(value)
+        if isinstance(self.params, str):
+            return {self.params: value}
+        return dict(zip(self.params, value, strict=True))
+
+
+#: The d_target fractions of the scale, the x-axis of every paper figure.
+FRACTIONS = Axis("fraction", lambda scale, bound: scale.fractions)
+
+
+def param(name: str, show: Callable[[Any], Any] = lambda value: value) -> Reduction:
+    """A key column: the cell's unit parameter ``name``."""
+    return lambda params, payloads: show(params[name])
+
+
+def pct(fraction: float) -> int:
+    """A fraction as the whole percent the paper's axes print."""
+    return int(round(fraction * 100))
+
+
+def reduce(key: str, how: Callable = np.mean, cast: Callable = float) -> Reduction:
+    """``cast(how(...))`` of payload ``key`` over the cell's trials."""
+    return lambda params, payloads: cast(how([p[key] for p in payloads]))
+
+
+class _UnitIdFormatter(string.Formatter):
+    """``str.format`` plus the ``pct`` spec: ``{fraction:pct}`` → ``40``."""
+
+    def format_field(self, value: Any, format_spec: str) -> str:
+        if format_spec == "pct":
+            return str(pct(value))
+        return super().format_field(value, format_spec)
+
+
+_UNIT_ID = _UnitIdFormatter()
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """The decomposed form of one experiment (units / run / aggregate).
+    """One experiment, declared as data; its methods are the runner.
 
-    ``shard_unit`` / ``merge_shards`` (optional, declared together)
-    split one trial unit into finer independently runnable — and
-    independently *cacheable* — sub-units: ``shard_unit(unit, scale)``
-    returns the ordered shard specs (ids conventionally
-    ``f"{unit.unit_id}@{part}"``) and ``merge_shards(unit, shards,
-    results)`` folds their payloads back into the unit payload the
-    aggregate step expects. An interrupted batch then resumes at shard
-    granularity: finished shards are served from the results store and
-    only unfinished ones are redone.
+    Attributes
+    ----------
+    experiment_id:
+        Paper reference (``"fig5"`` ...); the registry key.
+    title:
+        The result's title.
+    grid:
+        Axes, outermost first. Their product, in order, is the result's
+        row order.
+    unit_id:
+        Template over the unit parameters and ``trial`` (the trial index).
+    run_unit:
+        The cell: ``run_unit(unit, scale)`` returns a JSON-serializable
+        payload. The batch engine calls it, in-process or in a worker.
+    columns:
+        Each a payload key (its mean over trials, as a float) or a
+        ``(name, reduction)`` pair; or a function of the resolved
+        overrides returning them.
+    seed:
+        Master seed of the trial seeds; ``None`` for a deterministic
+        experiment, which runs one unit with seed 0 and carries no meta.
+    trials:
+        Trials per cell; ``None`` follows ``ScaleConfig.n_trials``.
+    passthrough:
+        Names of columns the payload's ``"rows"`` supply: each payload
+        row becomes a result row after the reduced columns.
+    shard:
+        An axis a unit carries whole (as a tuple parameter) and the
+        store caches per value: shard ``f"{unit_id}@{value}"`` carries
+        the one-value tuple, and the unit payload is the shards'
+        payloads merged in order. An interrupted batch resumes at shard
+        granularity.
     """
 
     experiment_id: str
-    trial_units: Callable[[ScaleConfig], list[TrialSpec]]
+    title: str
+    grid: "tuple[Axis, ...]"
+    unit_id: str
     run_unit: Callable[[TrialSpec, ScaleConfig], dict]
-    aggregate: Callable[[ScaleConfig, list[TrialSpec], dict[str, dict]], ExperimentResult]
-    shard_unit: "Callable[[TrialSpec, ScaleConfig], list[TrialSpec]] | None" = None
-    merge_shards: (
-        "Callable[[TrialSpec, list[TrialSpec], dict[str, dict]], dict] | None"
-    ) = None
+    columns: "tuple | Callable[[dict], tuple]"
+    seed: "int | None"
+    trials: "int | None" = None
+    passthrough: "tuple[str, ...]" = ()
+    shard: "Axis | None" = None
 
-    def __post_init__(self) -> None:
-        if (self.shard_unit is None) != (self.merge_shards is None):
+    def _settings(self, overrides: dict) -> dict:
+        """Every override name's values, default or overridden, and the seed."""
+        axes = self.grid if self.shard is None else (*self.grid, self.shard)
+        settings = {axis.override: axis.values for axis in axes if axis.override}
+        if self.seed is not None:
+            settings["seed"] = self.seed
+        unknown = sorted(set(overrides) - set(settings))
+        if unknown:
             raise ValidationError(
-                f"experiment {self.experiment_id!r} declares only one of "
-                "shard_unit/merge_shards; sharding needs both the split "
-                "and the fold"
+                f"{self.experiment_id} has no override {unknown}; "
+                f"choose from {sorted(settings)}"
             )
+        return {**settings, **overrides}
+
+    def trial_units(self, scale: "str | ScaleConfig", **overrides: Any) -> "list[TrialSpec]":
+        """Expand the grid into units: one per grid point and trial."""
+        scale = get_scale(scale)
+        settings = self._settings(overrides)
+        cells: list[dict] = [{}]
+        for axis in self.grid:
+            values = settings.get(axis.override, axis.values)
+            cells = [
+                {**cell, **axis.bind(value)}
+                for cell in cells
+                for value in (values(scale, cell) if callable(values) else values)
+            ]
+        if self.shard is not None:
+            whole = tuple(settings[self.shard.override])
+            cells = [{**cell, self.shard.params: whole} for cell in cells]
+        if self.seed is None:
+            seeds = [0]
+        else:
+            n_trials = scale.n_trials if self.trials is None else self.trials
+            seeds = derive_trial_seeds(settings["seed"], n_trials)
+        return ensure_unique_unit_ids(
+            [
+                TrialSpec.make(
+                    self.experiment_id,
+                    _UNIT_ID.format(self.unit_id, trial=t, **cell),
+                    seed,
+                    **cell,
+                )
+                for cell in cells
+                for t, seed in enumerate(seeds)
+            ]
+        )
+
+    def shard_unit(self, unit: TrialSpec, scale: ScaleConfig) -> "list[TrialSpec]":
+        """The unit's shards, in order (none when the spec declares no shard)."""
+        if self.shard is None:
+            return []
+        name = self.shard.params
+        return ensure_unique_unit_ids(
+            [
+                TrialSpec.make(
+                    unit.experiment_id,
+                    f"{unit.unit_id}@{value}",
+                    unit.seed,
+                    **{**unit.kwargs, name: (value,)},
+                )
+                for value in unit.kwargs[name]
+            ]
+        )
+
+    @staticmethod
+    def merge_shards(
+        unit: TrialSpec, shards: "list[TrialSpec]", results: "dict[str, dict]"
+    ) -> dict:
+        """The unit payload: its shards' payloads merged left to right."""
+        merged: dict = {}
+        for shard in shards:
+            merged.update(results[shard.unit_id])
+        return merged
+
+    def aggregate(
+        self,
+        scale: "str | ScaleConfig",
+        units: "list[TrialSpec]",
+        results: "dict[str, dict]",
+        **overrides: Any,
+    ) -> ExperimentResult:
+        """Reduce each grid cell's trials to one row (or its passthrough rows)."""
+        scale = get_scale(scale)
+        settings = self._settings(overrides)
+        columns = self.columns(settings) if callable(self.columns) else self.columns
+        columns = [(c, reduce(c)) if isinstance(c, str) else c for c in columns]
+        cells: dict[tuple, list[dict]] = {}
+        for unit in units:
+            cells.setdefault(unit.params, []).append(results[unit.unit_id])
+        rows = []
+        for params, payloads in cells.items():
+            row = tuple(how(dict(params), payloads) for _, how in columns)
+            if self.passthrough:
+                rows.extend((*row, *tail) for p in payloads for tail in p["rows"])
+            else:
+                rows.append(row)
+        if self.seed is None:
+            meta = {}
+        elif self.trials is None:
+            meta = {"scale": scale.name, "trials": scale.n_trials, "seed": settings["seed"]}
+        else:
+            meta = {"scale": scale.name, "seed": settings["seed"]}
+        return ExperimentResult(
+            experiment_id=self.experiment_id,
+            title=self.title,
+            columns=[name for name, _ in columns] + list(self.passthrough),
+            rows=rows,
+            meta=meta,
+        )
+
+    def __call__(
+        self, scale: "str | ScaleConfig" = "default", **overrides: Any
+    ) -> ExperimentResult:
+        """Run every unit serially in this process and aggregate."""
+        from repro.experiments.batch import execute_units
+
+        scale = get_scale(scale)
+        units = self.trial_units(scale, **overrides)
+        results = execute_units(self, scale, units)
+        return self.aggregate(scale, units, results, **overrides)
 
 
-#: Registry of decomposed experiments, keyed by paper id.
+#: Registry of declared experiments, keyed by paper id, in declaration order.
 EXPERIMENT_SPECS: dict[str, ExperimentSpec] = {}
 
 
@@ -123,14 +330,14 @@ def register_experiment(spec: ExperimentSpec) -> ExperimentSpec:
 
 def _ensure_registered() -> None:
     """Import the modules whose import side-effect fills the registry."""
-    import repro.experiments.fault_storm  # noqa: F401
-    import repro.experiments.figures  # noqa: F401
     import repro.experiments.tables  # noqa: F401
+    import repro.experiments.figures  # noqa: F401
     import repro.experiments.traffic  # noqa: F401
+    import repro.experiments.fault_storm  # noqa: F401
 
 
 def get_experiment_spec(experiment_id: str) -> ExperimentSpec:
-    """Look up a decomposed experiment, importing the runners if needed."""
+    """Look up a declared experiment, importing the declarations if needed."""
     if experiment_id not in EXPERIMENT_SPECS:
         _ensure_registered()
     try:
@@ -160,23 +367,6 @@ def ensure_unique_unit_ids(units: "list[TrialSpec]") -> "list[TrialSpec]":
             )
         seen[unit.unit_id] = unit
     return units
-
-
-def group_payloads(
-    units: "list[TrialSpec]", results: dict[str, dict], *names: str
-) -> dict[tuple, list[dict]]:
-    """Group unit payloads by the named params, preserving unit order.
-
-    The shared aggregation helper: insertion order of the returned dict is
-    the row order of the original serial loops.
-    """
-    grouped: dict[tuple, list[dict]] = {}
-    for unit in units:
-        params = unit.kwargs
-        grouped.setdefault(tuple(params[n] for n in names), []).append(
-            results[unit.unit_id]
-        )
-    return grouped
 
 
 def derive_trial_seeds(seed: int, n_trials: int) -> list[int]:

@@ -1,40 +1,23 @@
-"""Runners for the paper's tables (Table II statistics, Table III ablation).
+"""The paper's tables (Table II statistics, Table III ablation), as declarations.
 
-Like the figures, each table is decomposed into trial units
-(``*_units`` / ``*_run_unit`` / ``*_aggregate``) so the batch runner can
-parallelize and cache them; the public entry points run the same units
-serially. Both runners accept a ``scale`` argument uniformly (Table II
-ignores everything but the signature — its statistics are fixed).
+Like the figures (see :mod:`repro.experiments.figures`), each table is one
+:class:`~repro.experiments.spec.ExperimentSpec` read by the generic
+runner. Table II is deterministic: one unit, no seed, no meta, and its
+statistics are the same at every scale.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.api import ScenarioConfig, run_scenario
-from repro.config import ScaleConfig, get_scale
+from repro.config import ScaleConfig
 from repro.datasets import table2_rows
-from repro.experiments.reporting import ExperimentResult
-from repro.experiments.spec import (
-    ExperimentSpec,
-    TrialSpec,
-    derive_trial_seeds,
-    ensure_unique_unit_ids,
-    group_payloads,
-    register_experiment,
-)
+from repro.experiments.spec import Axis, ExperimentSpec, TrialSpec, param, register_experiment
 
 
 # ----------------------------------------------------------------------
 # Table II — dataset statistics
 # ----------------------------------------------------------------------
-def table2_units(scale: "str | ScaleConfig") -> list[TrialSpec]:
-    """Table II is one deterministic unit (no trials, no randomness)."""
-    get_scale(scale)
-    return [TrialSpec.make("table2", "stats", 0)]
-
-
-def table2_run_unit(spec: TrialSpec, scale: ScaleConfig) -> dict:
+def table2_run_unit(unit: TrialSpec, scale: ScaleConfig) -> dict:
     """Materialize the dataset statistics rows."""
     return {
         "rows": [
@@ -44,109 +27,58 @@ def table2_run_unit(spec: TrialSpec, scale: ScaleConfig) -> dict:
     }
 
 
-def table2_aggregate(
-    scale: "str | ScaleConfig",
-    units: list[TrialSpec],
-    results: dict[str, dict],
-) -> ExperimentResult:
-    """Wrap the statistics rows into the Table II result."""
-    rows = [tuple(row) for row in results[units[0].unit_id]["rows"]]
-    return ExperimentResult(
-        experiment_id="table2",
+table2_datasets = register_experiment(
+    ExperimentSpec(
+        "table2",
         title="Statistics of datasets",
-        columns=["dataset", "samples", "classes", "features"],
-        rows=rows,
-        meta={},
+        grid=(),
+        unit_id="stats",
+        run_unit=table2_run_unit,
+        columns=(),
+        passthrough=("dataset", "samples", "classes", "features"),
+        seed=None,
     )
-
-
-def table2_datasets(scale: "str | ScaleConfig" = "default") -> ExperimentResult:
-    """Table II: dataset statistics (``scale`` accepted for CLI uniformity)."""
-    scale = get_scale(scale)
-    units = ensure_unique_unit_ids(table2_units(scale))
-    results = {unit.unit_id: table2_run_unit(unit, scale) for unit in units}
-    return table2_aggregate(scale, units, results)
+)
 
 
 # ----------------------------------------------------------------------
 # Table III — GRN component ablation
 # ----------------------------------------------------------------------
-#: The six ablation cases of Table III: which GRN components are enabled.
-ABLATION_CASES = [
-    # (case index, input x_adv, input noise, variance constraint, generator)
-    (1, False, True, True, True),
-    (2, True, False, True, True),
-    (3, True, True, False, True),
-    (4, True, True, True, False),
-    (5, True, True, True, True),
-]
-
-
-def table3_units(
-    scale: "str | ScaleConfig",
-    *,
-    dataset: str = "bank",
-    target_fraction: float = 0.4,
-    seed: int = 3,
-) -> list[TrialSpec]:
-    """One unit per (ablation case, trial); case 6 is the random guess."""
-    scale = get_scale(scale)
-    trial_seeds = derive_trial_seeds(seed, scale.n_trials)
-    units = []
-    for case, use_adv, use_noise, use_constraint, use_generator in ABLATION_CASES:
-        for t, trial_seed in enumerate(trial_seeds):
-            units.append(
-                TrialSpec.make(
-                    "table3",
-                    f"case{case}:t{t}",
-                    trial_seed,
-                    case=case,
-                    dataset=dataset,
-                    target_fraction=target_fraction,
-                    use_adv=use_adv,
-                    use_noise=use_noise,
-                    use_constraint=use_constraint,
-                    use_generator=use_generator,
-                )
-            )
-    for t, trial_seed in enumerate(trial_seeds):
-        units.append(
-            TrialSpec.make(
-                "table3",
-                f"case6:t{t}",
-                trial_seed,
-                case=6,
-                dataset=dataset,
-                target_fraction=target_fraction,
-            )
+#: Which GRN components each case of Table III enables.
+_FLAGS = ("use_adv", "use_noise", "use_constraint", "use_generator")
+ABLATION_CASES = (
+    *(
+        {"case": case, **dict(zip(_FLAGS, flags))}
+        for case, *flags in (
+            # (case, input x_adv, input noise, variance constraint, generator)
+            (1, False, True, True, True),
+            (2, True, False, True, True),
+            (3, True, True, False, True),
+            (4, True, True, True, False),
+            (5, True, True, True, True),
         )
-    return units
+    ),
+    {"case": 6},  # the random guess: no GRN at all
+)
 
 
-def table3_run_unit(spec: TrialSpec, scale: ScaleConfig) -> dict:
+def table3_run_unit(unit: TrialSpec, scale: ScaleConfig) -> dict:
     """One ablated GRN trial (or one random-guess trial for case 6)."""
-    params = spec.kwargs
+    params = unit.kwargs
+    common = dict(
+        dataset=params["dataset"],
+        model="lr",
+        target_fraction=params["target_fraction"],
+        scale=scale,
+        seed=unit.seed,
+    )
     if params["case"] == 6:
-        report = run_scenario(
-            ScenarioConfig(
-                dataset=params["dataset"],
-                model="lr",
-                attack="random_uniform",
-                target_fraction=params["target_fraction"],
-                scale=scale,
-                seed=spec.seed,
-            )
-        )
+        report = run_scenario(ScenarioConfig(attack="random_uniform", **common))
         return {"mse": report.metrics["mse"]}
     use_generator = params["use_generator"]
     report = run_scenario(
         ScenarioConfig(
-            dataset=params["dataset"],
-            model="lr",
             attack="grna",
-            target_fraction=params["target_fraction"],
-            scale=scale,
-            seed=spec.seed,
             attack_params={
                 "use_adv_input": params["use_adv"],
                 "use_noise": params["use_noise"],
@@ -157,57 +89,38 @@ def table3_run_unit(spec: TrialSpec, scale: ScaleConfig) -> dict:
                 "output_activation": "sigmoid" if use_generator else "linear",
                 "clip_to_unit": False if not use_generator else True,
             },
+            **common,
         )
     )
     return {"mse": report.metrics["mse"]}
 
 
-def table3_aggregate(
-    scale: "str | ScaleConfig",
-    units: list[TrialSpec],
-    results: dict[str, dict],
-    *,
-    seed: int = 3,
-) -> ExperimentResult:
-    """Average trials per case into the Table III rows (cases 1-6 in order)."""
-    scale = get_scale(scale)
-    first = units[0].kwargs
-    dataset, target_fraction = first["dataset"], first["target_fraction"]
-    flags = {
-        unit.kwargs["case"]: tuple(
-            unit.kwargs.get(name, False)
-            for name in ("use_adv", "use_noise", "use_constraint", "use_generator")
-        )
-        for unit in units
-    }
-    rows = [
-        (case, *flags[case], float(np.mean([p["mse"] for p in payloads])))
-        for (case,), payloads in group_payloads(units, results, "case").items()
-    ]
-    return ExperimentResult(
-        experiment_id="table3",
-        title=f"GRN ablation on {dataset} (LR, d_target={int(target_fraction*100)}%)",
-        columns=["case", "input_xadv", "input_noise", "constraint", "generator", "mse"],
-        rows=rows,
-        meta={"scale": scale.name, "trials": scale.n_trials, "seed": seed},
+def _flag(name: str):
+    """A component-flag column; case 6 sets no flag, so it reads False."""
+    return lambda params, payloads: params.get(name, False)
+
+
+table3_ablation = register_experiment(
+    ExperimentSpec(
+        "table3",
+        title="GRN ablation on bank (LR, d_target=40%)",
+        grid=(
+            Axis(None, ABLATION_CASES),
+            Axis("dataset", ("bank",)),
+            Axis("target_fraction", (0.4,)),
+        ),
+        unit_id="case{case}:t{trial}",
+        run_unit=table3_run_unit,
+        columns=(
+            ("case", param("case")),
+            *(
+                (column, _flag(name))
+                for column, name in zip(
+                    ("input_xadv", "input_noise", "constraint", "generator"), _FLAGS
+                )
+            ),
+            "mse",
+        ),
+        seed=3,
     )
-
-
-def table3_ablation(
-    scale: "str | ScaleConfig" = "default",
-    *,
-    dataset: str = "bank",
-    target_fraction: float = 0.4,
-    seed: int = 3,
-) -> ExperimentResult:
-    """Table III: GRN component ablation (LR model, bank, d_target = 40%)."""
-    scale = get_scale(scale)
-    units = ensure_unique_unit_ids(
-        table3_units(scale, dataset=dataset, target_fraction=target_fraction, seed=seed)
-    )
-    results = {unit.unit_id: table3_run_unit(unit, scale) for unit in units}
-    return table3_aggregate(scale, units, results, seed=seed)
-
-
-register_experiment(ExperimentSpec("table2", table2_units, table2_run_unit, table2_aggregate))
-register_experiment(ExperimentSpec("table3", table3_units, table3_run_unit, table3_aggregate))
+)

@@ -28,19 +28,19 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api import build_scenario
-from repro.config import ScaleConfig, get_scale
-from repro.experiments.figures import _pct, _run_serial  # noqa: F401 (shared helpers)
-from repro.experiments.reporting import ExperimentResult
+from repro.config import ScaleConfig
 from repro.experiments.spec import (
+    Axis,
     ExperimentSpec,
     TrialSpec,
     derive_trial_seeds,
-    group_payloads as _group_by,
+    param,
+    reduce,
     register_experiment,
 )
 from repro.workload import ShardedPredictionService, attacker_trace, make_trace
 
-__all__ = ["traffic_units", "traffic_run_unit", "traffic_aggregate", "traffic_sweep"]
+__all__ = ["traffic_run_unit", "traffic_sweep"]
 
 #: Attack families and the paper model each one targets.
 TRAFFIC_ATTACKS = (("grna", "nn"), ("pra", "dt"), ("esa", "lr"))
@@ -61,37 +61,12 @@ ATTACK_BATCH = 16
 N_SHARDS = 4
 
 
-def traffic_units(
-    scale: "str | ScaleConfig",
-    *,
-    attacks: tuple = TRAFFIC_ATTACKS,
-    processes: tuple[str, ...] = TRAFFIC_PROCESSES,
-    seed: int = 23,
-) -> list[TrialSpec]:
-    """One unit per (attack family, arrival process, trial) cell."""
-    scale = get_scale(scale)
-    trial_seeds = derive_trial_seeds(seed, scale.n_trials)
-    return [
-        TrialSpec.make(
-            "traffic",
-            f"{attack}:{process}:t{t}",
-            trial_seed,
-            attack=attack,
-            model=model,
-            process=process,
-        )
-        for attack, model in attacks
-        for process in processes
-        for t, trial_seed in enumerate(trial_seeds)
-    ]
-
-
-def traffic_run_unit(spec: TrialSpec, scale: ScaleConfig) -> dict:
+def traffic_run_unit(unit: TrialSpec, scale: ScaleConfig) -> dict:
     """Serve one attacker inside benign traffic; report the audit verdict."""
-    params = spec.kwargs
-    scenario = build_scenario("bank", params["model"], 0.3, scale, spec.seed)
+    params = unit.kwargs
+    scenario = build_scenario("bank", params["model"], 0.3, scale, unit.seed)
     vfl = scenario.vfl
-    benign_seed, attack_seed = derive_trial_seeds(spec.seed, 2)
+    benign_seed, attack_seed = derive_trial_seeds(unit.seed, 2)
     benign = make_trace(
         N_BENIGN,
         N_BENIGN_EVENTS,
@@ -118,7 +93,7 @@ def traffic_run_unit(spec: TrialSpec, scale: ScaleConfig) -> dict:
             max_batch=32,
             cache=cache,
             cache_size=256 if cache else None,
-            seed=spec.seed,
+            seed=unit.seed,
         )
 
     # The audited deployment: concurrent 4-shard replay, plus the serial
@@ -158,67 +133,34 @@ def traffic_run_unit(spec: TrialSpec, scale: ScaleConfig) -> dict:
     }
 
 
-def traffic_aggregate(
-    scale: "str | ScaleConfig",
-    units: list[TrialSpec],
-    results: dict[str, dict],
-    *,
-    seed: int = 23,
-) -> ExperimentResult:
-    """Fold trials into the per-(attack, process) isolation table."""
-    scale = get_scale(scale)
-    rows = []
-    for (attack, model, process), payloads in _group_by(
-        units, results, "attack", "model", "process"
-    ).items():
-        rows.append(
-            (
-                attack,
-                model,
-                process,
-                N_BENIGN,
-                float(np.mean([p["attacker_rank"] == 1 for p in payloads])),
-                float(np.mean([p["attacker_score"] for p in payloads])),
-                float(np.mean([p["benign_top_score"] for p in payloads])),
-                bool(all(p["shard_identical"] for p in payloads)),
-                int(np.mean([p["attacker_refusals"] for p in payloads])),
-                int(np.mean([p["benign_refusals"] for p in payloads])),
-            )
-        )
-    return ExperimentResult(
-        experiment_id="traffic",
+traffic_sweep = register_experiment(
+    ExperimentSpec(
+        "traffic",
         title="Needle in traffic: audit ranking of the attack consumer "
         f"among {N_BENIGN} benign tenants ({N_SHARDS} shards)",
-        columns=[
-            "attack",
-            "model",
-            "process",
-            "n_benign",
-            "top1_rate",
+        grid=(
+            Axis(("attack", "model"), TRAFFIC_ATTACKS, "attacks"),
+            Axis("process", TRAFFIC_PROCESSES, "processes"),
+        ),
+        unit_id="{attack}:{process}:t{trial}",
+        run_unit=traffic_run_unit,
+        columns=(
+            ("attack", param("attack")),
+            ("model", param("model")),
+            ("process", param("process")),
+            ("n_benign", lambda params, payloads: N_BENIGN),
+            (
+                "top1_rate",
+                lambda params, payloads: float(
+                    np.mean([p["attacker_rank"] == 1 for p in payloads])
+                ),
+            ),
             "attacker_score",
             "benign_top_score",
-            "shard_identical",
-            "attacker_refusals",
-            "benign_refusals",
-        ],
-        rows=rows,
-        meta={"scale": scale.name, "trials": scale.n_trials, "seed": seed},
+            ("shard_identical", reduce("shard_identical", all, bool)),
+            ("attacker_refusals", reduce("attacker_refusals", cast=int)),
+            ("benign_refusals", reduce("benign_refusals", cast=int)),
+        ),
+        seed=23,
     )
-
-
-def traffic_sweep(
-    scale: "str | ScaleConfig" = "default",
-    *,
-    attacks: tuple = TRAFFIC_ATTACKS,
-    processes: tuple[str, ...] = TRAFFIC_PROCESSES,
-    seed: int = 23,
-) -> ExperimentResult:
-    """Attacker isolation by anomaly score, across attacks and arrivals."""
-    scale = get_scale(scale)
-    units = traffic_units(scale, attacks=attacks, processes=processes, seed=seed)
-    return _run_serial(units, traffic_run_unit, traffic_aggregate, scale, seed=seed)
-
-
-register_experiment(
-    ExperimentSpec("traffic", traffic_units, traffic_run_unit, traffic_aggregate)
 )

@@ -15,19 +15,20 @@ class IncompleteAttack:
 ATTACKS.register("ghost", GhostAttack)  # noqa: F821 - class never defined
 
 
-def scale_blind_units(scale):
-    """Ignores its ScaleConfig entirely — cannot offer --smoke."""
-    return [{"trial": i} for i in range(8)]
-
-
-def run_unit(spec, scale):
+def run_unit(unit, scale):
     return {"loss": 0.0}
 
 
-def aggregate(rows):
-    return rows
-
-
-FIRST = ExperimentSpec("fixture-dup", scale_blind_units, run_unit, aggregate)
-SECOND = ExperimentSpec("fixture-dup", scale_blind_units, run_unit, aggregate)
-INLINE = ExperimentSpec("fixture-lambda", lambda scale: [], run_unit, aggregate)
+FIRST = ExperimentSpec(
+    "fixture-dup", title="first", grid=(), unit_id="t{trial}", run_unit=run_unit,
+    columns=("loss",), seed=1,
+)
+SECOND = ExperimentSpec(
+    "fixture-dup", title="second", grid=(), unit_id="t{trial}", run_unit=run_unit,
+    columns=("loss",), seed=2,
+)
+# Eight trials at every scale, smoke included.
+SCALE_BLIND = ExperimentSpec(
+    "fixture-fixed", title="fixed", grid=(), unit_id="t{trial}", run_unit=run_unit,
+    columns=("loss",), seed=3, trials=8,
+)

@@ -33,16 +33,25 @@ class ConfiguredAttack(AttackBase):
 ATTACKS.register("fixture-configured", partial(ConfiguredAttack, strength=2))
 
 
-def trial_units(scale):
-    return [{"trial": i} for i in range(scale.trials)]
+# Trials follow the scale; a lambda cell is fine (workers look specs up by id).
+SPEC = ExperimentSpec(
+    "fixture-good",
+    title="good",
+    grid=(),
+    unit_id="t{trial}",
+    run_unit=lambda unit, scale: {"loss": 0.0},
+    columns=("loss",),
+    seed=1,
+)
 
-
-def run_unit(spec, scale):
-    return {"loss": 0.0, "trials": scale.trials}
-
-
-def aggregate(rows):
-    return rows
-
-
-SPEC = ExperimentSpec("fixture-good", trial_units, run_unit, aggregate)
+# One fixed trial cannot be scaled down further, and need not be.
+PANEL = ExperimentSpec(
+    "fixture-panel",
+    title="one panel",
+    grid=(),
+    unit_id="panel",
+    run_unit=lambda unit, scale: {"loss": 0.0},
+    columns=("loss",),
+    seed=2,
+    trials=1,
+)

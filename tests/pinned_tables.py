@@ -107,11 +107,8 @@ def manifest() -> dict:
             entries = []
             for unit in spec.trial_units(scale):
                 entries.append([unit.unit_id, unit.seed, config_hash(scale, unit)])
-                if spec.shard_unit is not None:
-                    for shard in spec.shard_unit(unit, scale):
-                        entries.append(
-                            [shard.unit_id, shard.seed, config_hash(scale, shard)]
-                        )
+                for shard in spec.shard_unit(unit, scale):
+                    entries.append([shard.unit_id, shard.seed, config_hash(scale, shard)])
             per_scale[experiment_id] = entries
     return out
 

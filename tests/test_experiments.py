@@ -196,12 +196,12 @@ class TestRunners:
             assert parameter.name == "scale", experiment_id
 
     def test_registry_matches_decomposed_specs(self):
-        """The classic registry and the trial-unit registry must agree."""
+        """One registry: the CLI's entries are the declarations themselves."""
         from repro.experiments import EXPERIMENT_SPECS
-        from repro.experiments.spec import _ensure_registered
 
-        _ensure_registered()
-        assert set(EXPERIMENTS) == set(EXPERIMENT_SPECS)
+        assert EXPERIMENTS is EXPERIMENT_SPECS
+        for experiment_id, spec in EXPERIMENTS.items():
+            assert spec.experiment_id == experiment_id
 
     def test_table2(self):
         result = table2_datasets()
@@ -245,6 +245,60 @@ class TestRunners:
         assert main(["table2"]) == 0
         out = capsys.readouterr().out
         assert "bank" in out and "45211" in out
+
+
+class TestDeclarations:
+    """The generic runner's override mechanism and grid expansion."""
+
+    def test_axis_override_replaces_the_axis_values(self):
+        from repro.experiments.figures import fig9_num_predictions
+
+        units = fig9_num_predictions.trial_units(
+            TINY, datasets=("bank",), pool_fractions=(0.3,)
+        )
+        assert [u.unit_id for u in units] == ["bank:40:p30:t0"]
+        assert units[0].kwargs == {"dataset": "bank", "fraction": 0.4, "pool_fraction": 0.3}
+
+    def test_seed_override_moves_unit_seeds_and_meta(self):
+        from repro.experiments import EXPERIMENT_SPECS, derive_trial_seeds
+
+        spec = EXPERIMENT_SPECS["fig5"]
+        units = spec.trial_units(TINY, datasets=("bank",), seed=1)
+        assert [u.seed for u in units] == derive_trial_seeds(1, TINY.n_trials)
+        result = spec.aggregate(TINY, units, {units[0].unit_id: {
+            "esa_mse": 0.5, "rg_uniform_mse": 1.0, "rg_gaussian_mse": 2.0, "exact": True
+        }}, seed=1)
+        assert result.meta == {"scale": "tiny", "trials": 1, "seed": 1}
+        assert result.rows == [("bank", 40, 0.5, 1.0, 2.0, True)]
+
+    @pytest.mark.parametrize(
+        "experiment_id, overrides",
+        [
+            ("fig5", {"fractions": (0.2,)}),  # the scale's, not an override
+            ("fig10", {"datasets": ("bank",)}),  # the paper's fixed panels
+            ("table2", {"seed": 1}),  # deterministic: no seed at all
+        ],
+    )
+    def test_unknown_override_is_rejected(self, experiment_id, overrides):
+        from repro.experiments import EXPERIMENT_SPECS
+
+        with pytest.raises(ValidationError, match="has no override"):
+            EXPERIMENT_SPECS[experiment_id].trial_units(TINY, **overrides)
+
+    def test_colliding_unit_ids_are_rejected(self):
+        from repro.experiments.figures import fig5_units
+
+        with pytest.raises(ValidationError, match="duplicate unit id"):
+            fig5_units(TINY, datasets=("bank", "bank"))
+
+    def test_shards_split_the_shard_axis(self):
+        from repro.experiments.figures import fig7_grna
+
+        unit = fig7_grna.trial_units(TINY, datasets=("bank",), models=("lr", "nn"))[0]
+        shards = fig7_grna.shard_unit(unit, TINY)
+        assert [s.unit_id for s in shards] == ["bank:40:t0@lr", "bank:40:t0@nn"]
+        assert [s.kwargs["models"] for s in shards] == [("lr",), ("nn",)]
+        assert {s.seed for s in shards} == {unit.seed}
 
 
 class TestCsvExport:

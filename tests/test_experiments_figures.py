@@ -7,7 +7,6 @@ larger smoke/default scales.
 """
 
 import numpy as np
-import pytest
 
 from repro.experiments import (
     ScaleConfig,

@@ -306,11 +306,7 @@ class TestCacheFlow:
         # recorded per-unit seed must act as the staleness check.
         store = ResultsStore(tmp_path)
         run_batch("fig5", TINY, store=store)
-        experiment = get_experiment_spec("fig5")
-        reseeded = dataclasses.replace(
-            experiment,
-            trial_units=lambda scale: experiment.trial_units(scale, seed=99),
-        )
+        reseeded = dataclasses.replace(get_experiment_spec("fig5"), seed=99)
         calls = []
         monkeypatch.setitem(
             EXPERIMENT_SPECS, "fig5", _counting_spec(reseeded, calls)
@@ -381,92 +377,48 @@ class TestCli:
         capsys.readouterr()
 
 
-def _shard_units(scale):
-    return [
-        TrialSpec.make("shardy", "u0", 100, base=10),
-        TrialSpec.make("shardy", "u1", 101, base=20),
-    ]
+#: Per-part offsets of the shard-mechanics fixture.
+_OFFSETS = {"a": 1, "b": 2}
 
 
 def _shard_run_unit(spec, scale):
-    if "part" in spec.kwargs:
-        return {spec.kwargs["part"]: spec.kwargs["base"] + spec.kwargs["offset"]}
-    return {
-        part: spec.kwargs["base"] + offset
-        for part, offset in (("a", 1), ("b", 2))
-    }
+    return {part: spec.kwargs["base"] + _OFFSETS[part] for part in spec.kwargs["parts"]}
 
 
-def _shard_aggregate(scale, units, results):
-    from repro.experiments.reporting import ExperimentResult
+def _shardy():
+    from repro.experiments.spec import Axis, ExperimentSpec
 
-    rows = [
-        {"unit": spec.unit_id, **results[spec.unit_id]} for spec in units
-    ]
-    return ExperimentResult(
-        experiment_id="shardy",
+    return ExperimentSpec(
+        "shardy",
         title="shard mechanics fixture",
-        columns=("unit", "a", "b"),
-        rows=rows,
-        meta={"scale": scale.name},
+        grid=(Axis(("unit", "base"), (("u0", 10), ("u1", 20))),),
+        unit_id="{unit}",
+        run_unit=_shard_run_unit,
+        columns=(("unit", lambda params, payloads: params["unit"]), "a", "b"),
+        seed=100,
+        trials=1,
+        shard=Axis("parts", ("a", "b"), "parts"),
     )
 
 
-def _shard_split(unit, scale):
-    return [
-        TrialSpec.make(
-            unit.experiment_id,
-            f"{unit.unit_id}@{part}",
-            unit.seed,
-            **{**unit.kwargs, "part": part, "offset": offset},
-        )
-        for part, offset in (("a", 1), ("b", 2))
-    ]
-
-
-def _shard_merge(unit, shards, results):
-    merged = {}
-    for shard in shards:
-        merged.update(results[shard.unit_id])
-    return merged
-
-
 class TestShardedUnits:
-    """ExperimentSpec.shard_unit/merge_shards: resume inside one unit."""
+    """An ExperimentSpec ``shard`` axis: resume inside one unit."""
 
     @pytest.fixture()
     def shardy(self, monkeypatch):
-        from repro.experiments.spec import EXPERIMENT_SPECS, ExperimentSpec
+        from repro.experiments.spec import EXPERIMENT_SPECS
 
-        spec = ExperimentSpec(
-            "shardy",
-            _shard_units,
-            _shard_run_unit,
-            _shard_aggregate,
-            shard_unit=_shard_split,
-            merge_shards=_shard_merge,
-        )
+        spec = _shardy()
         monkeypatch.setitem(EXPERIMENT_SPECS, "shardy", spec)
         return spec
 
-    def test_declaring_only_one_hook_is_rejected(self):
-        from repro.experiments.spec import ExperimentSpec
-
-        with pytest.raises(ValidationError, match="shard_unit"):
-            ExperimentSpec(
-                "half",
-                _shard_units,
-                _shard_run_unit,
-                _shard_aggregate,
-                shard_unit=_shard_split,
-            )
-
     def test_storeless_run_matches_unsharded_payloads(self, shardy):
+        unsharded = {
+            unit.unit_id: _shard_run_unit(unit, TINY) for unit in shardy.trial_units(TINY)
+        }
+        assert unsharded == {"u0": {"a": 11, "b": 12}, "u1": {"a": 21, "b": 22}}
         result = run_batch("shardy", TINY)
-        assert result.rows == [
-            {"unit": "u0", "a": 11, "b": 12},
-            {"unit": "u1", "a": 21, "b": 22},
-        ]
+        assert result.rows == [("u0", 11.0, 12.0), ("u1", 21.0, 22.0)]
 
     def test_shards_cache_and_merge(self, shardy, tmp_path):
         lines = []
@@ -508,8 +460,14 @@ class TestShardedUnits:
 
     def test_fig7_sharded_equals_unsharded_bit_identical(self, tmp_path):
         """The real consumer: fig7 shards per model kind, merges per unit."""
+        from repro.experiments.figures import fig7_grna, fig7_run_unit
+
         lines = []
-        baseline = run_batch("fig7", TINY)  # storeless: no sharding involved
+        # The unsharded protocol: every unit runs all three models at once.
+        units = fig7_grna.trial_units(TINY)
+        baseline = fig7_grna.aggregate(
+            TINY, units, {unit.unit_id: fig7_run_unit(unit, TINY) for unit in units}
+        )
         first = run_batch(
             "fig7", TINY, store=ResultsStore(tmp_path), on_progress=lines.append
         )

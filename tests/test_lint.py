@@ -64,8 +64,7 @@ class TestRuleFixtures:
         assert "prepare(scenario) and run" in messages  # missing surface
         assert "no name attribute" in messages
         assert "already declared" in messages  # duplicate experiment id
-        assert "module-level function" in messages  # lambda component
-        assert "--smoke" in messages  # scale-blind trial_units
+        assert "trials=8" in messages and "--smoke" in messages  # fixed trials
 
     def test_checkpoint_bad_covers_every_contract(self):
         report, _ = lint_fixture("checkpoint_bad.py", "checkpoint-completeness")
