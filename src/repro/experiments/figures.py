@@ -22,7 +22,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.api import DefenseStack, ScenarioConfig, build_scenario, run_scenario
+from repro.api import (
+    DefenseStack,
+    ScenarioConfig,
+    ScenarioReport,
+    build_scenario,
+    run_scenario,
+)
 from repro.config import ScaleConfig
 from repro.experiments.spec import (
     FRACTIONS,
@@ -47,7 +53,7 @@ def _datasets(default: tuple[str, ...]) -> Axis:
     return Axis("dataset", default, "datasets")
 
 
-def _scenario(unit: TrialSpec, scale: ScaleConfig, **knobs):
+def _scenario(unit: TrialSpec, scale: ScaleConfig, **knobs) -> ScenarioReport:
     """Run one scenario on the unit's dataset, d_target fraction and seed."""
     params = unit.kwargs
     if "fraction" in params:
