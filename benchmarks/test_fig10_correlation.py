@@ -1,6 +1,6 @@
 """Bench: regenerate Fig. 10 (per-feature MSE vs correlation diagnostics)."""
 
-from conftest import run_and_report
+from bench_report import run_and_report
 
 from repro.experiments import fig10_correlations
 

@@ -1,6 +1,6 @@
 """Bench: regenerate Fig. 11 (rounding and dropout countermeasures)."""
 
-from conftest import run_and_report
+from bench_report import run_and_report
 
 from repro.experiments import fig11_defenses
 

@@ -1,6 +1,6 @@
 """Bench: regenerate Fig. 5 (ESA MSE vs d_target, four datasets)."""
 
-from conftest import run_and_report
+from bench_report import run_and_report
 
 from repro.experiments import fig5_esa
 

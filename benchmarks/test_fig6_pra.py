@@ -1,6 +1,6 @@
 """Bench: regenerate Fig. 6 (PRA correct branching rate vs d_target)."""
 
-from conftest import run_and_report
+from bench_report import run_and_report
 
 from repro.experiments import fig6_pra
 

@@ -1,6 +1,6 @@
 """Bench: regenerate Fig. 7 (GRNA MSE for LR/RF/NN vs d_target)."""
 
-from conftest import run_and_report
+from bench_report import run_and_report
 
 from repro.experiments import fig7_grna
 

@@ -1,6 +1,6 @@
 """Bench: regenerate Fig. 8 (GRNA on the RF model, CBR metric)."""
 
-from conftest import run_and_report
+from bench_report import run_and_report
 
 from repro.experiments import fig8_grna_rf_cbr
 

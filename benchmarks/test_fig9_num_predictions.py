@@ -1,6 +1,6 @@
 """Bench: regenerate Fig. 9 (effect of the number of accumulated predictions)."""
 
-from conftest import run_and_report
+from bench_report import run_and_report
 
 from repro.experiments import fig9_num_predictions
 

@@ -1,6 +1,6 @@
 """Bench: regenerate Table II (dataset statistics)."""
 
-from conftest import run_and_report
+from bench_report import run_and_report
 
 from repro.experiments import table2_datasets
 

@@ -1,6 +1,6 @@
 """Bench: regenerate Table III (GRN component ablation on bank + LR)."""
 
-from conftest import run_and_report
+from bench_report import run_and_report
 
 from repro.experiments import table3_ablation
 

@@ -55,12 +55,9 @@ def config_payload(config: ScenarioConfig) -> dict:
     """The canonical JSON encoding of a config (see ``to_payload``).
 
     Round-tripped through JSON so the result compares equal to a payload
-    read back from disk (tuples become lists either way).
+    read back from disk.
     """
-    payload = ScenarioReport(
-        config=config, scenario=None, result=None, metrics={}
-    ).to_payload()["config"]
-    return json.loads(json.dumps(payload, sort_keys=True))
+    return json.loads(json.dumps(config.to_payload(), sort_keys=True))
 
 
 def config_from_payload(payload: dict) -> ScenarioConfig:

@@ -31,7 +31,7 @@ changing a single published number.
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -45,9 +45,9 @@ from repro.api.defenses import DEFENSES, Defense, DefenseStack, unwrap_model
 from repro.api.models import MODELS, make_model
 from repro.attacks import AttackResult, RandomGuessAttack
 from repro.checkpoint import CheckpointPlan
-from repro.config import ScaleConfig, get_scale
+from repro.config import PRESETS, ScaleConfig, get_scale
 from repro.datasets import Dataset, load_dataset
-from repro.exceptions import IncompatibleScenarioError, ScenarioError, ValidationError
+from repro.exceptions import IncompatibleScenarioError, ReproError, ScenarioError
 from repro.federated import (
     AdversaryView,
     FeaturePartition,
@@ -55,7 +55,7 @@ from repro.federated import (
     train_vertical_model,
 )
 from repro.federation import SCHEDULERS, FederationRuntime, TopologyConfig
-from repro.federation.runtime import check_quorum
+from repro.federation.runtime import QUORUM
 from repro.metrics import (
     aggregate_cbr,
     mse_per_feature,
@@ -67,6 +67,21 @@ from repro.nn.data import train_test_split
 from repro.resilience import DEGRADATIONS, BreakerPolicy, RetryPolicy
 from repro.serving import PredictionService
 from repro.telemetry import NULL_TRACER, check_telemetry_spec, make_tracer
+from repro.utils.knobs import (
+    BOOL,
+    OBJECT,
+    Declared,
+    Float,
+    Int,
+    OneOf,
+    Pair,
+    Seq,
+    Str,
+    Type,
+    decode_field,
+    knob,
+    knobs,
+)
 from repro.utils.random import check_random_state, spawn_rngs
 from repro.utils.validation import is_int
 
@@ -84,7 +99,7 @@ BASELINES = ("uniform", "gaussian", "path")
 
 
 @dataclass(kw_only=True)
-class Deployment:
+class Deployment(Declared):
     """How a scenario's prediction pool is served: every deployment knob.
 
     The paper's adversary acts only in the prediction stage (§III-B), so
@@ -147,69 +162,53 @@ class Deployment:
     to an untraced scenario.
     """
 
-    query_budget: int | None = None
-    batch_size: int | None = None
-    cache: bool = False
-    cache_size: int | None = None
-    on_budget_exhausted: str = "raise"
-    topology: "TopologyConfig | None" = None
-    comm_budget: "int | float | None" = None
-    scheduler: str = "sequential"
-    retry: "RetryPolicy | int | dict | None" = None
-    quorum: "int | float | None" = None
-    degradation: str = "zero_fill"
-    breaker: "BreakerPolicy | int | dict | None" = None
-    telemetry: "bool | dict | None" = None
+    knob_owner = "scenario config"
+    knob_error = ScenarioError
+    knob_prefix = False
+
+    query_budget: int | None = knob(Int(low=1), none=True, default=None)
+    batch_size: int | None = knob(Int(low=1), none=True, default=None)
+    cache: bool = knob(BOOL, default=False)
+    cache_size: int | None = knob(Int(low=1), none=True, default=None)
+    on_budget_exhausted: str = knob(
+        Str(("raise", "truncate"), "exhaustion mode"), default="raise"
+    )
+    topology: "TopologyConfig | None" = knob(Type(TopologyConfig), none=True, default=None)
+    comm_budget: "int | float | None" = knob(
+        OneOf(Int(low=1), Float(low=0, high=1, low_open=True)), none=True, default=None
+    )
+    scheduler: str = knob(Str(SCHEDULERS, "scheduler"), default="sequential")
+    retry: "RetryPolicy | int | dict | None" = knob(
+        Type((RetryPolicy, int, dict), "a retry policy, int or dict", RetryPolicy.from_spec),
+        none=True,
+        default=None,
+    )
+    quorum: "int | float | None" = knob(QUORUM, none=True, default=None)
+    degradation: str = knob(Str(DEGRADATIONS), default="zero_fill")
+    breaker: "BreakerPolicy | int | dict | None" = knob(
+        Type((BreakerPolicy, int, dict), "a breaker policy, int or dict", BreakerPolicy.from_spec),
+        none=True,
+        default=None,
+    )
+    telemetry: "bool | dict | None" = knob(
+        Type((bool, dict), "a bool or a sink dict", check_telemetry_spec), none=True, default=None
+    )
 
     def validate(self) -> None:
         """Refuse a malformed knob with a typed error that names it.
 
         The one deployment validator: :func:`run_scenario` and
-        :func:`build_scenario` both call it. An integer quorum's upper
-        bound waits for the built topology's party count.
+        :func:`build_scenario` both call it. Each field's declaration
+        (see :mod:`repro.utils.knobs`) is checked, then the one rule
+        across fields. An integer quorum's upper bound waits for the
+        built topology's party count.
         """
-        for name in ("query_budget", "batch_size", "cache_size"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ScenarioError(
-                    f"{name} must be a positive int or None, got {value}"
-                )
+        super().validate()
         if self.cache_size is not None and not self.cache:
             raise ScenarioError(
                 "cache_size bounds the response cache and is meaningless "
                 "without cache=True"
             )
-        if self.on_budget_exhausted not in ("raise", "truncate"):
-            raise ScenarioError(
-                "on_budget_exhausted must be 'raise' or 'truncate', got "
-                f"{self.on_budget_exhausted!r}"
-            )
-        if self.scheduler not in SCHEDULERS:
-            raise ScenarioError(
-                f"unknown scheduler {self.scheduler!r}; choose from "
-                f"{sorted(SCHEDULERS)}"
-            )
-        budget = self.comm_budget
-        if isinstance(budget, float):
-            if not 0.0 < budget <= 1.0:
-                raise ScenarioError(
-                    f"a fractional comm_budget must lie in (0, 1], got {budget}"
-                )
-        elif budget is not None and (
-            not isinstance(budget, int) or isinstance(budget, bool) or budget < 1
-        ):
-            raise ScenarioError(
-                "comm_budget must be positive bytes (int), a fraction in "
-                f"(0, 1], or None, got {budget!r}"
-            )
-        # from_spec raises with the exact malformed-field message.
-        RetryPolicy.from_spec(self.retry)
-        BreakerPolicy.from_spec(self.breaker)
-        check_quorum(self.quorum)
-        check_telemetry_spec(self.telemetry)
-        DEGRADATIONS.get(self.degradation)
-        if self.topology is not None:
-            self.topology.validate()
 
 
 @dataclass
@@ -501,18 +500,24 @@ class ScenarioConfig(Deployment):
     to :func:`build_scenario` as ``deployment``.
     """
 
-    dataset: str
-    model: str
-    attack: str
-    defenses: tuple = ()
-    target_fraction: float = 0.3
-    n_predictions: int | None = None
-    scale: "str | ScaleConfig" = "smoke"
-    seed: int = 0
-    model_params: dict[str, Any] = field(default_factory=dict)
-    attack_params: dict[str, Any] = field(default_factory=dict)
-    baselines: tuple[str, ...] = ()
-    compute_cbr: bool = False
+    dataset: str = knob(Str(DATASETS))
+    model: str = knob(Str(MODELS))
+    attack: str = knob(Str(ATTACKS))
+    defenses: tuple = knob(
+        Seq(OneOf(Str(DEFENSES), Pair(Str(DEFENSES), OBJECT), Type(Defense))), default=()
+    )
+    target_fraction: float = knob(
+        Float(low=0, high=1, low_open=True, high_open=True), default=0.3
+    )
+    n_predictions: int | None = knob(Int(low=1), none=True, default=None)
+    scale: "str | ScaleConfig" = knob(
+        OneOf(Str(PRESETS, "scale preset"), Type(ScaleConfig)), default="smoke"
+    )
+    seed: int = knob(Int(low=0), default=0)
+    model_params: dict[str, Any] = knob(OBJECT, factory=dict)
+    attack_params: dict[str, Any] = knob(OBJECT, factory=dict)
+    baselines: tuple[str, ...] = knob(Seq(Str(BASELINES, "baseline")), default=())
+    compute_cbr: bool = knob(BOOL, default=False)
 
 
 @dataclass
@@ -603,14 +608,8 @@ class ScenarioReport:
         config field is one key; a topology or policy object is stored
         as its own ``to_payload()`` dict.
         """
-        config = {
-            knob.name: _ENCODERS.get(knob.name, _encode_plain)(
-                getattr(self.config, knob.name)
-            )
-            for knob in fields(ScenarioConfig)
-        }
         return {
-            "config": config,
+            "config": self.config.to_payload(),
             "metrics": self.metrics,
             "queries_used": self.queries_used,
             "comm_cost": dict(self.comm_cost),
@@ -627,43 +626,27 @@ class ScenarioReport:
         canonical tuple syntax; a policy object comes back as its payload
         dict, which configures the same policy. A deployment key may be
         absent: payloads persisted before its layer existed mean the
-        default. Any other missing key, a non-object payload, config or
-        metrics, a field the config cannot be rebuilt from, a config
-        :meth:`ScenarioConfig.validate` refuses, and one naming an
-        unregistered dataset, model, attack, defense or baseline all
-        raise :class:`~repro.exceptions.ScenarioError`.
+        default. Any other missing key, an undeclared config key, a
+        non-object payload, config or metrics, and a config field its
+        declaration refuses (an unregistered dataset, model, attack,
+        defense or baseline included) all raise
+        :class:`~repro.exceptions.ScenarioError` naming the field.
         """
         _require_object(payload, "report")
         _require_keys(payload, ("config", "metrics", "queries_used"), "report")
         data = _require_object(payload["config"], "scenario config")
         metrics = dict(_require_object(payload["metrics"], "report metrics"))
-        deployment = {knob.name for knob in fields(Deployment)}
-        _require_keys(
-            data,
-            [knob.name for knob in fields(ScenarioConfig) if knob.name not in deployment],
-            "scenario config",
-        )
+        _require_keys(data, _SCENARIO_KEYS, "scenario config")
         try:
-            config = ScenarioConfig(
-                **{
-                    knob.name: _DECODERS.get(knob.name, _decode_plain)(
-                        data.get(knob.name, knob.default)
-                    )
-                    for knob in fields(ScenarioConfig)
-                }
-            )
-            queries_used = int(payload["queries_used"])
-        except (KeyError, TypeError, ValueError) as exc:
-            # The defense-spec decoder and queries_used convert without
-            # checks of their own; the scale and topology decoders raise
-            # ScenarioError and ValidationError (a ValueError) naming the
-            # field, kept in the message.
+            config = ScenarioConfig.from_payload(data, partial=True)
+        except ReproError as exc:
+            raise ScenarioError(f"report payload has a malformed field: {exc}") from exc
+        queries_used = payload["queries_used"]
+        if not is_int(queries_used) or queries_used < 0:
             raise ScenarioError(
-                f"report payload has a malformed field: "
-                f"{type(exc).__name__}: {exc}"
-            ) from exc
-        config.validate()
-        _check_registered(config)
+                "report payload has a malformed field: queries_used must be a "
+                f"non-negative int, got {queries_used!r}"
+            )
         extras = {
             key: dict(_require_object(payload.get(key, {}), key))
             for key in ("comm_cost", "availability", "telemetry")
@@ -696,29 +679,6 @@ class ScenarioReport:
         return cls.from_payload(payload)
 
 
-def _check_registered(config: ScenarioConfig) -> None:
-    """Refuse a decoded config that names an unregistered component.
-
-    A stored config exists to be re-run, so its dataset, model, attack,
-    defense and baseline keys are checked where it is read, each with the
-    registered choices listed, rather than when a re-run reaches them.
-    """
-    keys = [(DATASETS, config.dataset), (MODELS, config.model), (ATTACKS, config.attack)]
-    keys += [
-        (DEFENSES, spec if isinstance(spec, str) else spec[0]) for spec in config.defenses
-    ]
-    for registry, key in keys:
-        if not isinstance(key, str) or key not in registry:
-            raise ScenarioError(
-                f"unknown {registry.kind} {key!r}; choose from {registry.names()}"
-            )
-    for name in config.baselines:
-        if name not in BASELINES:
-            raise ScenarioError(
-                f"unknown baseline {name!r}; choose from {list(BASELINES)}"
-            )
-
-
 def _require_object(value, what: str) -> dict[str, Any]:
     if not isinstance(value, dict):
         raise ScenarioError(
@@ -736,121 +696,14 @@ def _require_keys(payload: dict[str, Any], keys, what: str) -> None:
         )
 
 
-def _encode_plain(value):
-    """A plain config value's JSON shape: tuples as lists, dicts copied."""
-    if isinstance(value, tuple):
-        return list(value)
-    if isinstance(value, dict):
-        return dict(value)
-    return value
+#: Config keys a persisted payload must carry: the scenario's own. A
+#: deployment key may be absent (payloads written before its layer
+#: existed), meaning its default.
+_SCENARIO_KEYS = [name for name in knobs(ScenarioConfig) if name not in knobs(Deployment)]
 
-
-def _decode_plain(value):
-    """The inverse of :func:`_encode_plain`."""
-    if isinstance(value, list):
-        return tuple(value)
-    if isinstance(value, dict):
-        return dict(value)
-    return value
-
-
-def _encode_object(value):
-    """A topology or policy object as its payload; a shorthand spec as is."""
-    return value.to_payload() if hasattr(value, "to_payload") else value
-
-
-#: ScaleConfig fields that JSON round-trips as lists but the dataclass
-#: declares as tuples.
-_SCALE_TUPLE_FIELDS = ("fractions", "mlp_hidden", "grna_hidden", "distiller_hidden")
-
-
-def _encode_scale(scale: "str | ScaleConfig"):
-    if isinstance(scale, str):
-        return scale
-    return dataclasses.asdict(scale)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _decode_scale(data) -> "str | ScaleConfig":
-    """A preset name as is, or the :class:`ScaleConfig` its payload describes.
-
-    The payload is :func:`_encode_scale`'s: every field present, ``name``
-    a string, ``fractions`` a list (or tuple) of numbers, the hidden
-    widths lists of ints and every other field an int. Anything else
-    raises :class:`~repro.exceptions.ScenarioError` naming the field.
-    """
-    if isinstance(data, str):
-        return data
-    if not isinstance(data, dict):
-        raise ScenarioError(
-            "scale must be a preset name or a ScaleConfig object, got "
-            f"{type(data).__name__}"
-        )
-    knobs = [knob.name for knob in fields(ScaleConfig)]
-    missing = [name for name in knobs if name not in data]
-    unknown = sorted(map(str, set(data) - set(knobs)))
-    if missing or unknown:
-        raise ScenarioError(
-            f"scale payload is missing field(s) {missing} or has unknown "
-            f"field(s) {unknown}"
-        )
-    values: dict[str, Any] = {}
-    for name in knobs:
-        value = data[name]
-        if name == "name":
-            expected, ok = "a string", isinstance(value, str)
-        elif name == "fractions":
-            expected = "a list of numbers"
-            ok = isinstance(value, (list, tuple)) and all(map(_is_number, value))
-        elif name in _SCALE_TUPLE_FIELDS:
-            expected = "a list of ints"
-            ok = isinstance(value, (list, tuple)) and all(map(is_int, value))
-        else:
-            expected, ok = "an int", is_int(value)
-        if not ok:
-            raise ScenarioError(f"scale field {name!r} must be {expected}, got {value!r}")
-        values[name] = tuple(value) if isinstance(value, list) else value
-    try:
-        return ScaleConfig(**values)
-    except ValidationError as exc:
-        raise ScenarioError(f"scale payload is inconsistent: {exc}") from exc
-
-
-def _encode_defense_spec(spec):
-    if isinstance(spec, str):
-        return spec
-    if isinstance(spec, (tuple, list)) and len(spec) == 2:
-        key, params = spec
-        return [key, dict(params)]
-    raise ScenarioError(
-        f"defense spec {spec!r} is not JSON-serializable; use a registry "
-        "key or a (key, params) pair in configs meant for persistence"
-    )
-
-
-def _decode_defense_spec(spec):
-    if isinstance(spec, str):
-        return spec
-    key, params = spec
-    return (key, dict(params))
-
-
-#: Config fields whose JSON shape is not their plain value.
-_ENCODERS = {
-    "defenses": lambda specs: [_encode_defense_spec(s) for s in specs],
-    "scale": _encode_scale,
-    "topology": _encode_object,
-    "retry": _encode_object,
-    "breaker": _encode_object,
-}
-_DECODERS = {
-    "defenses": lambda specs: tuple(_decode_defense_spec(s) for s in specs),
-    "scale": _decode_scale,
-    "topology": lambda data: None if data is None else TopologyConfig.from_payload(data),
-}
+#: The scale knob's decoder: a preset name as is, or the ScaleConfig its
+#: payload describes, refused with ScenarioError naming the field.
+_decode_scale = functools.partial(decode_field, ScenarioConfig, "scale")
 
 
 def _tree_structures(model: BaseClassifier) -> list:
@@ -866,7 +719,10 @@ def _tree_structures(model: BaseClassifier) -> list:
     )
 
 
-def _validate(config: ScenarioConfig, attack: ScenarioAttack, stack: DefenseStack) -> None:
+def _check_compatible(
+    config: ScenarioConfig, attack: ScenarioAttack, stack: DefenseStack
+) -> None:
+    """Refuse components that each validate but cannot work together."""
     if attack.compatible_models is not None and config.model not in attack.compatible_models:
         raise IncompatibleScenarioError(
             f"attack {config.attack!r} supports models "
@@ -874,11 +730,6 @@ def _validate(config: ScenarioConfig, attack: ScenarioAttack, stack: DefenseStac
             f"{attack.constraint}"
         )
     stack.validate_for_model(config.model)
-    for name in config.baselines:
-        if name not in BASELINES:
-            raise ScenarioError(
-                f"unknown baseline {name!r}; choose from {list(BASELINES)}"
-            )
     if "path" in config.baselines and config.model != "dt":
         raise IncompatibleScenarioError(
             "the 'path' baseline draws random root-to-leaf paths of a "
@@ -889,11 +740,6 @@ def _validate(config: ScenarioConfig, attack: ScenarioAttack, stack: DefenseStac
             "compute_cbr scores branch agreement on a tree-based model; "
             f"model {config.model!r} has no tree structure"
         )
-    if not 0.0 < config.target_fraction < 1.0:
-        raise ScenarioError(
-            f"target_fraction must lie in (0, 1), got {config.target_fraction}"
-        )
-    config.validate()
 
 
 def _compute_metrics(
@@ -1011,12 +857,11 @@ def run_scenario(
         a prebuilt ``scenario`` (whose accumulation already happened)
         and rejected in that combination.
     """
+    config.validate()
     scale = get_scale(config.scale)
-    DATASETS.get(config.dataset)
-    MODELS.get(config.model)
     attack: ScenarioAttack = ATTACKS.create(config.attack, **config.attack_params)
     stack = DefenseStack.from_specs(config.defenses)
-    _validate(config, attack, stack)
+    _check_compatible(config, attack, stack)
     if scenario is not None and serving_checkpoint is not None:
         raise ScenarioError(
             "serving_checkpoint snapshots the accumulation while the "

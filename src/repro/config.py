@@ -9,9 +9,10 @@ wall-clock and third-decimal MSE are not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.exceptions import ValidationError
+from repro.exceptions import ScenarioError, ValidationError
+from repro.utils.knobs import Declared, Float, Int, Seq, Str, knob
 
 #: Fractions of the feature space assigned to the attack target, as in the
 #: x-axes of Figs. 5-9 (percent of total features).
@@ -19,7 +20,7 @@ PAPER_FRACTIONS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
 
 
 @dataclass(frozen=True)
-class ScaleConfig:
+class ScaleConfig(Declared):
     """All size knobs for one experiment run.
 
     Attributes
@@ -42,34 +43,45 @@ class ScaleConfig:
         RF-surrogate budget (paper: (2000, 200) on 20k dummies).
     """
 
-    name: str
-    n_samples: int
-    n_predictions: int
-    n_trials: int
-    fractions: tuple[float, ...] = PAPER_FRACTIONS
-    lr_epochs: int = 40
-    mlp_hidden: tuple[int, ...] = (64, 32)
-    mlp_epochs: int = 10
-    rf_trees: int = 30
-    rf_depth: int = 3
-    dt_depth: int = 5
-    grna_hidden: tuple[int, ...] = (256, 128, 64)
-    grna_epochs: int = 40
-    grna_batch_size: int = 64
-    distiller_hidden: tuple[int, ...] = (512, 128)
-    distiller_dummy: int = 4000
-    distiller_epochs: int = 10
+    knob_owner = "scale"
+    knob_error = ScenarioError
+
+    name: str = knob(Str())
+    n_samples: int = knob(Int())
+    n_predictions: int = knob(Int())
+    n_trials: int = knob(Int())
+    fractions: tuple[float, ...] = knob(Seq(Float()), default=PAPER_FRACTIONS)
+    lr_epochs: int = knob(Int(), default=40)
+    mlp_hidden: tuple[int, ...] = knob(Seq(Int()), default=(64, 32))
+    mlp_epochs: int = knob(Int(), default=10)
+    rf_trees: int = knob(Int(), default=30)
+    rf_depth: int = knob(Int(), default=3)
+    dt_depth: int = knob(Int(), default=5)
+    grna_hidden: tuple[int, ...] = knob(Seq(Int()), default=(256, 128, 64))
+    grna_epochs: int = knob(Int(), default=40)
+    grna_batch_size: int = knob(Int(), default=64)
+    distiller_hidden: tuple[int, ...] = knob(Seq(Int()), default=(512, 128))
+    distiller_dummy: int = knob(Int(), default=4000)
+    distiller_epochs: int = knob(Int(), default=10)
 
     def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
+        """Refuse a malformed field, then an inconsistent scale."""
+        super().validate()
         if self.n_predictions > self.n_samples:
-            raise ValidationError(
-                f"n_predictions={self.n_predictions} exceeds n_samples={self.n_samples}"
+            raise ScenarioError(
+                f"scale is inconsistent: n_predictions={self.n_predictions} "
+                f"exceeds n_samples={self.n_samples}"
             )
         if not self.fractions:
-            raise ValidationError("fractions must be non-empty")
+            raise ScenarioError("scale is inconsistent: fractions must be non-empty")
         for f in self.fractions:
             if not 0.0 < f < 1.0:
-                raise ValidationError(f"fractions must lie in (0, 1), got {f}")
+                raise ScenarioError(
+                    f"scale is inconsistent: fractions must lie in (0, 1), got {f}"
+                )
 
 
 SMOKE = ScaleConfig(

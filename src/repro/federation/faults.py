@@ -41,6 +41,7 @@ duplicate naming both.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.exceptions import ValidationError
 from repro.resilience.chaos import (
@@ -50,6 +51,7 @@ from repro.resilience.chaos import (
     FaultOutcome,
     decision_rng,
 )
+from repro.utils.knobs import Float, Int, Shape
 from repro.utils.validation import check_in_range
 
 __all__ = ["FAULT_KINDS", "FaultPlan"]
@@ -61,26 +63,28 @@ FAULT_KINDS = ("drop", "straggler", "flaky", "crash_after", "corrupt", "timeout"
 STOCHASTIC_KINDS = ("flaky", "crash_after", "corrupt", "timeout")
 
 
+#: Shapes of the fault params (ranges with pinned messages are checked
+#: where the param is read).
+_INT, _NUMBER, _PROBABILITY, _SEED = Int(), Float(), Float(low=0, high=1), Int(low=0)
+
+
+def _param(params: dict, kind: str, name: str, shape: Shape, default: Any = None) -> Any:
+    """``params[name]`` (else ``default``), refused unless it fits ``shape``."""
+    value = params.get(name, default)
+    tail = shape.problem(value)
+    if tail is not None:
+        raise ValidationError(f"fault {kind!r} {name} must be {shape.expected()}, got {tail}")
+    return value
+
+
 def _check_probability(params: dict, kind: str, default: "float | None" = None) -> float:
-    if "p" not in params and default is not None:
-        return float(default)
-    if "p" not in params:
+    if "p" not in params and default is None:
         raise ValidationError(f"fault spec {kind!r} needs a probability 'p'")
-    p = float(params["p"])
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(
-            f"fault {kind!r} probability must lie in [0, 1], got {p}"
-        )
-    return p
+    return float(_param(params, kind, "p", _PROBABILITY, default))
 
 
 def _check_seed(params: dict, kind: str) -> int:
-    seed = params.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ValidationError(
-            f"fault {kind!r} seed must be a non-negative int, got {seed!r}"
-        )
-    return seed
+    return _param(params, kind, "seed", _SEED, 0)
 
 
 @dataclass(frozen=True)
@@ -140,7 +144,7 @@ class FaultPlan:
                 raise ValidationError(
                     f"fault spec {kind!r} needs a 'party' id to inject into"
                 )
-            party = int(params["party"])
+            party = _param(params, kind, "party", _INT)
             if party in claimed:
                 raise ValidationError(
                     f"party {party} already carries fault spec "
@@ -152,7 +156,9 @@ class FaultPlan:
                 dropped.add(party)
             elif kind == "straggler":
                 delay = check_in_range(
-                    float(params.get("delay", 0.001)), name="straggler delay", low=0.0
+                    float(_param(params, kind, "delay", _NUMBER, 0.001)),
+                    name="straggler delay",
+                    low=0.0,
                 )
                 delays[party] = delay
             elif kind == "flaky":
@@ -167,7 +173,7 @@ class FaultPlan:
                         "fault spec 'crash_after' needs the 'round' the party "
                         "crashes at"
                     )
-                round_at = int(params["round"])
+                round_at = _param(params, kind, "round", _INT)
                 if round_at < 0:
                     raise ValidationError(
                         f"crash_after round must be >= 0, got {round_at}"
@@ -180,7 +186,7 @@ class FaultPlan:
                      "seed": _check_seed(params, kind)},
                 )
             else:  # timeout
-                delay = float(params.get("delay", 0.0))
+                delay = float(_param(params, kind, "delay", _NUMBER, 0.0))
                 if delay <= 0.0:
                     raise ValidationError(
                         "fault spec 'timeout' needs a positive simulated "

@@ -54,43 +54,32 @@ from repro.federation.scheduler import RoundScheduler, make_scheduler
 from repro.federation.transport import Transport
 from repro.resilience import DEGRADATIONS, ResilienceState, RetryPolicy
 from repro.telemetry import NULL_TRACER
+from repro.utils.knobs import Float, Int, OneOf
+from repro.utils.validation import is_int
 
 __all__ = ["FederationRuntime", "check_quorum"]
+
+
+#: The ``quorum`` knob's shape: an int count of surviving parties, or a
+#: fraction in (0, 1] of the deployment's parties.
+QUORUM = OneOf(Int(low=1), Float(low=0, high=1, low_open=True))
 
 
 def check_quorum(
     quorum: "int | float | None", n_parties: "int | None" = None
 ) -> "int | float | None":
-    """Validate a ``quorum`` knob; returns it unchanged.
+    """Validate a ``quorum`` knob against :data:`QUORUM`; returns it unchanged.
 
-    ``None`` fails a round fast on any lost party, an ``int`` is an
-    absolute surviving-party count, a ``float`` a fraction in ``(0, 1]``
-    of the deployment's parties. An integer's upper bound is the party
-    count, so with ``n_parties=None`` (no topology built yet) only the
-    shape is checked.
+    ``None`` fails a round fast on any lost party. An integer's upper
+    bound is the party count, so with ``n_parties=None`` (no topology
+    built yet) only the shape is checked.
     """
-    if quorum is None:
-        return None
-    if isinstance(quorum, bool):
-        raise ValidationError(f"quorum {quorum!r} is not a party count or fraction")
-    if isinstance(quorum, int):
-        if quorum < 1 or (n_parties is not None and quorum > n_parties):
-            bound = "" if n_parties is None else f"..{n_parties}"
-            raise ValidationError(
-                f"integer quorum must name 1{bound} surviving parties, "
-                f"got {quorum}"
-            )
-        return quorum
-    if isinstance(quorum, float):
-        if not 0.0 < quorum <= 1.0:
-            raise ValidationError(
-                f"fractional quorum must lie in (0, 1], got {quorum}"
-            )
-        return quorum
-    raise ValidationError(
-        f"quorum must be an int party count, a float fraction, or None, "
-        f"got {type(quorum).__name__}"
-    )
+    tail = None if quorum is None else QUORUM.problem(quorum)
+    if tail is None and is_int(quorum) and n_parties is not None and quorum > n_parties:
+        tail = f"{quorum}, more than the {n_parties} parties"
+    if tail is not None:
+        raise ValidationError(f"quorum must be {QUORUM.expected()} or None, got {tail}")
+    return quorum
 
 
 class FederationRuntime:

@@ -20,9 +20,8 @@ the serving snapshot via :mod:`repro.resilience.state`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
-from repro.exceptions import ValidationError
+from repro.utils.knobs import Declared, Int, from_spec, knob
 
 __all__ = ["BreakerPolicy", "CircuitBreaker"]
 
@@ -31,7 +30,7 @@ BREAKER_STATES = ("closed", "open", "half_open")
 
 
 @dataclass(frozen=True)
-class BreakerPolicy:
+class BreakerPolicy(Declared):
     """When a consumer's breaker opens, and how long it stays open.
 
     Attributes
@@ -43,65 +42,17 @@ class BreakerPolicy:
         one half-open probe.
     """
 
-    failure_threshold: int = 3
-    cooldown: int = 8
+    knob_owner = "breaker"
 
-    def validate(self) -> None:
-        """Reject malformed policies with actionable messages."""
-        if not isinstance(self.failure_threshold, int) or self.failure_threshold < 1:
-            raise ValidationError(
-                "breaker failure_threshold must be an int >= 1, got "
-                f"{self.failure_threshold!r}"
-            )
-        if not isinstance(self.cooldown, int) or self.cooldown < 1:
-            raise ValidationError(
-                f"breaker cooldown must be an int >= 1, got {self.cooldown!r}"
-            )
-
-    def to_payload(self) -> dict[str, Any]:
-        """JSON-ready dict mirroring the field layout."""
-        return {
-            "failure_threshold": self.failure_threshold,
-            "cooldown": self.cooldown,
-        }
+    failure_threshold: int = knob(Int(low=1), default=3)
+    cooldown: int = knob(Int(low=1), default=8)
 
     @classmethod
     def from_spec(cls, spec: "BreakerPolicy | int | dict | None") -> "BreakerPolicy | None":
-        """Normalize the scenario-facing shorthand.
-
-        ``None`` disables breakers entirely (the default — serving
-        behaves exactly as before this layer existed). An ``int`` is a
-        ``failure_threshold`` with the default cooldown; a dict is a
-        :meth:`to_payload`-shaped payload with missing keys defaulted.
-        """
-        if spec is None:
-            return None
-        if isinstance(spec, BreakerPolicy):
-            policy = spec
-        elif isinstance(spec, bool):
-            raise ValidationError(f"breaker spec {spec!r} is not a policy")
-        elif isinstance(spec, int):
-            policy = cls(failure_threshold=spec)
-        elif isinstance(spec, dict):
-            defaults = cls().to_payload()
-            unknown = set(spec) - set(defaults)
-            if unknown:
-                raise ValidationError(
-                    f"unknown breaker policy keys {sorted(unknown)}; choose "
-                    f"from {sorted(defaults)}"
-                )
-            merged = {**defaults, **spec}
-            policy = cls(
-                failure_threshold=int(merged["failure_threshold"]),
-                cooldown=int(merged["cooldown"]),
-            )
-        else:
-            raise ValidationError(
-                "breaker must be a BreakerPolicy, an int failure threshold, a "
-                f"payload dict, or None, got {type(spec).__name__}"
-            )
-        policy.validate()
-        return policy
+        """A valid policy from a policy, an ``int`` ``failure_threshold``
+        or a partial payload dict; ``None`` disables breakers (the default:
+        serving behaves exactly as before this layer existed)."""
+        return from_spec(cls, spec, "failure_threshold")
 
 
 class CircuitBreaker:

@@ -101,12 +101,7 @@ class CircuitBreakerCodec(StateCodec):
                 f"snapshot declares breaker state {meta['state']!r}; legal "
                 f"states are {BREAKER_STATES}"
             )
-        policy = BreakerPolicy(
-            failure_threshold=int(meta["policy"]["failure_threshold"]),
-            cooldown=int(meta["policy"]["cooldown"]),
-        )
-        policy.validate()
-        obj.policy = policy
+        obj.policy = BreakerPolicy.from_payload(meta["policy"])
         obj.state = str(meta["state"])
         obj.failures = int(meta["failures"])
         obj.cooldown_left = int(meta["cooldown_left"])

@@ -12,6 +12,9 @@ fields. These tests pin what that derivation must preserve:
   same bad knob;
 - the codec's edges: policy objects persist as their payloads, and a
   truncated payload is refused by name;
+- one declaration per field: values the hand-written codecs let through
+  are refused by name, and the interaction matrix draws every knob from
+  the same declarations;
 - tracer ownership: whoever builds the scenario owns its tracer.
 """
 
@@ -19,9 +22,12 @@ import dataclasses
 import hashlib
 import json
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import (
     Deployment,
@@ -40,6 +46,20 @@ from repro.exceptions import ReproError, ScenarioError
 from repro.resilience import BreakerPolicy, RetryPolicy
 from repro.telemetry import Tracer
 from repro.telemetry.sinks import MemorySink
+from repro.checkpoint import CheckpointPlan
+from repro.federation import SCHEDULERS
+from repro.utils.knobs import (
+    Declared,
+    Float,
+    Int,
+    OneOf,
+    Pair,
+    Seq,
+    Str,
+    Type,
+    knob,
+    knobs,
+)
 
 TINY = ScaleConfig(
     name="tiny-deployment",
@@ -289,6 +309,207 @@ class TestCodecEdges:
         for name in KNOB_NAMES:
             del payload["config"][name]
         assert ScenarioReport.from_payload(payload).config == ScenarioConfig(**CELL)
+
+
+# ----------------------------------------------------------------------
+# One declaration per field: holes the hand-written codecs left open
+# ----------------------------------------------------------------------
+#: ``(field, value)``: a value some hand-written codec leaked a bare
+#: builtin error for, guessed at, or accepted. Each is refused on both
+#: paths with a typed error naming the field.
+HOLES = [
+    ("retry", {"jitter": "x"}, "jitter"),
+    ("breaker", {"cooldown": "x"}, "cooldown"),
+    ("query_budget", "x", None),
+    ("seed", "x", None),
+    ("target_fraction", "x", None),
+    ("cache", "yes", None),
+    ("cache", "no", None),
+    ("compute_cbr", 3, None),
+    ("query_budget", 2.5, None),
+    ("breaker", {"failure_threshold": 2.9}, "failure_threshold"),
+    ("model_params", [1], None),
+    ("retry", RetryPolicy(backoff_base="x"), "backoff_base"),
+    ("baselines", "uniform", None),
+    ("retry", {"max_attempts": True}, "max_attempts"),
+    ("retry", {"max_attempts": "3"}, "max_attempts"),
+]
+
+
+def _names(exc: BaseException, *names: str) -> bool:
+    return all(name in str(exc) for name in names)
+
+
+class TestDeclaredFields:
+    @pytest.mark.parametrize(
+        "field, value, inner", HOLES, ids=[f"{field}={value!r}" for field, value, _ in HOLES]
+    )
+    def test_hole_is_refused_on_both_paths(self, field, value, inner):
+        inner = [] if inner is None else [inner]
+        payload = config_payload(ScenarioConfig(**CELL, **{field: value}))
+        line = ScenarioReport(
+            config=ScenarioConfig(**CELL), scenario=None, result=None, metrics={}
+        ).to_payload()
+        line["config"] = payload
+        decoded = _raised(lambda: ScenarioReport.from_json(json.dumps(line)))
+        assert isinstance(decoded, ScenarioError)
+        assert _names(decoded, field, *inner), decoded
+        direct = _raised(
+            lambda: run_scenario(ScenarioConfig(**CELL, scale=TINY, **{field: value}))
+        )
+        assert _names(direct, field, *inner), direct
+        if field in KNOB_NAMES:
+            built = _raised(
+                lambda: build_scenario(
+                    "bank", "lr", 0.3, TINY, 0, deployment=Deployment(**{field: value})
+                )
+            )
+            assert type(built) is type(direct) and str(built) == str(direct)
+
+    @pytest.mark.parametrize(
+        "cls",
+        [Deployment, ScenarioConfig, ScaleConfig, TopologyConfig, RetryPolicy, BreakerPolicy],
+    )
+    def test_every_field_is_declared_once(self, cls):
+        init = [spec.name for spec in dataclasses.fields(cls) if spec.init]
+        assert list(knobs(cls)) == init
+
+    def test_an_undeclared_field_is_refused(self):
+        @dataclasses.dataclass
+        class Sloppy(Declared):
+            declared: int = knob(Int(), default=0)
+            forgotten: int = 0
+
+        with pytest.raises(TypeError, match="forgotten"):
+            Sloppy().validate()
+
+
+# ----------------------------------------------------------------------
+# The interaction matrix, drawn from the declarations
+# ----------------------------------------------------------------------
+def strategy(shape):
+    """Values of one declared shape, kept small for a tiny cell."""
+    if isinstance(shape, Int):
+        low = 0 if shape.low is None else shape.low
+        return st.integers(low, low + 3) | st.just(low + 400)
+    if isinstance(shape, Float):
+        return st.floats(
+            0.0 if shape.low is None else shape.low,
+            2.0 if shape.high is None else shape.high,
+            exclude_min=shape.low_open,
+            exclude_max=shape.high_open,
+        )
+    if isinstance(shape, Str):
+        return st.text(max_size=3) if shape.choices is None else st.sampled_from(
+            list(shape.choices)
+        )
+    if isinstance(shape, Seq):
+        return st.lists(strategy(shape.item), max_size=2).map(tuple)
+    if isinstance(shape, Pair):
+        return st.tuples(strategy(shape.first), strategy(shape.second))
+    if isinstance(shape, OneOf):
+        return st.one_of([strategy(each) for each in shape.shapes])
+    if isinstance(shape, Type) and isinstance(shape.cls, tuple):
+        return st.one_of([spec_strategy(kind) for kind in shape.cls])
+    if isinstance(shape, Type):
+        return spec_strategy(shape.cls, partial=False)
+    raise AssertionError(f"no strategy for {shape!r}")
+
+
+def spec_strategy(kind, partial=True):
+    """Values of one type; a declared class also as a partial payload."""
+    if isinstance(kind, type) and issubclass(kind, Declared):
+        built = st.builds(kind, **{name: strategy(shape) for name, shape in knobs(kind).items()})
+        payloads = st.fixed_dictionaries(
+            {}, optional={name: strategy(shape) for name, shape in knobs(kind).items()}
+        )
+        return built | payloads if partial else built
+    simple = {int: st.integers(0, 4), bool: st.booleans(), dict: st.just({}), type(None): st.none()}
+    return simple.get(kind, st.nothing())
+
+
+#: Where each deployment knob must show in the built deployment: a knob
+#: the scenario accepted but did not apply fails the matrix.
+EFFECTS = {
+    "query_budget": lambda s, r, v: s.service.ledger.budget == v,
+    "batch_size": lambda s, r, v: s.service.max_batch == v,
+    "cache": lambda s, r, v: s.service.cache_enabled == v,
+    "cache_size": lambda s, r, v: s.service.cache_size == v,
+    "on_budget_exhausted": lambda s, r, v: s.service.exhaustion == v,
+    "topology": lambda s, r, v: s.vfl.partition.n_parties == (2 if v is None else v.n_parties),
+    "comm_budget": lambda s, r, v: (s.runtime.ledger.byte_budget is None) == (v is None),
+    "scheduler": lambda s, r, v: type(s.runtime.scheduler) is SCHEDULERS[v],
+    "retry": lambda s, r, v: s.runtime.retry_policy == RetryPolicy.from_spec(v),
+    "quorum": lambda s, r, v: s.runtime.quorum == v,
+    "degradation": lambda s, r, v: s.runtime.degradation == v,
+    "breaker": lambda s, r, v: s.service.breaker_policy == BreakerPolicy.from_spec(v),
+    "telemetry": lambda s, r, v: bool(r.telemetry) == (v is not None and v is not False),
+}
+
+#: The scenario knobs the matrix draws beside every deployment knob.
+MATRIX_SCENARIO_KNOBS = ("defenses",)
+
+
+def _words(name: str) -> set[str]:
+    """How a message may name a knob: as is, spaced, singular, or by its
+    last word (``n_parties`` as "parties")."""
+    spaced = name.replace("_", " ")
+    return {name, spaced, spaced.rstrip("s"), spaced.split()[-1]}
+
+
+def _knob_words(name: str, value) -> set[str]:
+    words = _words(name)
+    if isinstance(value, Declared):
+        for inner in knobs(type(value)):
+            words |= _words(inner)
+    return words
+
+
+@st.composite
+def matrix_cells(draw):
+    deployment = {name: draw(strategy(shape)) for name, shape in knobs(Deployment).items()}
+    scenario = {
+        name: draw(strategy(knobs(ScenarioConfig)[name])) for name in MATRIX_SCENARIO_KNOBS
+    }
+    return deployment, scenario, draw(st.booleans())
+
+
+class TestInteractionMatrix:
+    def test_every_deployment_knob_has_an_effect(self):
+        assert set(EFFECTS) == set(knobs(Deployment))
+
+    @settings(max_examples=100, deadline=None)
+    @given(matrix_cells())
+    def test_every_combination_runs_or_names_its_knobs(self, cell):
+        deployment, scenario, checkpointed = cell
+        config = ScenarioConfig(
+            **CELL, scale=TINY, target_fraction=0.4, **deployment, **scenario
+        )
+        set_knobs = {
+            name: value
+            for name, value in {**deployment, **scenario}.items()
+            if value != getattr(ScenarioConfig(**CELL), name)
+        }
+        with tempfile.TemporaryDirectory() as store:
+            plan = CheckpointPlan(store) if checkpointed else None
+            if checkpointed:
+                set_knobs["serving_checkpoint"] = plan
+            try:
+                report = run_scenario(config, serving_checkpoint=plan)
+            except ReproError as exc:
+                words = set().union(*(_knob_words(n, v) for n, v in set_knobs.items()))
+                assert any(word in str(exc) for word in words), (
+                    f"{type(exc).__name__} names none of {sorted(set_knobs)}: {exc}"
+                )
+                return
+            scenario_ = report.scenario
+            scenario_.tracer.close()
+            for name, value in deployment.items():
+                assert EFFECTS[name](scenario_, report, value), f"{name}={value!r} ignored"
+            stack = scenario_.service.defense_stack
+            assert len(config.defenses) == (0 if stack is None else len(stack))
+            if checkpointed:
+                assert plan.latest() is not None, "serving_checkpoint ignored"
 
 
 # ----------------------------------------------------------------------

@@ -536,6 +536,10 @@ class TestFaultPlanEdges:
             ([("timeout", {"party": 1})], "positive simulated"),
             ([("flaky", {"party": 1, "p": 0.5, "seed": -1})], "seed"),
             (["flaky"], "pair"),
+            ([("drop", {"party": "2"})], "party must be an int, got str '2'"),
+            ([("flaky", {"party": 1, "p": "x"})], "p must be a number in"),
+            ([("crash_after", {"party": 1, "round": 2.5})], "round must be an int"),
+            ([("timeout", {"party": 1, "delay": "x"})], "delay must be a number"),
         ],
     )
     def test_malformed_specs_rejected(self, specs, match):
