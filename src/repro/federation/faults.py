@@ -63,8 +63,8 @@ FAULT_KINDS = ("drop", "straggler", "flaky", "crash_after", "corrupt", "timeout"
 STOCHASTIC_KINDS = ("flaky", "crash_after", "corrupt", "timeout")
 
 
-#: Shapes of the fault params (ranges with pinned messages are checked
-#: where the param is read).
+#: Shapes of the fault params; a range with a message of its own is
+#: checked where its param is read.
 _INT, _NUMBER, _PROBABILITY, _SEED = Int(), Float(), Float(low=0, high=1), Int(low=0)
 
 
