@@ -13,9 +13,9 @@ neighbour moves both sides; the median drops the odd slow replay::
 Gates (``make bench`` runs the default scale, ``make bench-smoke`` the tiny
 one):
 
-- ``kernel.*`` — each vectorized kernel's speedup over its retained
-  reference stays within 1.5x of the speedup recorded in the committed
-  ``BENCH_smoke.json``;
+- ``kernel.*`` — each vectorized kernel's speedup over its seed
+  reference (``tests/reference.py``) stays within 1.5x of the speedup
+  recorded in the committed ``BENCH_smoke.json``;
 - ``service.*`` — batched serving (``max_batch=64``) beats one
   ``query([i])`` round per sample, per model kind;
 - ``federation.*`` — a metered runtime round costs at most 10x the
@@ -55,6 +55,7 @@ import platform
 import sys
 import time
 from pathlib import Path
+from types import MethodType
 from typing import Callable
 
 import numpy as np
@@ -69,11 +70,15 @@ from repro.federation import FaultPlan, FederationRuntime
 from repro.metrics import path_cbr, path_cbr_batch
 from repro.models.forest import RandomForestClassifier
 from repro.models.tree import DecisionTreeClassifier
+from repro.nn import train
 from repro.nn.optim import Adam
-from repro.nn.train import TrainStep
 from repro.serving import PredictionService
 from repro.telemetry import MemorySink, Tracer
 from repro.workload import ShardedPredictionService, make_trace
+
+# The seed kernels live beside the tests that check them.
+sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
+import reference  # noqa: E402
 
 #: Interleaved replays per workload; every gated value is their median.
 REPLAYS = 5
@@ -256,12 +261,13 @@ def _tree_data(k: dict):
 def kernel_dt_fit(k: dict):
     _, X, y = _tree_data(k)
 
-    def fit(fast: bool) -> None:
-        tree = DecisionTreeClassifier(max_depth=k["fit_depth"], rng=0)
-        tree._fast_split = fast
-        tree.fit(X, y)
+    def fast() -> None:
+        DecisionTreeClassifier(max_depth=k["fit_depth"], rng=0).fit(X, y)
 
-    return lambda: fit(True), lambda: fit(False)
+    def slow() -> None:
+        reference.tree_fit(DecisionTreeClassifier(max_depth=k["fit_depth"], rng=0), X, y)
+
+    return fast, slow
 
 
 def kernel_dt_predict(k: dict):
@@ -269,7 +275,7 @@ def kernel_dt_predict(k: dict):
     tree = DecisionTreeClassifier(max_depth=k["fit_depth"], rng=0).fit(X, y)
     Xq = rng.random((k["predict_samples"], k["fit_features"]))
     tree.predict(Xq)  # warm the flat-structure cache
-    return lambda: tree.predict(Xq), lambda: tree._predict_slow(Xq)
+    return lambda: tree.predict(Xq), lambda: reference.tree_predict(tree, Xq)
 
 
 def kernel_rf_predict_proba(k: dict):
@@ -281,7 +287,10 @@ def kernel_rf_predict_proba(k: dict):
     ).fit(X, y)
     Xq = rng.random((k["predict_samples"], k["fit_features"]))
     forest.predict_proba(Xq)  # warm the decision-table cache
-    return lambda: forest.predict_proba(Xq), lambda: forest._predict_proba_slow(Xq)
+    return (
+        lambda: forest.predict_proba(Xq),
+        lambda: reference.forest_predict_proba(forest, Xq),
+    )
 
 
 def _pra_tree(k: dict):
@@ -299,7 +308,7 @@ def kernel_pra_restrict(k: dict):
 
     def slow() -> None:
         for i in range(X_adv.shape[0]):
-            attack._restrict_slow(X_adv[i], int(labels[i]))
+            reference.pra_restrict(attack, X_adv[i], int(labels[i]))
 
     return lambda: attack.restrict_batch(X_adv, labels), slow
 
@@ -335,13 +344,16 @@ def kernel_grna_epoch(k: dict):
             vfl.model, view, hidden_sizes=k["grna_hidden"], epochs=k["grna_epochs"],
             batch_size=k["grna_batch"], rng=7,
         )
-        attack._fast_loss = fast
-        previous = Adam._fast_step, TrainStep.static
-        Adam._fast_step = TrainStep.static = fast
+        if fast:
+            attack.fit(X_adv, V)
+            return
+        attack._prediction_loss = MethodType(reference.grna_prediction_loss, attack)
+        step, max_tapes = Adam.step, train._MAX_TAPES
+        Adam.step, train._MAX_TAPES = reference.adam_step, 0
         try:
             attack.fit(X_adv, V)
         finally:
-            Adam._fast_step, TrainStep.static = previous
+            Adam.step, train._MAX_TAPES = step, max_tapes
 
     return lambda: fit(True), lambda: fit(False)
 
@@ -361,7 +373,7 @@ def kernel_service_throughput(k: dict):
     forest = vfl.model
 
     def slow() -> None:
-        forest._proba = forest._predict_proba_slow
+        forest._proba = MethodType(reference.forest_predict_proba, forest)
         try:
             service.query(indices)
         finally:

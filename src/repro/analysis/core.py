@@ -1,6 +1,6 @@
 """Rule base classes, the ``RULES`` registry, and shared AST helpers.
 
-The framework reuses the repo's string-keyed :class:`~repro.api.registry.Registry`
+The framework reuses the repo's string-keyed :class:`~repro.utils.registry.Registry`
 idiom: every lint rule is a class registered under its rule id, exactly
 like attacks or defenses. A rule declares its ``scope``:
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, TYPE_CHECKING
 
-from repro.api.registry import Registry
+from repro.utils.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.config import LintConfig

@@ -16,8 +16,8 @@ four string-keyed registries and a facade::
 
 Layers (lowest first):
 
-- :mod:`repro.api.registry` — the generic :class:`Registry` with
-  choices-listing unknown-key errors;
+- :class:`Registry` (from :mod:`repro.utils.registry`) — the generic
+  string-keyed registry with choices-listing unknown-key errors;
 - :mod:`repro.api.datasets` / :mod:`repro.api.models` — ``DATASETS`` and
   ``MODELS`` keyed as in Table II and the model grid;
 - :mod:`repro.api.defenses` — the composable :class:`DefenseStack`
@@ -45,7 +45,7 @@ this facade; its seed schedule reproduces their historical outputs
 bit-for-bit.
 """
 
-from repro.api.registry import Registry
+from repro.utils.registry import Registry
 from repro.api.datasets import DATASETS, get_dataset_spec, load
 from repro.api.models import MODELS, MODEL_KINDS, make_model
 from repro.api.defenses import DEFENSES, Defense, DefenseStack, unwrap_model

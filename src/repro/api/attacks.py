@@ -38,7 +38,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.api.registry import Registry
+from repro.utils.registry import Registry
 from repro.attacks import (
     AttackResult,
     EqualitySolvingAttack,
@@ -122,7 +122,7 @@ class ScenarioAttack:
         raise NotImplementedError
 
 
-@ATTACKS.register("esa")
+@ATTACKS.register("esa", forwards_to=EqualitySolvingAttack)
 class EsaScenarioAttack(ScenarioAttack):
     """Equality Solving Attack (§IV-A) behind the unified protocol."""
 
@@ -252,7 +252,7 @@ class PraScenarioAttack(ScenarioAttack):
         )
 
 
-@ATTACKS.register("grna")
+@ATTACKS.register("grna", forwards_to=GenerativeRegressionNetwork)
 class GrnaScenarioAttack(ScenarioAttack):
     """Generative Regression Network Attack (§V) behind the unified protocol.
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.api.registry import Registry
+from repro.utils.registry import Registry
 from repro.datasets import Dataset, DatasetSpec, list_datasets
 from repro.datasets import get_spec as _get_spec
 from repro.datasets import load_dataset as _load_dataset

@@ -38,7 +38,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from repro.api.registry import Registry
+from repro.utils.registry import Registry
 from repro.defenses.base import ModelWrapper, unwrap_model
 from repro.defenses.noise import NoisyModel, noise_confidence_scores
 from repro.defenses.rounding import RoundedModel
@@ -462,8 +462,9 @@ class DefenseStack:
             elif isinstance(spec, str):
                 defenses.append(DEFENSES.create(spec))
             elif isinstance(spec, (tuple, list)) and len(spec) == 2:
-                key, params = spec
-                defenses.append(DEFENSES.create(key, **dict(params)))
+                key, params = spec[0], dict(spec[1])
+                DEFENSES.check_params(key, params)
+                defenses.append(DEFENSES.create(key, **params))
             else:
                 raise ScenarioError(
                     f"defense spec must be a Defense, a registry key, or a "

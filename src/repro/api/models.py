@@ -13,7 +13,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.api.registry import Registry
+from repro.utils.registry import Registry
 from repro.config import ScaleConfig
 from repro.models import (
     BaseClassifier,
@@ -27,7 +27,7 @@ from repro.models import (
 MODELS = Registry("model")
 
 
-@MODELS.register("lr")
+@MODELS.register("lr", forwards_to=LogisticRegression)
 def build_lr(
     scale: ScaleConfig, rng: np.random.Generator, **overrides: Any
 ) -> LogisticRegression:
@@ -37,7 +37,7 @@ def build_lr(
     return LogisticRegression(rng=rng, **params)
 
 
-@MODELS.register("nn")
+@MODELS.register("nn", forwards_to=MLPClassifier)
 def build_nn(
     scale: ScaleConfig, rng: np.random.Generator, **overrides: Any
 ) -> MLPClassifier:
@@ -51,7 +51,7 @@ def build_nn(
     return MLPClassifier(rng=rng, **params)
 
 
-@MODELS.register("dt")
+@MODELS.register("dt", forwards_to=DecisionTreeClassifier)
 def build_dt(
     scale: ScaleConfig, rng: np.random.Generator, **overrides: Any
 ) -> DecisionTreeClassifier:
@@ -61,7 +61,7 @@ def build_dt(
     return DecisionTreeClassifier(rng=rng, **params)
 
 
-@MODELS.register("rf")
+@MODELS.register("rf", forwards_to=RandomForestClassifier)
 def build_rf(
     scale: ScaleConfig, rng: np.random.Generator, **overrides: Any
 ) -> RandomForestClassifier:

@@ -340,6 +340,8 @@ def build_scenario(
     """
     deployment = Deployment() if deployment is None else deployment
     deployment.validate()
+    # make_model takes dropout for every kind.
+    MODELS.check_params(model_kind, model_params or {}, extra=("dropout",))
     tracer = make_tracer(deployment.telemetry)
     with _owned_span(
         tracer, "scenario.build", dataset=dataset_name, model=model_kind, attack=consumer
@@ -831,9 +833,11 @@ def run_scenario(
 
     Resolves every registry key (raising listing errors for typos and
     :class:`~repro.exceptions.IncompatibleScenarioError` for combinations
-    that violate an attack/defense constraint), builds the defended
-    scenario, executes the attack through the unified protocol, and
-    computes the §III-C metrics.
+    that violate an attack/defense constraint), refuses a model, attack
+    or defense parameter its registered constructor does not accept
+    (:class:`~repro.exceptions.ScenarioError` listing the keys it does),
+    builds the defended scenario, executes the attack through the
+    unified protocol, and computes the §III-C metrics.
 
     Parameters
     ----------
@@ -859,6 +863,7 @@ def run_scenario(
     """
     config.validate()
     scale = get_scale(config.scale)
+    ATTACKS.check_params(config.attack, config.attack_params)
     attack: ScenarioAttack = ATTACKS.create(config.attack, **config.attack_params)
     stack = DefenseStack.from_specs(config.defenses)
     _check_compatible(config, attack, stack)

@@ -45,7 +45,7 @@ from repro.nn.optim import make_optimizer
 from repro.nn.train import TrainStep
 from repro.telemetry import NULL_TRACER
 from repro.tensor import functional as F
-from repro.tensor.tensor import Tensor, assemble_columns, concat
+from repro.tensor.tensor import Tensor, assemble_columns
 from repro.utils.random import check_random_state
 from repro.utils.validation import check_in_range, check_matrix, check_positive_int
 
@@ -171,22 +171,16 @@ class GenerativeRegressionNetwork(FeatureInferenceAttack):
         self.generator_ = None
         self._direct_estimate: Parameter | None = None
         self.loss_history_: list[float] = []
-        # Column permutation restoring original feature order after
-        # concat([x_adv, x̂_target]) — Algorithm 2 line 9's "x_adv ∪ x̂".
-        self._perm = view.permutation_to_original()
-        # Inverse permutation, split into the original-order column
-        # positions of the adversary block and the generated block: the
-        # hot loop assembles x_full with one scatter and back-propagates
-        # with one gather instead of permuting the full joint width.
-        inv_perm = np.argsort(self._perm)
+        # The column permutation restoring original feature order after
+        # concat([x_adv, x̂_target]) — Algorithm 2 line 9's "x_adv ∪ x̂" —
+        # inverted and split into the original-order column positions of
+        # the adversary block and the generated block: the hot loop
+        # assembles x_full with one scatter and back-propagates with one
+        # gather instead of permuting the full joint width.
+        inv_perm = np.argsort(view.permutation_to_original())
         self._adv_positions = inv_perm[: view.d_adv]
         self._target_positions = inv_perm[view.d_adv :]
         self._input_buffer: np.ndarray | None = None
-
-    #: Flip to False (per instance or class-wide in tests) to train through
-    #: the retained composed-graph loss (`_prediction_loss_reference`); the
-    #: fused path is bit-identical.
-    _fast_loss = True
 
     # ------------------------------------------------------------------
     # Training (Algorithm 2)
@@ -291,11 +285,9 @@ class GenerativeRegressionNetwork(FeatureInferenceAttack):
         Hot-path formulation: one scatter assembles x_full (backward is a
         single gather of the generated columns), and the MSE and variance
         reductions are fused single-node kernels. Training is bit-identical
-        to :meth:`_prediction_loss_reference`, the retained composed-graph
-        seed implementation (regression-tested under the oracle harness).
+        to the seed composed-graph loss (``grna_prediction_loss`` in
+        ``tests/reference.py``, regression-tested under the oracle harness).
         """
-        if not self._fast_loss:
-            return self._prediction_loss_reference(x_adv_batch, x_hat, v_batch)
         x_full = assemble_columns(
             x_adv_batch, x_hat, self._adv_positions, self._target_positions
         )
@@ -305,19 +297,6 @@ class GenerativeRegressionNetwork(FeatureInferenceAttack):
             loss = loss + F.hinged_variance_penalty(
                 x_hat, self.variance_threshold, self.variance_penalty
             )
-        return loss
-
-    def _prediction_loss_reference(
-        self, x_adv_batch: Tensor, x_hat: Tensor, v_batch: Tensor
-    ) -> Tensor:
-        """Seed reference: the op-by-op composed autodiff graph."""
-        x_full = concat([x_adv_batch, x_hat], axis=1)
-        x_full = x_full[:, self._perm]
-        v_hat = self.model.forward_tensor(x_full)
-        loss = F.mse_loss(v_hat, v_batch)
-        if self.variance_penalty > 0.0 and x_hat.shape[0] > 1:
-            excess = (x_hat.var(axis=0) - self.variance_threshold).relu()
-            loss = loss + excess.mean() * self.variance_penalty
         return loss
 
     def _fit_fingerprint(self, X_adv: np.ndarray, V: np.ndarray) -> str:

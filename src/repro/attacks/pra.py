@@ -107,8 +107,8 @@ class PathRestrictionAttack:
         """Algorithm 1: return β over all tree slots (1 = live leaf).
 
         Level-order vectorized over the flat :class:`TreeStructure`
-        arrays; output identical to the retained per-node reference
-        :meth:`_restrict_slow`.
+        arrays; output identical to the seed per-node BFS
+        (``pra_restrict`` in ``tests/reference.py``).
 
         Parameters
         ----------
@@ -173,44 +173,6 @@ class PathRestrictionAttack:
             alpha[self._leaf_mask & (self.structure.leaf_label == predicted_class)] = 1
             self._alpha_cache[predicted_class] = alpha
         return alpha
-
-    def _restrict_slow(self, x_adv: np.ndarray, predicted_class: int) -> np.ndarray:
-        """Seed reference: per-node Python BFS; kept as the restrict oracle."""
-        x_adv = check_vector(x_adv, name="x_adv")
-        if x_adv.shape[0] != self.view.d_adv:
-            raise AttackError(
-                f"x_adv has {x_adv.shape[0]} entries, expected d_adv={self.view.d_adv}"
-            )
-        structure = self.structure
-        adv_value = {
-            int(feat): float(val)
-            for feat, val in zip(self.view.adversary_indices, x_adv)
-        }
-
-        beta = np.zeros(structure.n_nodes, dtype=np.int8)  # line 1
-        beta[0] = 1  # line 3: the root is always evaluated
-        queue = [0]  # line 2
-        while queue:  # lines 4-14
-            i = queue.pop(0)
-            if structure.is_leaf[i] or not structure.exists[i]:
-                continue
-            feature = int(structure.feature[i])
-            left, right = 2 * i + 1, 2 * i + 2
-            if feature in self._adv_features:  # lines 6-10
-                if adv_value[feature] <= structure.threshold[i]:
-                    beta[left], beta[right] = beta[i], 0
-                else:
-                    beta[left], beta[right] = 0, beta[i]
-            else:  # line 12: target feature, both branches possible
-                beta[left] = beta[right] = beta[i]
-            queue.append(left)  # lines 13-14
-            queue.append(right)
-
-        # line 15: α marks leaves carrying the predicted class.
-        alpha = np.zeros(structure.n_nodes, dtype=np.int8)
-        leaf_mask = structure.exists & structure.is_leaf
-        alpha[leaf_mask & (structure.leaf_label == predicted_class)] = 1
-        return (alpha * beta).astype(np.int8)  # lines 16-17
 
     def run(
         self,

@@ -10,9 +10,7 @@ Four pieces compose:
 
 - :mod:`~repro.checkpoint.codec` — the :data:`CHECKPOINTS` registry of
   :class:`StateCodec` classes turning live objects (ledgers, caches,
-  optimizers, rng streams) into ``(meta, arrays)`` fragments and back,
-  plus the :class:`Checkpointable` protocol for self-serializing
-  objects;
+  optimizers, rng streams) into ``(meta, arrays)`` fragments and back;
 - :mod:`~repro.checkpoint.snapshot` — one snapshot == one ``.npz`` with
   a versioned manifest, SHA-256 array digests, a content fingerprint
   binding it to its run configuration, and atomic write-then-rename;
@@ -25,15 +23,15 @@ Four pieces compose:
   deliberate suspension via :class:`~repro.exceptions.CheckpointPause`.
 
 Codecs self-register from the layer that owns the state (serving,
-federation, models), so this package sits at the bottom of the layer
-DAG next to :mod:`repro.utils` and everything above it may import it.
+federation, resilience, telemetry, models), so this package sits at the
+bottom of the layer DAG next to :mod:`repro.utils` and everything above
+it may import it.
 The ``repro-ckpt`` console script (``inspect``/``prune``/``resume``)
 drives stores from the shell.
 """
 
 from repro.checkpoint.codec import (
     CHECKPOINTS,
-    Checkpointable,
     StateCodec,
     capture_state,
     codec_for,
@@ -58,7 +56,6 @@ from repro.checkpoint import rng as _rng  # noqa: F401
 
 __all__ = [
     "CHECKPOINTS",
-    "Checkpointable",
     "StateCodec",
     "capture_state",
     "restore_state",

@@ -14,8 +14,11 @@ snapshots stay a single ``.npz`` file.
 Codecs register in the string-keyed :data:`CHECKPOINTS` registry (the
 repo's established Registry idiom) from the layer that *owns* the state
 — serving registers the ledger/cache codecs, federation the comm-ledger
-codec, models the model/optimizer codecs — so this module stays at the
-bottom of the layer DAG and never imports upward. Every registered
+codec, resilience the runtime and breaker codecs, telemetry the tracer
+codec, models the SGD/Adam optimizer codecs — so this module stays at
+the bottom of the layer DAG and never imports upward. A registered
+codec is the only way an object enters a snapshot; fitted models are
+persisted by :func:`repro.models.save_model` instead. Every registered
 codec declares ``state_fields``, the attribute names it round-trips;
 the ``checkpoint-completeness`` lint rule cross-checks that each
 declared field appears in both ``capture`` and ``restore``.
@@ -23,7 +26,7 @@ declared field appears in both ``capture`` and ``restore``.
 
 from __future__ import annotations
 
-from typing import Any, Protocol, runtime_checkable
+from typing import Any
 
 import numpy as np
 
@@ -32,34 +35,10 @@ from repro.utils.registry import Registry
 
 CHECKPOINTS = Registry("checkpoint codec")
 
-#: Fragment kind for objects implementing :class:`Checkpointable`
-#: themselves rather than through a registered codec.
-SELF_KIND = "self"
-
 #: Fragment kind for loop-local raw data (accumulated rows, cursors)
 #: that is not a codec'd object; restored by reading the fragment
 #: directly, never through :func:`restore_state`.
 RAW_KIND = "raw"
-
-
-@runtime_checkable
-class Checkpointable(Protocol):
-    """Duck-typed alternative to a registered codec.
-
-    An object that can serialize its own resumable state implements
-    this pair; :func:`capture_state` and :func:`restore_state` use it
-    when no registered codec targets the object's exact type.
-    """
-
-    def capture_checkpoint(self) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
-        """Return ``(meta, arrays)`` describing the resumable state."""
-        ...
-
-    def restore_checkpoint(
-        self, meta: dict[str, Any], arrays: dict[str, np.ndarray]
-    ) -> None:
-        """Reinstate previously captured state onto ``self``."""
-        ...
 
 
 class StateCodec:
@@ -103,25 +82,20 @@ def codec_for(obj: Any) -> StateCodec | None:
 
 
 def capture_state(obj: Any) -> dict[str, Any]:
-    """Snapshot ``obj`` into a fragment dict via its codec.
+    """Snapshot ``obj`` into a fragment dict via its registered codec.
 
-    Prefers a registered codec matching the object's exact type; falls
-    back to the :class:`Checkpointable` protocol. Raises
-    :class:`~repro.exceptions.CheckpointError` when neither applies —
-    silently skipping state is how resumed runs diverge.
+    Raises :class:`~repro.exceptions.CheckpointError` when no codec
+    targets the object's exact type — silently skipping state is how
+    resumed runs diverge.
     """
     codec = codec_for(obj)
-    if codec is not None:
-        meta, arrays = codec.capture(obj)
-        return {"kind": codec.kind, "meta": meta, "arrays": arrays}
-    if isinstance(obj, Checkpointable):
-        meta, arrays = obj.capture_checkpoint()
-        return {"kind": SELF_KIND, "meta": meta, "arrays": arrays}
-    raise CheckpointError(
-        f"no checkpoint codec registered for {type(obj).__name__!r} and it "
-        f"does not implement the Checkpointable protocol; known codecs: "
-        f"{CHECKPOINTS.names()}"
-    )
+    if codec is None:
+        raise CheckpointError(
+            f"no checkpoint codec registered for {type(obj).__name__!r}; "
+            f"known codecs: {CHECKPOINTS.names()}"
+        )
+    meta, arrays = codec.capture(obj)
+    return {"kind": codec.kind, "meta": meta, "arrays": arrays}
 
 
 def restore_state(obj: Any, fragment: dict[str, Any]) -> None:
@@ -133,14 +107,6 @@ def restore_state(obj: Any, fragment: dict[str, Any]) -> None:
             "fragment['meta'] / fragment['arrays'] directly instead of "
             "calling restore_state"
         )
-    if kind == SELF_KIND:
-        if not isinstance(obj, Checkpointable):
-            raise CheckpointError(
-                f"fragment was captured via the Checkpointable protocol but "
-                f"{type(obj).__name__!r} does not implement it"
-            )
-        obj.restore_checkpoint(fragment["meta"], fragment["arrays"])
-        return
     codec_cls = CHECKPOINTS.get(kind)
     codec: StateCodec = codec_cls()
     if codec.target is not None and type(obj) is not codec.target:

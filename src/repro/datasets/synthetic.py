@@ -181,9 +181,10 @@ def _rank_transform_marginals(X: np.ndarray, gamma: float) -> np.ndarray:
     """
     n = X.shape[0]
     order = np.argsort(X, axis=0)
-    # Each column of `order` is a permutation; scattering 0..n-1 through
-    # it inverts it, which is what argsort(order) computes with a sort.
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(n)[:, None], axis=0)
-    uniform = (ranks + 1.0) / (n + 1.0)
-    return uniform ** gamma
+    # The value of rank r is the same in every column, so it is computed
+    # once (n powers, not n * d) and scattered through each column's
+    # sort order, which puts it at the row holding rank r.
+    marginal = ((np.arange(n) + 1.0) / (n + 1.0)) ** gamma
+    out = np.empty(X.shape)
+    np.put_along_axis(out, order, marginal[:, None], axis=0)
+    return out

@@ -24,10 +24,6 @@ class NotFittedError(ReproError, RuntimeError):
     """A model method requiring a fitted model was called before ``fit``."""
 
 
-class ConvergenceError(ReproError, RuntimeError):
-    """An iterative procedure failed to converge within its budget."""
-
-
 class GradientError(ReproError, RuntimeError):
     """Backward pass failed or produced gradients of unexpected shape."""
 

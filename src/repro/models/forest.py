@@ -98,9 +98,10 @@ class RandomForestClassifier(BaseClassifier):
         one contiguous column gather-and-compare (a ``(n, n_internal)``
         bit matrix), and the leaf descent is ``depth`` arithmetic steps
         of ``2i + 1 + bit`` — no per-sample Python walk and no random
-        gathers into ``X``. Votes accumulate exactly like the retained
-        :meth:`_predict_proba_slow` reference (small exact integer
-        counts), so the fractions are bit-identical to seed.
+        gathers into ``X``. Votes accumulate exactly like the seed
+        per-tree, per-sample vote loop (``forest_predict_proba`` in
+        ``tests/reference.py``: small exact integer counts), so the
+        fractions are bit-identical to seed.
         """
         if not self.trees_:
             raise NotFittedError("forest has no trees; call fit first")
@@ -119,17 +120,6 @@ class RandomForestClassifier(BaseClassifier):
                         active, 2 * node + 1 + bits[rows, internal_pos[node]], node
                     )
             votes[rows, leaf_label[node]] += 1.0
-        return votes / len(self.trees_)
-
-    def _predict_proba_slow(self, X: np.ndarray) -> np.ndarray:
-        """Seed reference: per-tree, per-sample vote loop; kept as oracle."""
-        X = self._validate_predict_input(X)
-        if not self.trees_:
-            raise NotFittedError("forest has no trees; call fit first")
-        votes = np.zeros((X.shape[0], self.n_classes_))
-        for tree in self.trees_:
-            labels = tree._predict_slow(X)
-            votes[np.arange(X.shape[0]), labels] += 1.0
         return votes / len(self.trees_)
 
     def _tree_tables(self) -> list[tuple]:

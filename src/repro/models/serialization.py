@@ -11,6 +11,10 @@ Supported: :class:`LogisticRegression`, :class:`MLPClassifier`,
 :class:`DecisionTreeClassifier`, :class:`RandomForestClassifier`,
 :class:`RandomForestDistiller` (surrogate only; its teacher is not
 persisted).
+
+This archive is the one model codec. The module also registers the SGD
+and Adam checkpoint codecs, which carry an optimizer's trajectory state
+into GRNA's training snapshots and into ``save_model(optimizer=...)``.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.checkpoint.codec import CHECKPOINTS, StateCodec, codec_for
-from repro.exceptions import CheckpointError, NotFittedError, ValidationError
+from repro.exceptions import CheckpointError, ValidationError
 from repro.models.distill import RandomForestDistiller
 from repro.models.forest import RandomForestClassifier
 from repro.models.logistic import LogisticRegression
@@ -109,15 +113,16 @@ def _encode_tree(model: DecisionTreeClassifier) -> tuple[dict, dict]:
     return meta, _structure_arrays(model.tree_structure(), "tree_")
 
 
+def _fill_tree(tree: DecisionTreeClassifier, meta: dict, arrays: dict, prefix: str):
+    tree.n_features_ = meta["n_features"]
+    tree.n_classes_ = meta["n_classes"]
+    tree.root_ = _rebuild_node(_structure_from_arrays(arrays, prefix), 0, 0)
+    return tree
+
+
 def _decode_tree(meta: dict, arrays: dict) -> DecisionTreeClassifier:
-    model = DecisionTreeClassifier(
-        max_depth=meta["max_depth"], criterion=meta["criterion"]
-    )
-    model.n_features_ = meta["n_features"]
-    model.n_classes_ = meta["n_classes"]
-    structure = _structure_from_arrays(arrays, "tree_")
-    model.root_ = _rebuild_node(structure, 0, 0)
-    return model
+    model = DecisionTreeClassifier(max_depth=meta["max_depth"], criterion=meta["criterion"])
+    return _fill_tree(model, meta, arrays, "tree_")
 
 
 def _encode_forest(model: RandomForestClassifier) -> tuple[dict, dict]:
@@ -141,14 +146,10 @@ def _decode_forest(meta: dict, arrays: dict) -> RandomForestClassifier:
     )
     model.n_features_ = meta["n_features"]
     model.n_classes_ = meta["n_classes"]
-    model.trees_ = []
-    for i in range(meta["n_trees"]):
-        tree = DecisionTreeClassifier(max_depth=meta["max_depth"])
-        tree.n_features_ = meta["n_features"]
-        tree.n_classes_ = meta["n_classes"]
-        structure = _structure_from_arrays(arrays, f"tree{i}_")
-        tree.root_ = _rebuild_node(structure, 0, 0)
-        model.trees_.append(tree)
+    model.trees_ = [
+        _fill_tree(DecisionTreeClassifier(max_depth=meta["max_depth"]), meta, arrays, f"tree{i}_")
+        for i in range(meta["n_trees"])
+    ]
     return model
 
 
@@ -164,15 +165,19 @@ def _encode_mlp(model: MLPClassifier) -> tuple[dict, dict]:
     return meta, arrays
 
 
-def _decode_mlp(meta: dict, arrays: dict) -> MLPClassifier:
-    model = MLPClassifier(hidden_sizes=tuple(meta["hidden_sizes"]), dropout=meta["dropout"])
+def _fill_network(model, meta: dict, arrays: dict, **layers):
     model.n_features_ = meta["n_features"]
     model.n_classes_ = meta["n_classes"]
     sizes = [meta["n_features"], *meta["hidden_sizes"], meta["n_classes"]]
-    model.network_ = mlp(sizes, activation="relu", dropout=meta["dropout"], rng=0)
+    model.network_ = mlp(sizes, activation="relu", rng=0, **layers)
     state = {k[len("param_"):]: v for k, v in arrays.items() if k.startswith("param_")}
     model.network_.load_state_dict(state)
-    model.network_.eval()
+    return model
+
+
+def _decode_mlp(meta: dict, arrays: dict) -> MLPClassifier:
+    model = MLPClassifier(hidden_sizes=tuple(meta["hidden_sizes"]), dropout=meta["dropout"])
+    _fill_network(model, meta, arrays, dropout=meta["dropout"]).network_.eval()
     return model
 
 
@@ -190,13 +195,7 @@ def _encode_distiller(model: RandomForestDistiller) -> tuple[dict, dict]:
 
 def _decode_distiller(meta: dict, arrays: dict) -> RandomForestDistiller:
     model = RandomForestDistiller(hidden_sizes=tuple(meta["hidden_sizes"]))
-    model.n_features_ = meta["n_features"]
-    model.n_classes_ = meta["n_classes"]
-    sizes = [meta["n_features"], *meta["hidden_sizes"], meta["n_classes"]]
-    model.network_ = mlp(sizes, activation="relu", rng=0)
-    state = {k[len("param_"):]: v for k, v in arrays.items() if k.startswith("param_")}
-    model.network_.load_state_dict(state)
-    return model
+    return _fill_network(model, meta, arrays)
 
 
 _CODECS = {
@@ -209,159 +208,16 @@ _CODECS = {
 
 
 # ----------------------------------------------------------------------
-# Checkpoint codecs: live models and optimizers as snapshot fragments
+# Optimizer checkpoint codecs
 # ----------------------------------------------------------------------
-# Registered in repro.checkpoint.CHECKPOINTS on models-package import.
-# The model codecs reuse this module's array layouts; the optimizer
-# codecs capture the state that makes a resumed training trajectory
-# bit-identical — Adam's first/second moments and step counter, SGD's
+# Registered in repro.checkpoint.CHECKPOINTS on models-package import;
+# GRNA's training checkpoints and ``save_model(optimizer=...)`` use them.
+# They capture the state that makes a resumed training trajectory
+# bit-identical: Adam's first/second moments and step counter, SGD's
 # momentum velocities. Scratch buffers are deliberately *not* captured:
 # every step fully overwrites them via ``out=``, so freshly constructed
-# buffers reproduce the same bytes.
-
-
-@CHECKPOINTS.register("model/logistic")
-class LogisticRegressionCodec(StateCodec):
-    """Snapshot a fitted :class:`LogisticRegression`."""
-
-    kind = "model/logistic"
-    target = LogisticRegression
-    state_fields = ("coef_", "intercept_")
-
-    def capture(self, obj) -> tuple[dict, dict]:
-        obj._check_fitted()
-        meta = {
-            "n_features": obj.n_features_,
-            "n_classes": obj.n_classes_,
-            "binary": obj.n_classes_ == 2,
-        }
-        arrays = {
-            "coef": np.asarray(obj.coef_),
-            "intercept": np.atleast_1d(np.asarray(obj.intercept_, dtype=np.float64)),
-        }
-        return meta, arrays
-
-    def restore(self, obj, meta: dict, arrays: dict) -> None:
-        obj.coef_ = np.asarray(arrays["coef"], dtype=np.float64)
-        if meta["binary"]:
-            obj.intercept_ = np.float64(arrays["intercept"][0])
-        else:
-            obj.intercept_ = np.asarray(arrays["intercept"], dtype=np.float64)
-        obj.n_features_ = meta["n_features"]
-        obj.n_classes_ = meta["n_classes"]
-
-
-@CHECKPOINTS.register("model/tree")
-class DecisionTreeCodec(StateCodec):
-    """Snapshot a fitted :class:`DecisionTreeClassifier`."""
-
-    kind = "model/tree"
-    target = DecisionTreeClassifier
-    state_fields = ("root_", "n_features_", "n_classes_")
-
-    def capture(self, obj) -> tuple[dict, dict]:
-        if obj.root_ is None:
-            raise NotFittedError("decision tree has no fitted structure to checkpoint")
-        meta = {"n_features": obj.n_features_, "n_classes": obj.n_classes_}
-        return meta, _structure_arrays(obj.tree_structure(), "tree_")
-
-    def restore(self, obj, meta: dict, arrays: dict) -> None:
-        obj.n_features_ = meta["n_features"]
-        obj.n_classes_ = meta["n_classes"]
-        obj.root_ = _rebuild_node(_structure_from_arrays(arrays, "tree_"), 0, 0)
-
-
-@CHECKPOINTS.register("model/forest")
-class RandomForestCodec(StateCodec):
-    """Snapshot a fitted :class:`RandomForestClassifier`."""
-
-    kind = "model/forest"
-    target = RandomForestClassifier
-    state_fields = ("trees_", "n_features_", "n_classes_")
-
-    def capture(self, obj) -> tuple[dict, dict]:
-        if not obj.trees_:
-            raise NotFittedError("random forest has no fitted trees to checkpoint")
-        meta = {
-            "n_features": obj.n_features_,
-            "n_classes": obj.n_classes_,
-            "n_trees": len(obj.trees_),
-            "max_depth": obj.max_depth,
-        }
-        arrays: dict = {}
-        for i, structure in enumerate(obj.tree_structures()):
-            arrays.update(_structure_arrays(structure, f"tree{i}_"))
-        return meta, arrays
-
-    def restore(self, obj, meta: dict, arrays: dict) -> None:
-        obj.n_features_ = meta["n_features"]
-        obj.n_classes_ = meta["n_classes"]
-        obj.trees_ = []
-        for i in range(meta["n_trees"]):
-            tree = DecisionTreeClassifier(max_depth=meta["max_depth"])
-            tree.n_features_ = meta["n_features"]
-            tree.n_classes_ = meta["n_classes"]
-            tree.root_ = _rebuild_node(
-                _structure_from_arrays(arrays, f"tree{i}_"), 0, 0
-            )
-            obj.trees_.append(tree)
-
-
-@CHECKPOINTS.register("model/mlp")
-class MLPClassifierCodec(StateCodec):
-    """Snapshot a fitted :class:`MLPClassifier`."""
-
-    kind = "model/mlp"
-    target = MLPClassifier
-    state_fields = ("network_", "n_features_", "n_classes_")
-
-    def capture(self, obj) -> tuple[dict, dict]:
-        obj._check_fitted()
-        meta = {
-            "n_features": obj.n_features_,
-            "n_classes": obj.n_classes_,
-            "hidden_sizes": list(obj.hidden_sizes),
-            "dropout": obj.dropout,
-        }
-        arrays = {f"param_{k}": v.copy() for k, v in obj.network_.state_dict().items()}
-        return meta, arrays
-
-    def restore(self, obj, meta: dict, arrays: dict) -> None:
-        obj.n_features_ = meta["n_features"]
-        obj.n_classes_ = meta["n_classes"]
-        sizes = [meta["n_features"], *meta["hidden_sizes"], meta["n_classes"]]
-        obj.network_ = mlp(sizes, activation="relu", dropout=meta["dropout"], rng=0)
-        state = {k[len("param_"):]: v for k, v in arrays.items() if k.startswith("param_")}
-        obj.network_.load_state_dict(state)
-        obj.network_.eval()
-
-
-@CHECKPOINTS.register("model/distiller")
-class RandomForestDistillerCodec(StateCodec):
-    """Snapshot a distilled :class:`RandomForestDistiller` surrogate."""
-
-    kind = "model/distiller"
-    target = RandomForestDistiller
-    state_fields = ("network_", "n_features_", "n_classes_")
-
-    def capture(self, obj) -> tuple[dict, dict]:
-        if obj.network_ is None:
-            raise NotFittedError("distiller has no surrogate network to checkpoint")
-        meta = {
-            "n_features": obj.n_features_,
-            "n_classes": obj.n_classes_,
-            "hidden_sizes": list(obj.hidden_sizes),
-        }
-        arrays = {f"param_{k}": v.copy() for k, v in obj.network_.state_dict().items()}
-        return meta, arrays
-
-    def restore(self, obj, meta: dict, arrays: dict) -> None:
-        obj.n_features_ = meta["n_features"]
-        obj.n_classes_ = meta["n_classes"]
-        sizes = [meta["n_features"], *meta["hidden_sizes"], meta["n_classes"]]
-        obj.network_ = mlp(sizes, activation="relu", rng=0)
-        state = {k[len("param_"):]: v for k, v in arrays.items() if k.startswith("param_")}
-        obj.network_.load_state_dict(state)
+# buffers reproduce the same bytes. A fitted model travels as a
+# ``save_model`` archive, not as a snapshot fragment.
 
 
 def _check_param_shapes(optimizer, arrays: dict, names: "list[str]") -> None:
@@ -460,8 +316,8 @@ def save_model(model, path: "str | Path", *, optimizer: "Optimizer | None" = Non
     )
 
 
-def load_model(path: "str | Path"):
-    """Load a model previously written by :func:`save_model`."""
+def _read_archive(path: "str | Path", prefix: str = "") -> tuple[Path, dict, dict]:
+    """``(path, meta, arrays)`` of an archive, arrays named ``prefix...`` only."""
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"no such model file: {path}")
@@ -469,7 +325,15 @@ def load_model(path: "str | Path"):
         if "__meta__" not in archive:
             raise ValidationError(f"{path} is not a repro model archive")
         meta = json.loads(bytes(archive["__meta__"].tobytes()).decode("utf-8"))
-        arrays = {k: archive[k] for k in archive.files if k != "__meta__"}
+        arrays = {
+            k: archive[k] for k in archive.files if k != "__meta__" and k.startswith(prefix)
+        }
+    return path, meta, arrays
+
+
+def load_model(path: "str | Path"):
+    """Load a model previously written by :func:`save_model`."""
+    path, meta, arrays = _read_archive(path)
     if meta.get("format_version") != FORMAT_VERSION:
         raise ValidationError(
             f"unsupported model format version {meta.get('format_version')!r}"
@@ -491,14 +355,7 @@ def load_optimizer_state(path: "str | Path", optimizer: Optimizer) -> Optimizer:
     optimizer state, the optimizer kind differs, or buffer shapes do not
     match the live parameters.
     """
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"no such model file: {path}")
-    with np.load(path) as archive:
-        if "__meta__" not in archive:
-            raise ValidationError(f"{path} is not a repro model archive")
-        meta = json.loads(bytes(archive["__meta__"].tobytes()).decode("utf-8"))
-        arrays = {k: archive[k] for k in archive.files if k.startswith("opt_")}
+    path, meta, arrays = _read_archive(path, "opt_")
     opt_info = meta.get("__optimizer__")
     if opt_info is None:
         raise CheckpointError(f"{path} holds no optimizer state")

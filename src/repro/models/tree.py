@@ -14,7 +14,7 @@ are deterministic").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -299,11 +299,6 @@ class DecisionTreeClassifier(BaseClassifier):
         self.root_: _Node | None = None
         self._flat: TreeStructure | None = None
 
-    #: Flip to False (per instance or class-wide in tests) to grow with the
-    #: retained per-node sort and per-feature scan (`_grow` +
-    #: `_best_split_slow`); node-for-node equal.
-    _fast_split = True
-
     # ------------------------------------------------------------------
     # Fitting
     # ------------------------------------------------------------------
@@ -314,9 +309,6 @@ class DecisionTreeClassifier(BaseClassifier):
         self._n_split_features = self._resolve_max_features(X.shape[1])
         Y = one_hot(y, self.n_classes_)
         self._flat = None
-        if not self._fast_split:
-            self.root_ = self._grow(X, y, Y, depth=0)
-            return self
         XT = np.ascontiguousarray(X.T)
         order = np.argsort(XT, axis=1, kind="stable")
         go_left = np.empty(X.shape[0], dtype=bool)
@@ -388,7 +380,8 @@ class DecisionTreeClassifier(BaseClassifier):
         Exact search vectorized across features over the presorted rows:
         one value gather and one cumulative class-count pass per feature
         block, then one gain argmax per feature. Tie-breaking is identical
-        to :meth:`_best_split_slow` (first boundary attaining a feature's
+        to the seed per-feature scan (``tree_best_split`` in
+        ``tests/reference.py``: first boundary attaining a feature's
         max gain, first feature attaining the global max, strict
         ``> 1e-12`` improvement), so grown trees are node-for-node equal.
 
@@ -472,70 +465,6 @@ class DecisionTreeClassifier(BaseClassifier):
             return None
         return int(features[j]), float(per_threshold[j])
 
-    def _grow(self, X: np.ndarray, y: np.ndarray, Y: np.ndarray, depth: int) -> _Node:
-        """Seed reference: recursive growth that re-sorts at every node."""
-        counts = Y.sum(axis=0)
-        label = int(counts.argmax())
-        node = _Node(label=label, n_samples=X.shape[0], depth=depth)
-        if (
-            depth >= self.max_depth
-            or X.shape[0] < self.min_samples_split
-            or np.count_nonzero(counts) <= 1
-        ):
-            return node
-        split = self._best_split_slow(X, Y)
-        if split is None:
-            return node
-        feature, threshold = split
-        mask = X[:, feature] <= threshold
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._grow(X[mask], y[mask], Y[mask], depth + 1)
-        node.right = self._grow(X[~mask], y[~mask], Y[~mask], depth + 1)
-        return node
-
-    def _best_split_slow(self, X: np.ndarray, Y: np.ndarray) -> tuple[int, float] | None:
-        """Seed reference: per-feature sort and scan; kept as the fitting oracle."""
-        m, d = X.shape
-        total_counts = Y.sum(axis=0)
-        parent_impurity = float(self._impurity(total_counts))
-        if self._n_split_features < d:
-            features = self.rng.choice(d, size=self._n_split_features, replace=False)
-        else:
-            features = np.arange(d)
-        best_gain = 1e-12  # require a strictly positive improvement
-        best: tuple[int, float] | None = None
-        min_leaf = self.min_samples_leaf
-        for j in features:
-            order = np.argsort(X[:, j], kind="stable")
-            values = X[order, j]
-            prefix = np.cumsum(Y[order], axis=0)  # (m, c) left counts after i+1 samples
-            # Candidate split after position i (0-based): left size i+1.
-            boundaries = np.flatnonzero(values[:-1] < values[1:])
-            if boundaries.size == 0:
-                continue
-            left_sizes = boundaries + 1
-            valid = (left_sizes >= min_leaf) & (m - left_sizes >= min_leaf)
-            boundaries = boundaries[valid]
-            if boundaries.size == 0:
-                continue
-            left_counts = prefix[boundaries]
-            right_counts = total_counts - left_counts
-            left_sizes = (boundaries + 1).astype(np.float64)
-            right_sizes = m - left_sizes
-            weighted = (
-                left_sizes * self._impurity(left_counts)
-                + right_sizes * self._impurity(right_counts)
-            ) / m
-            gains = parent_impurity - weighted
-            k = int(gains.argmax())
-            if gains[k] > best_gain:
-                best_gain = float(gains[k])
-                i = boundaries[k]
-                threshold = float((values[i] + values[i + 1]) / 2.0)
-                best = (int(j), threshold)
-        return best
-
     # ------------------------------------------------------------------
     # Prediction
     # ------------------------------------------------------------------
@@ -556,19 +485,6 @@ class DecisionTreeClassifier(BaseClassifier):
         """
         labels = self._flat_structure().predict_batch(X)
         return one_hot(labels, self.n_classes_)
-
-    def _predict_slow(self, X: np.ndarray) -> np.ndarray:
-        """Seed reference: per-sample node walk; kept as the predict oracle."""
-        X = self._validate_predict_input(X)
-        if self.root_ is None:
-            raise NotFittedError("tree has no root; call fit first")
-        out = np.empty(X.shape[0], dtype=np.int64)
-        for i, x in enumerate(X):
-            node = self.root_
-            while not node.is_leaf:
-                node = node.left if x[node.feature] <= node.threshold else node.right
-            out[i] = node.label
-        return out
 
     def _flat_structure(self) -> TreeStructure:
         """Cached full-binary-tree export backing the vectorized kernels."""

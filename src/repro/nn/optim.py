@@ -227,29 +227,6 @@ class Adam(Optimizer):
     def _v(self, arrays: Sequence[np.ndarray]) -> None:
         self._flat.assign(self._v_flat, arrays)
 
-    #: Flip to False to run the retained allocating seed step
-    #: (`_step_reference`); the flat-buffer step is bit-identical.
-    _fast_step = True
-
-    def _step_reference(self) -> None:
-        """Seed reference: allocating textbook update; kept as the oracle."""
-        self._t += 1
-        bias1 = 1.0 - self.beta1 ** self._t
-        bias2 = 1.0 - self.beta2 ** self._t
-        for p, m, v in zip(self.params, self._m, self._v):
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            m_hat = m / bias1
-            v_hat = v / bias2
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
     def step(self) -> None:
         """One bias-corrected update, fused over the flat parameter buffer.
 
@@ -263,9 +240,6 @@ class Adam(Optimizer):
         When some parameter has no gradient the same update runs per
         parameter, skipping it.
         """
-        if not self._fast_step:
-            self._step_reference()
-            return
         self._t += 1
         bias1 = 1.0 - self.beta1 ** self._t
         bias2 = 1.0 - self.beta2 ** self._t

@@ -24,6 +24,8 @@ from repro.tensor.tape import StaticTape
 from repro.tensor.tensor import Tensor
 
 #: Recorded batch shapes kept at once: an epoch's full and last batch.
+#: At 0 every step runs on the dynamic tape, the oracle the replay is
+#: checked against.
 _MAX_TAPES = 2
 
 
@@ -33,10 +35,6 @@ class TrainStep:
     ``build`` receives one leaf tensor per array and must read the batch
     only through them (see :class:`~repro.tensor.tape.StaticTape`).
     """
-
-    #: Flip to False (per instance or class-wide in tests) to run every
-    #: step on the dynamic tape, the oracle the replay is checked against.
-    static = True
 
     def __init__(self, build: Callable[..., Tensor], optimizer: Optimizer) -> None:
         self.build = build
@@ -53,7 +51,7 @@ class TrainStep:
         else:
             inputs = [Tensor(a) for a in arrays]
             loss = self.build(*inputs)
-            if self.static and len(self._tapes) < _MAX_TAPES:
+            if len(self._tapes) < _MAX_TAPES:
                 tape = self._tapes[shapes] = StaticTape(
                     loss, inputs, self.optimizer.grad_buffers()
                 )

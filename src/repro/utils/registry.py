@@ -10,14 +10,15 @@ deep.
 
 The class lives in :mod:`repro.utils` — the bottom of the layer DAG — so
 low-level subsystems (:mod:`repro.checkpoint`, :mod:`repro.analysis`)
-can host registries without importing upward; :mod:`repro.api.registry`
+can host registries without importing upward; :mod:`repro.api`
 re-exports it for the facade's public surface.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable, Iterator
+import inspect
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.exceptions import ScenarioError
 
@@ -35,16 +36,26 @@ class Registry:
     def __init__(self, kind: str) -> None:
         self.kind = kind
         self._entries: dict[str, Any] = {}
+        self._forwards: dict[str, Callable[..., Any] | None] = {}
 
-    def register(self, key: str, value: Any = None, *, replace: bool = False) -> Any:
+    def register(
+        self,
+        key: str,
+        value: Any = None,
+        *,
+        replace: bool = False,
+        forwards_to: Callable[..., Any] | None = None,
+    ) -> Any:
         """Add ``value`` under ``key``; usable as a decorator.
 
         Duplicate keys are rejected unless ``replace=True`` — silently
         shadowing a registered component is how grids go subtly wrong.
+        ``forwards_to`` names the callable an entry taking ``**params``
+        passes them on to, so :meth:`check_params` knows its keys.
         """
         if value is None:
             def decorator(obj: Any) -> Any:
-                self.register(key, obj, replace=replace)
+                self.register(key, obj, replace=replace, forwards_to=forwards_to)
                 return obj
 
             return decorator
@@ -54,6 +65,7 @@ class Registry:
                 "to override"
             )
         self._entries[key] = value
+        self._forwards[key] = forwards_to
         return value
 
     def get(self, key: str) -> Any:
@@ -69,6 +81,35 @@ class Registry:
         """Resolve ``key`` and call the registered factory with the arguments."""
         factory: Callable[..., Any] = self.get(key)
         return factory(*args, **kwargs)
+
+    def check_params(self, key: str, params: Any, *, extra: Iterable[str] = ()) -> None:
+        """Refuse, with a :class:`~repro.exceptions.ScenarioError` naming
+        the keys accepted, a parameter the entry under ``key`` does not take.
+
+        An entry taking ``**params`` accepts the optional parameters of its
+        ``forwards_to`` callable less its own (any key without one); ``extra``
+        adds keys the caller takes beside the entry.
+        """
+        entry = self.get(key)
+        signature = inspect.signature(entry).parameters.values()
+        named = {p.name for p in signature if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)}
+        accepted = set(named)
+        if any(p.kind is p.VAR_KEYWORD for p in signature):
+            target = self._forwards.get(key)
+            if target is None:
+                return
+            accepted = {
+                p.name
+                for p in inspect.signature(target).parameters.values()
+                if p.default is not p.empty and p.name not in named
+            }
+        accepted.update(extra)
+        unknown = [name for name in params if name not in accepted]
+        if unknown:
+            raise ScenarioError(
+                f"{self.kind} {key!r} does not accept parameter(s) {unknown}; "
+                f"it accepts {sorted(accepted)}"
+            )
 
     def names(self) -> list[str]:
         """Registered keys, in registration order."""

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.api.registry import Registry
+from repro.utils.registry import Registry
 from repro.exceptions import ValidationError
 from repro.utils.validation import check_in_range, check_positive_int
 

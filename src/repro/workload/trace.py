@@ -19,7 +19,7 @@ exactly ``benign.merge(attacker)``: a broad benign trace from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -117,38 +117,6 @@ class TrafficTrace:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    @classmethod
-    def from_events(
-        cls,
-        times: Sequence[float],
-        consumers: Sequence[str],
-        samples: Sequence[Sequence[int]],
-    ) -> "TrafficTrace":
-        """Build a (small) trace from per-event Python sequences."""
-        if not (len(times) == len(consumers) == len(samples)):
-            raise ValidationError(
-                "times, consumers, and samples must have equal lengths"
-            )
-        order = np.argsort(np.asarray(times, dtype=np.float64), kind="stable")
-        names: dict[str, int] = {}
-        consumer_ids = np.empty(len(consumers), dtype=np.int64)
-        flat: list[np.ndarray] = []
-        offsets = np.zeros(len(consumers) + 1, dtype=np.int64)
-        for position, i in enumerate(order):
-            consumer_ids[position] = names.setdefault(consumers[i], len(names))
-            block = np.asarray(samples[i], dtype=np.int64).ravel()
-            flat.append(block)
-            offsets[position + 1] = offsets[position] + block.size
-        return cls(
-            times=np.asarray(times, dtype=np.float64)[order],
-            consumer_ids=consumer_ids,
-            names=tuple(names),
-            sample_ids=(
-                np.concatenate(flat) if flat else np.empty(0, dtype=np.int64)
-            ),
-            offsets=offsets,
-        )
-
     def merge(self, other: "TrafficTrace") -> "TrafficTrace":
         """Interleave two traces by arrival time, stably (self wins ties).
 

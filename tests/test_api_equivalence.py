@@ -13,6 +13,7 @@ import collections
 
 import numpy as np
 import pytest
+import reference
 
 from repro.attacks import (
     EqualitySolvingAttack,
@@ -192,11 +193,11 @@ class TestRefactorEquivalence:
 def _force_seed_kernels(monkeypatch):
     """Route every vectorized hot path back onto its retained seed kernel.
 
-    Covers tree growing (`_best_split_slow`), tree/forest prediction
-    (`_predict_slow` / `_predict_proba_slow`), PRA restriction
-    (`_restrict_slow`), GRNA's composed-graph loss, the allocating
-    Adam step and the dynamic autodiff tape (no recorded step replays)
-    — i.e. the complete pre-PR model layer.
+    Covers tree growing (`tree_fit`), tree/forest prediction
+    (`tree_predict` / `forest_predict_proba`), PRA restriction
+    (`pra_restrict`), GRNA's composed-graph loss, the allocating
+    Adam step (all from ``reference.py``) and the dynamic autodiff tape
+    (no recorded step replays) — i.e. the complete pre-PR model layer.
 
     Tree and forest confidences are patched at ``_proba``, the kernel
     behind every ``predict_proba``. Returns a counter of slow-kernel
@@ -208,24 +209,22 @@ def _force_seed_kernels(monkeypatch):
     from repro.federation import FederationRuntime
     from repro.models.forest import RandomForestClassifier
     from repro.models.tree import DecisionTreeClassifier
+    from repro.nn import train
     from repro.nn.optim import Adam
-    from repro.nn.train import TrainStep
     from repro.utils.numeric import one_hot
 
     def slow_proba(self, X):
-        return one_hot(self._predict_slow(X), self.n_classes_)
+        return one_hot(reference.tree_predict(self, X), self.n_classes_)
 
     def slow_restrict_batch(self, X_adv, predicted_classes):
         X_adv = np.atleast_2d(np.asarray(X_adv, dtype=np.float64))
         classes = np.asarray(predicted_classes, dtype=np.int64).ravel()
         return np.stack(
-            [self._restrict_slow(X_adv[i], int(c)) for i, c in enumerate(classes)]
+            [reference.pra_restrict(self, X_adv[i], int(c)) for i, c in enumerate(classes)]
         )
 
-    monkeypatch.setattr(DecisionTreeClassifier, "_fast_split", False)
-    monkeypatch.setattr(
-        DecisionTreeClassifier, "predict", DecisionTreeClassifier._predict_slow
-    )
+    monkeypatch.setattr(DecisionTreeClassifier, "fit", reference.tree_fit)
+    monkeypatch.setattr(DecisionTreeClassifier, "predict", reference.tree_predict)
     calls = collections.Counter()
     in_round = []
     protocol_predict = FederationRuntime.predict
@@ -249,21 +248,23 @@ def _force_seed_kernels(monkeypatch):
     monkeypatch.setattr(
         RandomForestClassifier,
         "_proba",
-        counted("rf", RandomForestClassifier._predict_proba_slow),
+        counted("rf", reference.forest_predict_proba),
     )
     monkeypatch.setattr(PathRestrictionAttack, "restrict_batch", slow_restrict_batch)
-    monkeypatch.setattr(GenerativeRegressionNetwork, "_fast_loss", False)
-    monkeypatch.setattr(Adam, "_fast_step", False)
-    monkeypatch.setattr(TrainStep, "static", False)
+    monkeypatch.setattr(
+        GenerativeRegressionNetwork, "_prediction_loss", reference.grna_prediction_loss
+    )
+    monkeypatch.setattr(Adam, "step", reference.adam_step)
+    monkeypatch.setattr(train, "_MAX_TAPES", 0)
     return calls
 
 
 class TestKernelEquivalence:
     """DT/RF scenario cells are bit-identical under forced seed kernels.
 
-    The perf PR vectorized the model-layer hot loops but retained each
-    seed implementation behind a dispatch flag; re-running whole figure
-    cells with every flag forced slow must reproduce the fast payloads
+    The perf PR vectorized the model-layer hot loops and kept each seed
+    implementation as an oracle in ``reference.py``; re-running whole
+    figure cells with every seed kernel patched in must reproduce the fast payloads
     exactly — covering tree fit + predict (fig6/PRA) and forest voting +
     distillation + GRNA training (fig7/RF, fig7/NN) end to end.
     """

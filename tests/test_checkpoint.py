@@ -44,18 +44,13 @@ from repro.utils.random import spawn_rngs
 
 class TestCodecs:
     def test_registry_covers_every_stateful_layer(self):
-        """Serving, federation, model, optimizer and rng codecs register."""
+        """Serving, federation, optimizer and rng codecs register."""
         names = CHECKPOINTS.names()
         for kind in (
             "rng",
             "serving/ledger",
             "serving/cache",
             "federation/ledger",
-            "model/logistic",
-            "model/mlp",
-            "model/tree",
-            "model/forest",
-            "model/distiller",
             "optimizer/sgd",
             "optimizer/adam",
         ):

@@ -2,7 +2,7 @@
 
 Presorted growth sorts every column once per fit and filters the sorted
 blocks down the recursion; it must grow the same tree, node for node and
-bit for bit, as the retained oracle (``_fast_split=False``: a per-node
+bit for bit, as the seed oracle (``reference.tree_fit``: a per-node
 sort and per-feature scan), and consume the same random stream. The gini
 screen may drop a split position only when it cannot attain its row's
 float maximum gain. ``path_cbr_batch`` must equal the summed per-path
@@ -15,6 +15,7 @@ import re
 
 import numpy as np
 import pytest
+import reference
 
 import repro.api.attacks as api_attacks
 import repro.models.tree as tree_module
@@ -94,9 +95,8 @@ class TestPresortedGrowth:
         X, y, kwargs = _growth_problem(trial)
         fast = DecisionTreeClassifier(rng=trial, **kwargs)
         slow = DecisionTreeClassifier(rng=trial, **kwargs)
-        slow._fast_split = False
         fast.fit(X, y)
-        slow.fit(X, y)
+        reference.tree_fit(slow, X, y)
         assert _nodes_equal(fast.root_, slow.root_)
         assert _structures_equal(fast.tree_structure(), slow.tree_structure())
         # Same per-node feature draws, in the same order.
@@ -121,7 +121,7 @@ class TestPresortedGrowth:
         y = rng.integers(0, 3, size=700)
         kwargs = dict(n_trees=4, max_depth=6, max_features="sqrt", min_samples_leaf=2)
         fast = RandomForestClassifier(rng=3, **kwargs).fit(X, y)
-        monkeypatch.setattr(DecisionTreeClassifier, "_fast_split", False)
+        monkeypatch.setattr(DecisionTreeClassifier, "fit", reference.tree_fit)
         slow = RandomForestClassifier(rng=3, **kwargs).fit(X, y)
         for a, b in zip(fast.trees_, slow.trees_):
             assert _nodes_equal(a.root_, b.root_)
@@ -182,8 +182,7 @@ class TestGiniScreen:
         X, y, kwargs = _screen_problem(trial, c)
         fast = DecisionTreeClassifier(rng=trial, **kwargs).fit(X, y)
         slow = DecisionTreeClassifier(rng=trial, **kwargs)
-        slow._fast_split = False
-        slow.fit(X, y)
+        reference.tree_fit(slow, X, y)
         assert _nodes_equal(fast.root_, slow.root_)
         assert _structures_equal(fast.tree_structure(), slow.tree_structure())
         assert fast.rng.bit_generator.state == slow.rng.bit_generator.state
@@ -203,8 +202,7 @@ class TestGiniScreen:
         y = np.array(labels)
         fast = DecisionTreeClassifier(max_depth=1, rng=0).fit(X, y)
         slow = DecisionTreeClassifier(max_depth=1, rng=0)
-        slow._fast_split = False
-        slow.fit(X, y)
+        reference.tree_fit(slow, X, y)
         assert _nodes_equal(fast.root_, slow.root_)
 
     def test_default_threshold_screens_large_nodes_only(self, monkeypatch):
@@ -267,7 +265,7 @@ def _pra_reference(attack, x_adv, v):
     x_hat = np.full((x_adv.shape[0], view.d_target), 0.5 * (low + high))
     paths, restricted, intervals, n_failed = [], [], [], 0
     for i in range(x_adv.shape[0]):
-        candidates = np.flatnonzero(attack._attack._restrict_slow(x_adv[i], labels[i]))
+        candidates = np.flatnonzero(reference.pra_restrict(attack._attack, x_adv[i], labels[i]))
         if candidates.size == 0:
             paths.append(None)
             restricted.append(0)

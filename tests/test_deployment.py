@@ -383,6 +383,29 @@ class TestDeclaredFields:
         with pytest.raises(TypeError, match="forgotten"):
             Sloppy().validate()
 
+    @pytest.mark.parametrize(
+        "field, value, accepted",
+        [
+            ("defenses", (("rounding", {"bogus": 1}),), "digits"),
+            ("model_params", {"bogus": 1}, "epochs"),
+            ("attack_params", {"bogus": 1}, "clip_to_unit"),
+        ],
+        ids=["defense", "model", "attack"],
+    )
+    def test_unknown_component_params_are_refused_before_building(
+        self, field, value, accepted, monkeypatch
+    ):
+        """The declarations only say these are objects; the registered
+        constructor's signature names the keys, checked before any build."""
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("the scenario was built")
+
+        monkeypatch.setattr(scenario_module, "load_dataset", no_build)
+        with pytest.raises(ScenarioError) as raised:
+            run_scenario(ScenarioConfig(**CELL, scale=TINY, **{field: value}))
+        assert _names(raised.value, "bogus", accepted), raised.value
+
 
 # ----------------------------------------------------------------------
 # The interaction matrix, drawn from the declarations

@@ -2,10 +2,10 @@
 
 The perf PR rewrote the model-layer hot loops (tree predict/fit, forest
 voting, PRA restriction, GRNA's training loss, the optimizer steps) as
-vectorized/fused kernels while retaining the seed implementations as
-references (``_predict_slow``, ``_best_split_slow``,
-``_predict_proba_slow``, ``_restrict_slow``,
-``_prediction_loss_reference``, ``Adam._step_reference``). These tests
+vectorized/fused kernels; the seed implementations are the references
+in ``reference.py`` (``tree_predict``, ``tree_fit``,
+``forest_predict_proba``, ``pra_restrict``, ``grna_prediction_loss``,
+``adam_step``). These tests
 pin the contract that made that rewrite safe: on randomized trees,
 inputs, and training runs, fast and slow agree to the bit — ``==`` on
 every float, never ``allclose``.
@@ -15,9 +15,11 @@ import importlib.util
 import json
 import os
 from pathlib import Path
+from types import MethodType
 
 import numpy as np
 import pytest
+import reference
 
 from repro.attacks.grna import GenerativeRegressionNetwork
 from repro.attacks.pra import PathRestrictionAttack
@@ -72,8 +74,7 @@ class TestTreeKernels:
         )
         fast = DecisionTreeClassifier(rng=42, **kwargs).fit(X, y)
         slow = DecisionTreeClassifier(rng=42, **kwargs)
-        slow._fast_split = False
-        slow.fit(X, y)
+        reference.tree_fit(slow, X, y)
         assert _structures_equal(fast.tree_structure(), slow.tree_structure())
 
     @pytest.mark.parametrize("trial", range(12))
@@ -84,7 +85,7 @@ class TestTreeKernels:
         tree = DecisionTreeClassifier(max_depth=int(rng.integers(1, 8)), rng=0).fit(X, y)
         # Mix fresh draws with exact training rows (threshold boundary hits).
         Xq = np.vstack([rng.random((64, X.shape[1])), X[: min(40, X.shape[0])]])
-        assert (tree.predict(Xq) == tree._predict_slow(Xq)).all()
+        assert (tree.predict(Xq) == reference.tree_predict(tree, Xq)).all()
 
     def test_predict_proba_single_pass_matches_one_hot_of_predict(self):
         rng, X, y = _random_problem(1)
@@ -106,7 +107,7 @@ class TestTreeKernels:
         ).fit(X, y)
         Xq = np.vstack([rng.random((80, X.shape[1])), X[: min(30, X.shape[0])]])
         fast = forest.predict_proba(Xq)
-        slow = forest._predict_proba_slow(Xq)
+        slow = reference.forest_predict_proba(forest, Xq)
         assert (fast == slow).all()
 
     def test_flat_cache_invalidated_on_refit(self):
@@ -116,7 +117,7 @@ class TestTreeKernels:
         tree.predict(X)  # populate the cache
         X2, y2 = rng.random((80, 4)), rng.integers(0, 2, 80)
         tree.fit(X2, y2)
-        assert (tree.predict(X2) == tree._predict_slow(X2)).all()
+        assert (tree.predict(X2) == reference.tree_predict(tree, X2)).all()
 
 
 class TestOptimizerKernels:
@@ -128,7 +129,7 @@ class TestOptimizerKernels:
         fast_params = [Parameter(rng.normal(size=s)) for s in shapes]
         slow_params = [Parameter(p.data.copy()) for p in fast_params]
         fast, slow = Adam(fast_params, lr=2e-3), Adam(slow_params, lr=2e-3)
-        slow._fast_step = False
+        slow.step = MethodType(reference.adam_step, slow)
         for _ in range(40):
             grads = [rng.normal(size=s) for s in shapes]
             for p, g in zip(fast_params, grads):
@@ -212,7 +213,8 @@ def _train_grna(model, view, X_adv, V, fast, **overrides):
     kwargs = dict(hidden_sizes=(24,), epochs=3, batch_size=32, rng=7)
     kwargs.update(overrides)
     attack = GenerativeRegressionNetwork(model, view, **kwargs)
-    attack._fast_loss = fast
+    if not fast:
+        attack._prediction_loss = MethodType(reference.grna_prediction_loss, attack)
     result = attack.run(X_adv, V)
     if attack.use_generator:
         state = attack.generator_.state_dict()
@@ -291,7 +293,7 @@ class TestPraKernels:
         X_adv = Xq[:, view.adversary_indices]
         batch = attack.restrict_batch(X_adv, labels)
         for i in range(Xq.shape[0]):
-            slow = attack._restrict_slow(X_adv[i], int(labels[i]))
+            slow = reference.pra_restrict(attack, X_adv[i], int(labels[i]))
             fast = attack.restrict(X_adv[i], int(labels[i]))
             assert fast.dtype == slow.dtype == np.int8
             assert (fast == slow).all()

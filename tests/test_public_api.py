@@ -131,3 +131,36 @@ class TestAttackResultContract:
         assert result.info["rank"] >= 1
         assert isinstance(result.info["is_exact"], bool)
         assert result.info["mean_residual_norm"] < 1e-6
+
+
+class TestOneImplementation:
+    """Production keeps one implementation per job; the seed oracles the
+    kernels are checked against live in ``reference.py``."""
+
+    def test_no_class_keeps_a_seed_oracle_or_a_switch(self):
+        import importlib
+        import inspect
+        import pkgutil
+
+        found = []
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            if info.name.endswith("__main__"):
+                continue
+            module = importlib.import_module(info.name)
+            for _, cls in inspect.getmembers(module, inspect.isclass):
+                if cls.__module__ != module.__name__:
+                    continue
+                found += [
+                    f"{cls.__module__}.{cls.__qualname__}.{name}"
+                    for name in vars(cls)
+                    if name.endswith(("_slow", "_reference"))
+                    or name.startswith("_fast_")
+                    or name == "static"
+                ]
+        assert found == []
+
+    def test_checkpoint_exports_no_checkpointable(self):
+        import repro.checkpoint as checkpoint
+
+        assert not hasattr(checkpoint, "Checkpointable")
+        assert "Checkpointable" not in checkpoint.__all__

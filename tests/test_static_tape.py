@@ -4,13 +4,16 @@ Every fixed-shape training loop (GRNA's generator and direct estimate,
 the MLP classifier, the RF distiller) records its step graph once as a
 :class:`~repro.tensor.tape.StaticTape` and replays it; the optimizers
 update all parameters as one flat buffer. The dynamic tape
-(``TrainStep.static = False``) and the allocating seed update
-(``Adam._step_reference``) are the oracles: every comparison below is
+(``repro.nn.train._MAX_TAPES = 0``) and the allocating seed update
+(``reference.adam_step``) are the oracles: every comparison below is
 ``==`` on bytes, never ``allclose``.
 """
 
+from types import MethodType
+
 import numpy as np
 import pytest
+import reference
 
 from repro.attacks.grna import GenerativeRegressionNetwork
 from repro.checkpoint import capture_state, restore_state
@@ -25,6 +28,7 @@ from repro.models.mlp import MLPClassifier
 from repro.nn.layers import LayerNorm, mlp
 from repro.nn.module import Parameter
 from repro.nn.optim import SGD, Adam, FlatParameters
+from repro.nn import train
 from repro.nn.train import TrainStep
 from repro.tensor import functional as F
 from repro.tensor.tape import StaticTape
@@ -204,11 +208,9 @@ def test_tape_refuses_inputs_that_require_grad_and_bad_shapes():
 # TrainStep: whole training loops, static against dynamic
 # ----------------------------------------------------------------------
 def _both_modes(monkeypatch, run):
-    outputs = []
-    for static in (True, False):
-        monkeypatch.setattr(TrainStep, "static", static)
-        outputs.append(run())
-    return outputs
+    static = run()
+    monkeypatch.setattr(train, "_MAX_TAPES", 0)
+    return static, run()
 
 
 @pytest.mark.parametrize(
@@ -298,7 +300,9 @@ def test_grna_static_equals_dynamic(monkeypatch, grna_problem, kind, overrides):
 
 def test_grna_seed_loss_records_and_replays_too(monkeypatch, grna_problem):
     model, view, X_adv, V = grna_problem["nn"]
-    monkeypatch.setattr(GenerativeRegressionNetwork, "_fast_loss", False)
+    monkeypatch.setattr(
+        GenerativeRegressionNetwork, "_prediction_loss", reference.grna_prediction_loss
+    )
 
     def run():
         attack = GenerativeRegressionNetwork(
@@ -322,10 +326,9 @@ def test_train_step_keeps_one_tape_per_shape_up_to_its_limit(monkeypatch):
         losses = [step(*batch) for batch in batches]
         return step, losses + [p.data for p in net.parameters()]
 
-    monkeypatch.setattr(TrainStep, "static", True)
     step, static = run()
     assert sorted(step._tapes) == [((5, 3), (5,)), ((8, 3), (8,))]
-    monkeypatch.setattr(TrainStep, "static", False)
+    monkeypatch.setattr(train, "_MAX_TAPES", 0)
     step, dynamic = run()
     assert not step._tapes
     assert all(_same(a, b) for a, b in zip(static, dynamic))
@@ -359,7 +362,7 @@ def test_adam_flat_step_equals_reference_with_missing_grads_and_rebinding(weight
     slow_params = [Parameter(p.data.copy()) for p in fast_params]
     fast = Adam(fast_params, lr=2e-3, weight_decay=weight_decay)
     slow = Adam(slow_params, lr=2e-3, weight_decay=weight_decay)
-    slow._fast_step = False
+    slow.step = MethodType(reference.adam_step, slow)
     for step in range(30):
         grads = [rng.normal(size=s) for s in SHAPES]
         for i, (p, q, g) in enumerate(zip(fast_params, slow_params, grads)):
