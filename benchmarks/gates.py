@@ -69,6 +69,7 @@ from repro.federated import FeaturePartition, train_vertical_model
 from repro.federation import FaultPlan, FederationRuntime
 from repro.metrics import path_cbr, path_cbr_batch
 from repro.models.forest import RandomForestClassifier
+from repro.models.logistic import LogisticRegression
 from repro.models.tree import DecisionTreeClassifier
 from repro.nn import train
 from repro.nn.optim import Adam
@@ -113,6 +114,7 @@ SCALES: dict[str, dict] = {
         wide_overhead=1.50,
         kernels=dict(
             fit_samples=400, fit_features=12, fit_depth=5, predict_samples=6000,
+            lr_classes=5, lr_epochs=20,
             rf_trees=20, rf_depth=3, rf_fit_samples=400, grna_samples=128,
             grna_hidden=(64,), grna_epochs=2, grna_batch=32, pra_samples=1000,
             pra_depth=5, service_queries=1000,
@@ -128,6 +130,7 @@ SCALES: dict[str, dict] = {
         wide_overhead=1.05,
         kernels=dict(
             fit_samples=4000, fit_features=24, fit_depth=8, predict_samples=20000,
+            lr_classes=5, lr_epochs=20,
             rf_trees=100, rf_depth=3, rf_fit_samples=1000, grna_samples=384,
             grna_hidden=(600, 200, 100), grna_epochs=3, grna_batch=64,
             pra_samples=4000, pra_depth=6, service_queries=1500,
@@ -270,6 +273,22 @@ def kernel_dt_fit(k: dict):
     return fast, slow
 
 
+def kernel_lr_fit(k: dict):
+    """A binary and a multinomial fit; the reference runs the allocating SGD loops."""
+    rng, X, _ = _tree_data(k)
+    labels = [rng.integers(0, c, size=k["fit_samples"]) for c in (2, k["lr_classes"])]
+
+    def fit(fast: bool) -> None:
+        for y in labels:
+            model = LogisticRegression(epochs=k["lr_epochs"], rng=0)
+            if not fast:
+                model._fit_binary = MethodType(reference.lr_fit_binary, model)
+                model._fit_multinomial = MethodType(reference.lr_fit_multinomial, model)
+            model.fit(X, y)
+
+    return lambda: fit(True), lambda: fit(False)
+
+
 def kernel_dt_predict(k: dict):
     rng, X, y = _tree_data(k)
     tree = DecisionTreeClassifier(max_depth=k["fit_depth"], rng=0).fit(X, y)
@@ -384,6 +403,7 @@ def kernel_service_throughput(k: dict):
 
 KERNELS = {
     "dt_fit": kernel_dt_fit,
+    "lr_fit": kernel_lr_fit,
     "dt_predict": kernel_dt_predict,
     "rf_predict_proba": kernel_rf_predict_proba,
     "pra_restrict": kernel_pra_restrict,

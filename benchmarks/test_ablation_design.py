@@ -11,7 +11,6 @@ recorded next to the headline results:
 - RF-surrogate capacity (paper's 2000/200 vs a slim 128/64).
 """
 
-import numpy as np
 import pytest
 
 from repro.attacks import GenerativeRegressionNetwork, attack_random_forest

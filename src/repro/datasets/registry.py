@@ -13,7 +13,6 @@ deterministic for a given ``rng`` (default: a fixed per-dataset seed).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.exceptions import ValidationError
 from repro.models.base import DifferentiableClassifier
-from repro.nn.data import iterate_batches
+from repro.nn.data import batch_indices
 from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor
 from repro.utils.numeric import one_hot, sigmoid, softmax
@@ -74,17 +74,30 @@ class LogisticRegression(DifferentiableClassifier):
             self._fit_multinomial(X, y)
         return self
 
+    # The two SGD loops draw each epoch's batches as ``iterate_batches``
+    # does, gather them with ``take`` and update the parameters in place,
+    # but apply every operation of the textbook update in its order
+    # (``tests/reference.py``: ``lr_fit_binary`` and ``lr_fit_multinomial``),
+    # so the fitted parameters are the same bits.
     def _fit_binary(self, X: np.ndarray, y: np.ndarray) -> None:
         d = X.shape[1]
         w = self.rng.normal(0.0, 0.01, size=d)
         b = 0.0
+        y = y.astype(np.float64)
+        decay = np.empty(d)
         for _ in range(self.epochs):
-            for xb, yb in iterate_batches((X, y), self.batch_size, rng=self.rng):
-                p = sigmoid(xb @ w + b)
-                err = p - yb  # gradient of mean log-loss w.r.t. logits
-                grad_w = xb.T @ err / xb.shape[0] + self.l2 * w
+            for idx in batch_indices(X.shape[0], self.batch_size, rng=self.rng):
+                xb = X.take(idx, axis=0)
+                z = xb @ w
+                z += b
+                err = sigmoid(z)
+                err -= y.take(idx)  # gradient of mean log-loss w.r.t. logits
+                grad_w = xb.T @ err
+                grad_w /= xb.shape[0]
+                grad_w += np.multiply(w, self.l2, out=decay)
                 grad_b = float(err.mean())
-                w -= self.lr * grad_w
+                grad_w *= self.lr
+                w -= grad_w
                 b -= self.lr * grad_b
         self.coef_ = w
         self.intercept_ = np.float64(b)
@@ -94,12 +107,26 @@ class LogisticRegression(DifferentiableClassifier):
         W = self.rng.normal(0.0, 0.01, size=(d, c))
         b = np.zeros(c)
         Y = one_hot(y, c)
+        decay = np.empty((d, c))
         for _ in range(self.epochs):
-            for xb, yb in iterate_batches((X, Y), self.batch_size, rng=self.rng):
-                P = softmax(xb @ W + b, axis=1)
-                err = (P - yb) / xb.shape[0]
-                W -= self.lr * (xb.T @ err + self.l2 * W)
-                b -= self.lr * err.sum(axis=0)
+            for idx in batch_indices(X.shape[0], self.batch_size, rng=self.rng):
+                xb = X.take(idx, axis=0)
+                err = xb @ W
+                err += b
+                # Softmax in place. The row max is exact in any order; a
+                # class-major copy reduces it with whole-row maxima.
+                err -= err.T.copy().max(axis=0)[:, None]
+                np.exp(err, out=err)
+                err /= err.sum(axis=1, keepdims=True)
+                err -= Y.take(idx, axis=0)
+                err /= xb.shape[0]
+                grad = xb.T @ err
+                grad += np.multiply(W, self.l2, out=decay)
+                grad *= self.lr
+                W -= grad
+                step_b = err.sum(axis=0)
+                step_b *= self.lr
+                b -= step_b
         self.coef_ = W
         self.intercept_ = b
 

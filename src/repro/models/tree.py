@@ -115,15 +115,20 @@ def _gini_candidates(
 
     ``prefix`` is the ``(c, k, m)`` cumulative class-count workspace of
     ``k`` feature rows and ``valid`` their ``(k, m - 1)`` admissible
-    positions; the returned mask is a subset of ``valid``. The score and
-    the bound behind its tolerance are in
+    positions; the returned mask is a subset of ``valid``. The counts may
+    be integers (a split's :func:`_count_dtype` workspace, with
+    ``parent_counts`` in the same dtype) or floats holding integers: both
+    class contractions are exact either way. The score and the bound
+    behind its tolerance are in
     :meth:`DecisionTreeClassifier._presorted_split`.
     """
     c, k, m = prefix.shape
-    left = np.arange(1.0, m)
-    flat = prefix.reshape(c, -1)
-    left_sq = np.einsum("ij,ij->j", flat, flat).reshape(k, m)[:, :-1]
-    right_sq = (parent_counts @ flat).reshape(k, m)[:, :-1]
+    # Scored position-major, (m, k): a split's workspace is a (c, m, k)
+    # array, so the contractions read it in memory order.
+    nL = prefix.transpose(0, 2, 1)
+    left = np.arange(1.0, m)[:, None]
+    left_sq = np.einsum("imk,imk->mk", nL, nL)[:-1].astype(np.float64)
+    right_sq = np.einsum("i,imk->mk", parent_counts, nL)[:-1].astype(np.float64)
     right_sq *= -2.0
     right_sq += float(parent_counts @ parent_counts)
     right_sq += left_sq  # sum(nR^2) = sum(p^2) - 2 sum(p nL) + sum(nL^2)
@@ -132,10 +137,34 @@ def _gini_candidates(
     # An admissible position scores at least 2 (sum(nL^2) >= l, and the
     # same on the right), so zeroing the rest and flooring the cut at 1
     # keeps them out, also in rows with no admissible position at all.
-    score *= valid
-    cut = score.max(axis=1, keepdims=True)
+    score *= valid.T
+    cut = score.max(axis=0)
     np.maximum(cut - 1e-9 * m, 1.0, out=cut)
-    return score >= cut
+    return (score >= cut).T
+
+
+def _count_dtype(m: int) -> type:
+    """Integer dtype of the class-count workspace of an ``m``-row node.
+
+    Every count is at most ``m`` and each class contraction
+    :func:`_gini_candidates` forms (``sum(nL^2)`` and
+    ``sum(parent * nL)``, with their partial sums) at most ``m^2``, so
+    int32 is exact while ``m^2 < 2**31`` (46,340 rows); larger nodes
+    count in int64.
+    """
+    return np.int32 if m * m < 2**31 else np.int64
+
+
+def _presort(XT: np.ndarray) -> np.ndarray:
+    """``np.argsort(XT, axis=1, kind="stable")``, faster on tie-free blocks.
+
+    A row of distinct values has one ascending order, which the default
+    (SIMD) sort finds; a block in which any row repeats a value is sorted
+    stably, so ties keep their row order.
+    """
+    ranked = np.sort(XT, axis=1)
+    tied = bool((ranked[:, 1:] == ranked[:, :-1]).any())
+    return np.argsort(XT, axis=1, kind="stable" if tied else None)
 
 
 #: Element bound on the ``(classes, features, rows)`` cumulative-count
@@ -307,12 +336,11 @@ class DecisionTreeClassifier(BaseClassifier):
         X, y = self._validate_fit_inputs(X, y)
         self._impurity = _CRITERIA[self.criterion]
         self._n_split_features = self._resolve_max_features(X.shape[1])
-        Y = one_hot(y, self.n_classes_)
         self._flat = None
         XT = np.ascontiguousarray(X.T)
-        order = np.argsort(XT, axis=1, kind="stable")
+        labels = y.astype(np.min_scalar_type(self.n_classes_ - 1))
         go_left = np.empty(X.shape[0], dtype=bool)
-        self.root_ = self._grow_presorted(XT, Y.T.copy(), order, go_left, depth=0)
+        self.root_ = self._grow_presorted(XT, labels, _presort(XT), go_left, depth=0)
         return self
 
     def _resolve_max_features(self, d: int) -> int:
@@ -328,7 +356,7 @@ class DecisionTreeClassifier(BaseClassifier):
     def _grow_presorted(
         self,
         XT: np.ndarray,
-        YT: np.ndarray,
+        labels: np.ndarray,
         order: np.ndarray,
         go_left: np.ndarray,
         depth: int,
@@ -339,12 +367,13 @@ class DecisionTreeClassifier(BaseClassifier):
         ``XT[j]`` order, ties by row position: the fit-wide stable argsort
         filtered to the node, which equals the node's own stable argsort.
         Each child keeps its rows with one boolean compress of the block,
-        so no node sorts. ``XT`` and ``YT`` are the feature-major inputs and one-hot
-        labels; ``go_left`` is a fit-wide scratch mask.
+        so no node sorts. ``XT`` is the feature-major input and ``labels``
+        the class indices in their narrowest unsigned type; ``go_left`` is
+        a fit-wide scratch mask.
         """
         rows = order[0]
         m = rows.shape[0]
-        counts = np.take(YT, rows, axis=1).sum(axis=1)
+        counts = np.bincount(np.take(labels, rows), minlength=self.n_classes_)
         node = _Node(label=int(counts.argmax()), n_samples=m, depth=depth)
         if (
             depth >= self.max_depth
@@ -352,7 +381,7 @@ class DecisionTreeClassifier(BaseClassifier):
             or np.count_nonzero(counts) <= 1
         ):
             return node
-        split = self._presorted_split(XT, YT, order, counts)
+        split = self._presorted_split(XT, labels, order, counts)
         if split is None:
             return node
         feature, threshold = split
@@ -364,36 +393,43 @@ class DecisionTreeClassifier(BaseClassifier):
         keep = np.take(go_left, block).ravel()
         left = np.compress(keep, block).reshape(block.shape[0], -1)
         right = np.compress(~keep, block).reshape(block.shape[0], -1)
-        node.left = self._grow_presorted(XT, YT, left, go_left, depth + 1)
-        node.right = self._grow_presorted(XT, YT, right, go_left, depth + 1)
+        node.left = self._grow_presorted(XT, labels, left, go_left, depth + 1)
+        node.right = self._grow_presorted(XT, labels, right, go_left, depth + 1)
         return node
 
     def _presorted_split(
         self,
         XT: np.ndarray,
-        YT: np.ndarray,
+        labels: np.ndarray,
         order: np.ndarray,
-        total_counts: np.ndarray,
+        counts: np.ndarray,
     ) -> tuple[int, float] | None:
         """Exhaustive best (feature, threshold) by weighted impurity decrease.
 
         Exact search vectorized across features over the presorted rows:
-        one value gather and one cumulative class-count pass per feature
-        block, then one gain argmax per feature. Tie-breaking is identical
-        to the seed per-feature scan (``tree_best_split`` in
-        ``tests/reference.py``: first boundary attaining a feature's
-        max gain, first feature attaining the global max, strict
-        ``> 1e-12`` improvement), so grown trees are node-for-node equal.
+        one value and label gather and one cumulative class-count pass per
+        feature block, then one gain argmax per feature. The counts live in
+        an integer workspace of :func:`_count_dtype`: the gathered labels
+        are one-hot encoded by comparison with the class indices and
+        accumulated in place, and the gain formula reads exact float64
+        copies of only the counts it evaluates. ``counts`` holds the node's
+        class counts. Tie-breaking is identical to the seed per-feature
+        scan (``tree_best_split`` in ``tests/reference.py``: first
+        boundary attaining a feature's max gain, first feature attaining
+        the global max, strict ``> 1e-12`` improvement), so grown trees
+        are node-for-node equal.
 
         The gini criterion evaluates its gain only where it can win. With
         child sizes ``l``, ``r`` and class counts ``nL``, ``nR``, the gain
         is ``parent - 1 + S / m`` for the score
         ``S = sum(nL^2) / l + sum(nR^2) / r``. :func:`_gini_candidates`
-        builds ``S`` from the cumulative counts with two class
+        builds ``S`` from the cumulative counts with two integer class
         contractions, ``sum(nL^2)`` and ``sum(parent * nL)``, and
         ``sum(nR^2) = sum(parent^2) - 2 sum(parent * nL) + sum(nL^2)``.
-        Every operand and partial sum is an integer of magnitude at most
-        ``3 m^2``, exact in any summation order while ``3 m^2 < 2**53``.
+        The contractions are at most ``m^2``, exact in the integer
+        workspace; the combination runs on their float64 copies, where
+        every operand and partial sum is an integer of magnitude at most
+        ``3 m^2``, exact while ``3 m^2 < 2**53``.
         Only positions with ``S >= max S - tol``, ``tol = 1e-9 * m``, are
         confirmed with the unchanged gain formula
         (:func:`_weighted_impurity`). That formula is elementwise, so each
@@ -412,6 +448,7 @@ class DecisionTreeClassifier(BaseClassifier):
         :data:`_SCREEN_MIN_WORK` take the full evaluation.
         """
         d, m = order.shape
+        total_counts = counts.astype(np.float64)
         parent_impurity = float(self._impurity(total_counts))
         if self._n_split_features < d:
             features = self.rng.choice(d, size=self._n_split_features, replace=False)
@@ -422,7 +459,10 @@ class DecisionTreeClassifier(BaseClassifier):
         size_valid = (sizes >= min_leaf) & (m - sizes >= min_leaf)
         left_sizes = sizes.astype(np.float64)
         right_sizes = m - left_sizes
-        c = YT.shape[0]
+        c = counts.shape[0]
+        dtype = _count_dtype(m)
+        counts = counts.astype(dtype)
+        classes = np.arange(c, dtype=labels.dtype)[:, None, None]
         screen = self.criterion == "gini" and 3 * m * m < 2**53 and c < 2**20
         # Feature blocks bound the (c, block, m) cumulative-count workspace.
         block = max(1, _SPLIT_WORKSPACE // max(m * c, 1))
@@ -437,20 +477,25 @@ class DecisionTreeClassifier(BaseClassifier):
             valid = (values[:, :-1] < values[:, 1:]) & size_valid
             if not valid.any():
                 continue
-            # (c, k, m) class counts left of (and including) each row
-            prefix = np.take(YT, idx, axis=1)
-            np.cumsum(prefix, axis=2, out=prefix)
+            # Integer class counts left of (and including) each position:
+            # a (c, m, k) array, where the running sum over positions is
+            # cheaper than along rows, viewed (c, k, m) like the rest.
+            prefix = (np.take(labels, idx.T) == classes).astype(dtype)
+            np.cumsum(prefix, axis=1, out=prefix)
+            prefix = prefix.transpose(0, 2, 1)
             k = cols.shape[0]
             if screen and prefix.size >= _SCREEN_MIN_WORK:
-                kk, pp = np.nonzero(_gini_candidates(prefix, total_counts, valid))
+                kk, pp = np.nonzero(_gini_candidates(prefix, counts, valid))
                 gains = np.full((k, m - 1), -np.inf)
                 gains[kk, pp] = parent_impurity - _weighted_impurity(
-                    self.criterion, prefix[:, kk, pp], total_counts[:, None],
+                    self.criterion, prefix[:, kk, pp].astype(np.float64),
+                    total_counts[:, None],
                     left_sizes[pp], right_sizes[pp], m,
                 )
             else:
                 weighted = _weighted_impurity(
-                    self.criterion, prefix[:, :, :-1], total_counts[:, None, None],
+                    self.criterion, prefix[:, :, :-1].astype(np.float64),
+                    total_counts[:, None, None],
                     left_sizes, right_sizes, m,
                 )
                 gains = np.where(valid, parent_impurity - weighted, -np.inf)

@@ -13,13 +13,13 @@ EPS = 1e-12
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic sigmoid ``1 / (1 + exp(-x))``.
 
-    Branch-free: ``e = exp(-|x|)`` never overflows, and each side of the
-    ``where`` is the stable form for its sign.
+    Branch-free: ``e = exp(-|x|)`` never overflows, and the numerator
+    ``where`` picks, ``1`` or ``e``, is the stable form for the sign of
+    ``x``; one divide serves both.
     """
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(-np.abs(x))
-    denom = 1.0 + e
-    return np.where(x >= 0, 1.0 / denom, e / denom)
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def log_sigmoid(x: np.ndarray) -> np.ndarray:

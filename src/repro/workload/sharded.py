@@ -41,7 +41,7 @@ from typing import Any
 import numpy as np
 
 from repro.api.defenses import DefenseStack, QueryAuditDefense
-from repro.checkpoint import CheckpointPlan, content_fingerprint, raw_fragment
+from repro.checkpoint import CheckpointPlan, content_fingerprint
 from repro.exceptions import (
     QueryBudgetExceededError,
     ServiceUnavailableError,

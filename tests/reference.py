@@ -5,6 +5,7 @@ kept bit for bit. It takes the instance as its first argument, so a test
 either calls it directly or patches it over the method it stands in for::
 
     monkeypatch.setattr(DecisionTreeClassifier, "fit", reference.tree_fit)
+    monkeypatch.setattr(LogisticRegression, "_fit_binary", reference.lr_fit_binary)
     slow.step = types.MethodType(reference.adam_step, slow)
 
 The dynamic autodiff tape needs no function here: setting
@@ -22,9 +23,10 @@ import numpy as np
 
 from repro.exceptions import AttackError, NotFittedError
 from repro.models.tree import _CRITERIA, _Node
+from repro.nn.data import iterate_batches
 from repro.tensor import functional as F
 from repro.tensor.tensor import concat
-from repro.utils.numeric import one_hot
+from repro.utils.numeric import one_hot, sigmoid, softmax
 from repro.utils.validation import check_vector
 
 
@@ -131,6 +133,42 @@ def forest_predict_proba(forest, X):
         labels = tree_predict(tree, X)
         votes[np.arange(X.shape[0]), labels] += 1.0
     return votes / len(forest.trees_)
+
+
+# ----------------------------------------------------------------------
+# Logistic regression
+# ----------------------------------------------------------------------
+def lr_fit_binary(model, X, y):
+    """``LogisticRegression._fit_binary`` as the allocating mini-batch loop."""
+    d = X.shape[1]
+    w = model.rng.normal(0.0, 0.01, size=d)
+    b = 0.0
+    for _ in range(model.epochs):
+        for xb, yb in iterate_batches((X, y), model.batch_size, rng=model.rng):
+            p = sigmoid(xb @ w + b)
+            err = p - yb  # gradient of mean log-loss w.r.t. logits
+            grad_w = xb.T @ err / xb.shape[0] + model.l2 * w
+            grad_b = float(err.mean())
+            w -= model.lr * grad_w
+            b -= model.lr * grad_b
+    model.coef_ = w
+    model.intercept_ = np.float64(b)
+
+
+def lr_fit_multinomial(model, X, y):
+    """``LogisticRegression._fit_multinomial`` as the allocating mini-batch loop."""
+    d, c = X.shape[1], model.n_classes_
+    W = model.rng.normal(0.0, 0.01, size=(d, c))
+    b = np.zeros(c)
+    Y = one_hot(y, c)
+    for _ in range(model.epochs):
+        for xb, yb in iterate_batches((X, Y), model.batch_size, rng=model.rng):
+            P = softmax(xb @ W + b, axis=1)
+            err = (P - yb) / xb.shape[0]
+            W -= model.lr * (xb.T @ err + model.l2 * W)
+            b -= model.lr * err.sum(axis=0)
+    model.coef_ = W
+    model.intercept_ = b
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.attacks import PathRestrictionAttack, random_path
-from repro.exceptions import AttackError, ValidationError
+from repro.exceptions import AttackError
 from repro.federated import FeaturePartition
 from repro.models import DecisionTreeClassifier
 

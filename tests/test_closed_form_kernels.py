@@ -1,14 +1,18 @@
-"""Closed-form cell kernels: presorted tree growth and one-pass path CBR.
+"""Closed-form cell kernels: tree and LR fitting, and one-pass path CBR.
 
 Presorted growth sorts every column once per fit and filters the sorted
 blocks down the recursion; it must grow the same tree, node for node and
 bit for bit, as the seed oracle (``reference.tree_fit``: a per-node
-sort and per-feature scan), and consume the same random stream. The gini
-screen may drop a split position only when it cannot attain its row's
-float maximum gain. ``path_cbr_batch`` must equal the summed per-path
-``path_cbr`` counts, the vectorized random-path draw must equal one
-``random_path`` draw per row, and PRA's one-call path choice must equal
-one ``rng.choice`` per row.
+sort and per-feature scan), and consume the same random stream. The
+tie-checked presort must equal the stable argsort, and the integer
+class-count workspace must stay exact. The gini screen may drop a split
+position only when it cannot attain its row's float maximum gain. The
+lean logistic-regression loops must fit the bits, and leave the
+generator in the state, of the allocating reference loops.
+``path_cbr_batch`` must equal the summed per-path ``path_cbr`` counts,
+the vectorized random-path draw must equal one ``random_path`` draw per
+row, and PRA's one-call path choice must equal one ``rng.choice`` per
+row.
 """
 
 import re
@@ -31,10 +35,13 @@ from repro.metrics import (
     reconstruction_cbr_batch,
 )
 from repro.models.forest import RandomForestClassifier
+from repro.models.logistic import LogisticRegression
 from repro.models.tree import (
     DecisionTreeClassifier,
     _class_sum,
+    _count_dtype,
     _gini_candidates,
+    _presort,
     _weighted_impurity,
     gini_impurity,
 )
@@ -253,6 +260,99 @@ class TestGiniScreen:
             assert not (attains & ~candidates).any()
             tied_rows += int((attains.sum(axis=1) > 1).sum())
         assert tied_rows > 0  # several positions shared a row's float max
+
+
+def _presort_blocks():
+    """Feature-major blocks of every tie pattern the presort meets."""
+    rng = np.random.default_rng(11)
+    m = 300
+    X = rng.random((m, 4))
+    blocks = {
+        "distinct": X,
+        "duplicated": np.round(X, 1),
+        "all_equal": np.full((m, 3), 0.25),
+        "two_valued": (X > 0.5).astype(np.float64),
+        "bootstrap": X[rng.integers(0, m, size=m)],
+        "signed_zeros": np.where(X > 0.5, 0.0, -0.0),
+        "mixed": np.column_stack([X[:, :2], np.round(X[:, 2:], 1)]),
+        "one_row": X[:1],
+    }
+    return {name: np.ascontiguousarray(b.T) for name, b in blocks.items()}
+
+
+class TestPresort:
+    @pytest.mark.parametrize("name", sorted(_presort_blocks()))
+    def test_equals_stable_argsort(self, name):
+        XT = _presort_blocks()[name]
+        expected = np.argsort(XT, axis=1, kind="stable")
+        np.testing.assert_array_equal(_presort(XT), expected)
+
+
+class TestCountWorkspace:
+    @pytest.mark.parametrize("c", [2, 5, 11, 129])
+    def test_default_fit_matches_oracle(self, c):
+        """Large enough for the default screen, with tied and distinct columns."""
+        rng = np.random.default_rng(c)
+        m = 1500
+        X = rng.random((m, 6))
+        X[:, :2] = np.round(X[:, :2], 2)
+        y = rng.integers(0, c, size=m)
+        fast = DecisionTreeClassifier(max_depth=5, rng=1).fit(X, y)
+        slow = DecisionTreeClassifier(max_depth=5, rng=1)
+        reference.tree_fit(slow, X, y)
+        assert _nodes_equal(fast.root_, slow.root_)
+        assert _structures_equal(fast.tree_structure(), slow.tree_structure())
+
+    def test_dtype_bound(self):
+        assert _count_dtype(2) is np.int32
+        assert _count_dtype(46_340) is np.int32  # 46_340**2 < 2**31
+        assert _count_dtype(46_341) is np.int64
+
+    def test_int64_workspace_stays_exact_where_int32_wraps(self):
+        m = 65_536  # (m - 4)**2 > 2**31: an int32 square wraps
+        dtype = _count_dtype(m)
+        y = np.repeat([0, 1], [m - 3, 3])
+        prefix = np.cumsum(np.eye(2, dtype=dtype)[y].T[:, None, :], axis=2)
+        counts = prefix[:, 0, -1].copy()
+        valid = np.ones((1, m - 1), dtype=bool)
+        exact = _gini_candidates(prefix.astype(np.float64), counts.astype(np.float64), valid)
+        assert exact[0, m - 4] and exact.sum() == 1  # the pure left child
+        np.testing.assert_array_equal(_gini_candidates(prefix, counts, valid), exact)
+        wrapped = _gini_candidates(prefix.astype(np.int32), counts.astype(np.int32), valid)
+        assert not np.array_equal(wrapped, exact)
+
+    @pytest.mark.parametrize("trial", range(0, 24, 5))
+    def test_int64_workspace_grows_the_same_trees(self, trial, monkeypatch):
+        monkeypatch.setattr(tree_module, "_count_dtype", lambda m: np.int64)
+        X, y, kwargs = _growth_problem(trial)
+        fast = DecisionTreeClassifier(rng=trial, **kwargs).fit(X, y)
+        slow = DecisionTreeClassifier(rng=trial, **kwargs)
+        reference.tree_fit(slow, X, y)
+        assert _nodes_equal(fast.root_, slow.root_)
+
+
+class TestLogisticOracle:
+    """The lean SGD loops against ``reference.lr_fit_binary``/``lr_fit_multinomial``."""
+
+    @pytest.mark.parametrize("l2", [0.0, 1e-3])
+    @pytest.mark.parametrize("c", [2, 5, 11])
+    @pytest.mark.parametrize("n, batch_size", [(300, 64), (256, 64), (40, 64)])
+    def test_fit_equals_reference_bitwise(self, c, l2, n, batch_size, monkeypatch):
+        rng = np.random.default_rng(c * 100 + n)
+        X = rng.normal(size=(n, 7))
+        y = rng.integers(0, c, size=n)
+        y[:c] = np.arange(c)
+        kwargs = dict(lr=0.3, epochs=6, batch_size=batch_size, l2=l2, rng=c)
+        fast = LogisticRegression(**kwargs).fit(X, y)
+        monkeypatch.setattr(LogisticRegression, "_fit_binary", reference.lr_fit_binary)
+        monkeypatch.setattr(
+            LogisticRegression, "_fit_multinomial", reference.lr_fit_multinomial
+        )
+        slow = LogisticRegression(**kwargs).fit(X, y)
+        assert fast.coef_.tobytes() == slow.coef_.tobytes()
+        assert np.asarray(fast.intercept_).tobytes() == np.asarray(slow.intercept_).tobytes()
+        assert type(fast.intercept_) is type(slow.intercept_)
+        assert fast.rng.bit_generator.state == slow.rng.bit_generator.state
 
 
 def _pra_reference(attack, x_adv, v):

@@ -6,7 +6,6 @@ against ground truth held by the evaluation harness.
 """
 
 import numpy as np
-import pytest
 
 from repro.attacks import (
     EqualitySolvingAttack,

@@ -5,10 +5,7 @@ import pytest
 
 from repro.exceptions import ValidationError
 from repro.models import (
-    DecisionTreeClassifier,
     LogisticRegression,
-    MLPClassifier,
-    RandomForestClassifier,
     RandomForestDistiller,
     load_model,
     save_model,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.nn import Linear, Module, Parameter, Sequential, ReLU, LayerNorm, Dropout
+from repro.nn import Linear, Module, Parameter, Sequential, ReLU, Dropout
 from repro.tensor import Tensor
 
 

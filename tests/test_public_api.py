@@ -1,8 +1,5 @@
 """Contract tests for the public API surface and the README quickstart."""
 
-import numpy as np
-import pytest
-
 import repro
 
 
