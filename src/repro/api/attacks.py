@@ -20,10 +20,10 @@ different constructor signatures. The scenario API unifies them behind
     this attack's ledger consumer name); attacks never touch
     ``VerticalFLModel.predict`` directly.
 
-PRA's bespoke per-sample :class:`~repro.attacks.pra.PathRestrictionResult`
-is folded into the common result type: ``x_target_hat`` carries interval
-*midpoints* (so MSE is defined for PRA too) while ``info`` preserves the
-full interval/path structure — the interval/point duality.
+PRA's per-sample path choices are folded into the common result type:
+``x_target_hat`` carries interval *midpoints* (so MSE is defined for PRA
+too) while ``info`` preserves the full interval/path structure — the
+interval/point duality.
 
 Seed schedules replicate the historical experiment runners exactly
 (GRNA: ``spawn_rngs(seed + 1, 3)`` for generator/distiller/dummy streams;

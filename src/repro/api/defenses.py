@@ -39,11 +39,12 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from repro.utils.registry import Registry
+from repro.attacks.esa import EqualitySolvingAttack
+from repro.attacks.pra import PathRestrictionAttack
 from repro.defenses.base import ModelWrapper, unwrap_model
 from repro.defenses.noise import NoisyModel, noise_confidence_scores
 from repro.defenses.rounding import RoundedModel
 from repro.defenses.screening import screen_collaboration
-from repro.defenses.verification import LeakageVerifier
 from repro.exceptions import (
     IncompatibleScenarioError,
     QueryBudgetExceededError,
@@ -249,38 +250,25 @@ class VerificationDefense(Defense):
         )
 
     def release_mask(self, scenario) -> np.ndarray:
+        # The verification runs on the data-owner side (inside the
+        # enclave), where the target's true features are known.
         base = unwrap_model(scenario.model)
-        verifier = LeakageVerifier(scenario.view)
-        n = scenario.V.shape[0]
-        mask = np.zeros(n, dtype=bool)
         if isinstance(base, LogisticRegression):
-            for i in range(n):
-                decision = verifier.verify_lr_output(
-                    base,
-                    scenario.X_adv[i],
-                    scenario.X_target[i],
-                    scenario.V[i],
-                    min_mse=self.min_mse,
-                )
-                mask[i] = decision.release
-            return mask
+            attack = EqualitySolvingAttack(base, scenario.view)
+            if attack.is_exact:
+                return np.zeros(scenario.V.shape[0], dtype=bool)
+            x_hat = attack.run(scenario.X_adv, scenario.V).x_target_hat
+            mse = np.mean((x_hat - scenario.X_target) ** 2, axis=1)
+            return mse >= self.min_mse
         structure = getattr(base, "tree_structure", None)
         if structure is None:
             raise IncompatibleScenarioError(
                 f"defense 'verification' cannot gate {type(base).__name__} "
                 f"outputs: {self.constraint}"
             )
-        structure = structure()
-        labels = np.argmax(scenario.V, axis=1)
-        for i in range(n):
-            decision = verifier.verify_tree_output(
-                structure,
-                scenario.X_adv[i],
-                int(labels[i]),
-                min_candidate_paths=self.min_candidate_paths,
-            )
-            mask[i] = decision.release
-        return mask
+        attack = PathRestrictionAttack(structure(), scenario.view)
+        survivors = attack.restrict_batch(scenario.X_adv, np.argmax(scenario.V, axis=1))
+        return survivors.sum(axis=1) >= self.min_candidate_paths
 
 
 @DEFENSES.register("query_noise")

@@ -366,22 +366,18 @@ def build_scenario(
                 "adversary view, which would silently discard a non-default "
                 "party topology; run screening on the default 2-party layout"
             )
-        if topology is None or topology.is_default_partition:
-            # The historical two-block draw, bit-for-bit (from_topology
-            # reduces to it, but the seed path stays textually untouched).
-            partition = FeaturePartition.adversary_target(
-                dataset.n_features, target_fraction, rng=part_rng
-            )
-        else:
-            partition = FeaturePartition.from_topology(
-                dataset.n_features,
-                target_fraction,
-                n_parties=topology.n_parties,
-                colluders=topology.colluders,
-                strategy=topology.partition,
-                rng=part_rng,
-                **topology.partition_params,
-            )
+        # With the default layout this is the historical two-block draw
+        # (``adversary_target``), draw for draw.
+        layout = TopologyConfig() if topology is None else topology
+        partition = FeaturePartition.from_topology(
+            dataset.n_features,
+            target_fraction,
+            n_parties=layout.n_parties,
+            colluders=layout.colluders,
+            strategy=layout.partition,
+            rng=part_rng,
+            **layout.partition_params,
+        )
         colluders = () if topology is None else tuple(topology.colluders)
         view = partition.adversary_view(colluders)
         meta: dict[str, Any] = {}

@@ -3,7 +3,7 @@
 from repro.attacks.base import AttackResult, FeatureInferenceAttack
 from repro.attacks.baselines import RandomGuessAttack, random_path
 from repro.attacks.esa import EqualitySolvingAttack
-from repro.attacks.pra import PathRestrictionAttack, PathRestrictionResult
+from repro.attacks.pra import PathRestrictionAttack
 from repro.attacks.grna import (
     GenerativeRegressionNetwork,
     attack_random_forest,
@@ -16,7 +16,6 @@ __all__ = [
     "random_path",
     "EqualitySolvingAttack",
     "PathRestrictionAttack",
-    "PathRestrictionResult",
     "GenerativeRegressionNetwork",
     "attack_random_forest",
 ]

@@ -12,6 +12,10 @@ exported by :meth:`repro.models.tree.DecisionTreeClassifier.tree_structure`:
    picks one uniformly at random and reads the branch constraints on the
    target's features off that path.
 
+:meth:`PathRestrictionAttack.restrict_batch` runs steps 1-2 for a whole
+prediction pool at once; the uniform path choice of step 3 is drawn by
+the scenario adapter (:class:`repro.api.attacks.PraScenarioAttack`).
+
 Beyond the paper's CBR evaluation, :meth:`PathRestrictionAttack.infer_intervals`
 converts a candidate path into per-feature value intervals — the concrete
 leakage ("deposit > 5K" in the paper's Example 2).
@@ -19,50 +23,16 @@ leakage ("deposit > 5K" in the paper's Example 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.exceptions import AttackError
 from repro.federated.partition import AdversaryView
 from repro.metrics.branching import path_branch_decisions
 from repro.models.tree import TreeStructure
-from repro.utils.random import check_random_state
-from repro.utils.validation import check_vector
-
-
-@dataclass
-class PathRestrictionResult:
-    """Outcome of PRA for a single sample.
-
-    Attributes
-    ----------
-    candidate_leaves:
-        Full-tree slot indices of leaves compatible with the adversary's
-        features and the predicted class.
-    selected_path:
-        The uniformly-selected candidate path (root → leaf slot indices).
-    n_paths_total / n_paths_restricted:
-        Leaf counts before and after restriction (the n_p → n_r reduction
-        the paper quotes in Example 2).
-    indicator:
-        Final β vector of Algorithm 1 (after the α intersection).
-    queries_used:
-        Serving-boundary cost of this restriction: PRA is a
-        single-prediction attack, so each per-sample run consumes
-        exactly one query of the adversary's budget.
-    """
-
-    candidate_leaves: np.ndarray
-    selected_path: list[int]
-    n_paths_total: int
-    n_paths_restricted: int
-    indicator: np.ndarray = field(repr=False)
-    queries_used: int = 1
 
 
 class PathRestrictionAttack:
-    """Restrict a decision tree's prediction paths from one prediction.
+    """Restrict a decision tree's prediction paths from its predictions.
 
     Parameters
     ----------
@@ -79,8 +49,8 @@ class PathRestrictionAttack:
         # Flat-array precomputation for the vectorized Algorithm 1: per
         # tree level, the existing internal slots, whether each tests an
         # adversary feature, the position of that feature inside x_adv,
-        # and the split threshold. `restrict` then propagates β one whole
-        # level per numpy op instead of one Python BFS step per node.
+        # and the split threshold. `restrict_batch` then propagates β one
+        # whole level per numpy op instead of one Python BFS step per node.
         adv_lookup = np.zeros(view.n_features, dtype=bool)
         adv_lookup[view.adversary_indices] = True
         pos_lookup = np.zeros(view.n_features, dtype=np.int64)
@@ -96,55 +66,23 @@ class PathRestrictionAttack:
             # Position is only read where is_adv holds; 0 elsewhere.
             adv_pos = np.where(is_adv, pos_lookup[feat], 0)
             self._levels.append((idx, is_adv, adv_pos, structure.threshold[idx]))
-        leaf_mask = structure.exists & structure.is_leaf
-        self._alpha_cache: dict[int, np.ndarray] = {}
-        self._leaf_mask = leaf_mask
-        self._n_paths = int(np.flatnonzero(leaf_mask).size)
+        self._leaf_mask = structure.exists & structure.is_leaf
         self._leaf_paths: dict[int, list[int]] = {}
         self._interval_cache: dict[tuple, dict[int, tuple[float, float]]] = {}
-
-    def restrict(self, x_adv: np.ndarray, predicted_class: int) -> np.ndarray:
-        """Algorithm 1: return β over all tree slots (1 = live leaf).
-
-        Level-order vectorized over the flat :class:`TreeStructure`
-        arrays; output identical to the seed per-node BFS
-        (``pra_restrict`` in ``tests/reference.py``).
-
-        Parameters
-        ----------
-        x_adv:
-            The adversary's feature values, indexed by ``view.adversary_indices``
-            order (i.e. as returned by ``AdversaryView.split``).
-        predicted_class:
-            The class label revealed by the prediction output.
-        """
-        x_adv = check_vector(x_adv, name="x_adv")
-        if x_adv.shape[0] != self.view.d_adv:
-            raise AttackError(
-                f"x_adv has {x_adv.shape[0]} entries, expected d_adv={self.view.d_adv}"
-            )
-        beta = np.zeros(self.structure.n_nodes, dtype=np.int8)  # line 1
-        beta[0] = 1  # line 3: the root is always evaluated
-        for idx, is_adv, adv_pos, thresholds in self._levels:  # lines 4-14
-            live = beta[idx]
-            go_left = x_adv[adv_pos] <= thresholds  # lines 6-10
-            left = 2 * idx + 1
-            beta[left] = live * (~is_adv | go_left)  # line 12 when ~is_adv
-            beta[left + 1] = live * (~is_adv | ~go_left)
-        # line 15: α marks leaves carrying the predicted class.
-        alpha = self._alpha(predicted_class)
-        return (alpha * beta).astype(np.int8)  # lines 16-17
 
     def restrict_batch(
         self, X_adv: np.ndarray, predicted_classes: np.ndarray
     ) -> np.ndarray:
         """Algorithm 1 for a whole sample pool in one pass, ``(n, n_nodes)``.
 
-        Row ``i`` equals ``restrict(X_adv[i], predicted_classes[i])``; the
-        β propagation runs once per tree level for all samples, so an
-        n-sample restriction costs ``O(depth)`` numpy ops instead of ``n``
-        Python tree walks. This is the serving-pool hot path used by the
-        scenario adapter.
+        Row ``i`` is β over all tree slots (1 = live leaf) for the sample
+        with adversary features ``X_adv[i]`` (columns in
+        ``view.adversary_indices`` order, as ``AdversaryView.split``
+        returns them) and revealed class ``predicted_classes[i]``; it
+        equals the per-node BFS of the paper (``pra_restrict`` in
+        ``tests/reference.py``). The β propagation runs once per tree
+        level for all samples, so an n-sample restriction costs
+        ``O(depth)`` numpy ops instead of ``n`` Python tree walks.
         """
         X_adv = np.atleast_2d(np.asarray(X_adv, dtype=np.float64))
         if X_adv.shape[1] != self.view.d_adv:
@@ -157,46 +95,15 @@ class PathRestrictionAttack:
                 f"{X_adv.shape[0]} samples but {classes.shape[0]} predicted classes"
             )
         beta = np.zeros((X_adv.shape[0], self.structure.n_nodes), dtype=np.int8)
-        beta[:, 0] = 1
-        for idx, is_adv, adv_pos, thresholds in self._levels:
+        beta[:, 0] = 1  # lines 1-3: the root is always evaluated
+        for idx, is_adv, adv_pos, thresholds in self._levels:  # lines 4-14
             live = beta[:, idx]
-            go_left = X_adv[:, adv_pos] <= thresholds
-            beta[:, 2 * idx + 1] = live * (~is_adv | go_left)
+            go_left = X_adv[:, adv_pos] <= thresholds  # lines 6-10
+            beta[:, 2 * idx + 1] = live * (~is_adv | go_left)  # line 12 when ~is_adv
             beta[:, 2 * idx + 2] = live * (~is_adv | ~go_left)
+        # line 15: α marks leaves carrying each sample's predicted class.
         alpha = self._leaf_mask & (self.structure.leaf_label == classes[:, None])
-        return (alpha * beta).astype(np.int8)
-
-    def _alpha(self, predicted_class: int) -> np.ndarray:
-        alpha = self._alpha_cache.get(predicted_class)
-        if alpha is None:
-            alpha = np.zeros(self.structure.n_nodes, dtype=np.int8)
-            alpha[self._leaf_mask & (self.structure.leaf_label == predicted_class)] = 1
-            self._alpha_cache[predicted_class] = alpha
-        return alpha
-
-    def run(
-        self,
-        x_adv: np.ndarray,
-        predicted_class: int,
-        rng: np.random.Generator | int = 0,
-    ) -> PathRestrictionResult:
-        """Restrict paths and select one candidate uniformly at random."""
-        indicator = self.restrict(x_adv, predicted_class)
-        candidates = np.flatnonzero(indicator)
-        if candidates.size == 0:
-            raise AttackError(
-                "no candidate paths survive restriction; the observed class and "
-                "the adversary's features are inconsistent with this tree"
-            )
-        rng = check_random_state(rng)
-        leaf = int(rng.choice(candidates))
-        return PathRestrictionResult(
-            candidate_leaves=candidates,
-            selected_path=self.cached_path(leaf),
-            n_paths_total=self._n_paths,
-            n_paths_restricted=int(candidates.size),
-            indicator=indicator,
-        )
+        return (alpha * beta).astype(np.int8)  # lines 16-17
 
     def cached_path(self, leaf: int) -> list[int]:
         """Root-to-leaf slot path, memoized per leaf (fresh list per call)."""

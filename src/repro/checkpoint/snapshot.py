@@ -8,10 +8,9 @@ to its run configuration, free-form loop metadata, and one entry per
 fragment mapping array names to flat archive slots with SHA-256
 digests.
 
-Writes are crash-safe: the archive is written to a ``.tmp`` sibling,
-flushed and fsynced, then :func:`os.replace`'d into place — a reader
-never observes a half-written snapshot under the final name. Reads are
-paranoid: truncated archives, unknown format versions and digest
+Writes are crash-safe (:func:`~repro.utils.atomic.atomic_rewrite`): a
+reader never observes a half-written snapshot under the final name.
+Reads are paranoid: truncated archives, unknown format versions and digest
 mismatches raise :class:`~repro.exceptions.CheckpointError` (corrupt),
 as does a fingerprint that does not match the resuming run's (stale).
 Refusal over guesswork — resuming from the wrong snapshot would
@@ -20,7 +19,6 @@ silently break the resumed-equals-fresh contract.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import os
@@ -33,6 +31,7 @@ import numpy as np
 
 from repro.checkpoint.codec import restore_state
 from repro.exceptions import CheckpointError
+from repro.utils.atomic import atomic_rewrite
 
 FORMAT_VERSION = 1
 MANIFEST_KEY = "__manifest__"
@@ -140,19 +139,8 @@ def write_snapshot(
     manifest_arr = np.frombuffer(
         json.dumps(manifest, default=_jsonable).encode(), dtype=np.uint8
     )
-    tmp = target.with_name(target.name + ".tmp")
-    with open(tmp, "wb") as fh:
+    with atomic_rewrite(target) as fh:
         np.savez(fh, **{MANIFEST_KEY: manifest_arr}, **flat_arrays)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, target)
-    # Make the rename itself durable where the platform allows it.
-    with contextlib.suppress(OSError):
-        dir_fd = os.open(target.parent, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
     return target
 
 

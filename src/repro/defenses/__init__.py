@@ -8,7 +8,6 @@ from repro.defenses.screening import (
     drop_flagged_features,
     screen_collaboration,
 )
-from repro.defenses.verification import LeakageVerifier, VerificationDecision
 
 __all__ = [
     "ModelWrapper",
@@ -20,6 +19,4 @@ __all__ = [
     "ScreeningReport",
     "screen_collaboration",
     "drop_flagged_features",
-    "LeakageVerifier",
-    "VerificationDecision",
 ]

@@ -70,8 +70,8 @@ from repro.experiments.figures import (
 )
 from repro.experiments import traffic
 from repro.experiments import fault_storm
-from repro.experiments.batch import run_batch, run_batch_experiments
-from repro.experiments.runner import EXPERIMENTS, run_experiment
+from repro.experiments.batch import run_batch
+from repro.experiments.runner import EXPERIMENTS
 
 __all__ = [
     "ScaleConfig",
@@ -94,7 +94,6 @@ __all__ = [
     "ResultsStore",
     "RunSummary",
     "run_batch",
-    "run_batch_experiments",
     "fig5_esa",
     "fig6_pra",
     "fig7_grna",
@@ -105,5 +104,4 @@ __all__ = [
     "table2_datasets",
     "table3_ablation",
     "EXPERIMENTS",
-    "run_experiment",
 ]

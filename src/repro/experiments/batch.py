@@ -240,33 +240,3 @@ def execute_units(
         )
 
     return results
-
-
-def run_batch_experiments(
-    experiment_ids: "list[str] | None" = None,
-    scale: "str | ScaleConfig" = "default",
-    *,
-    jobs: int = 1,
-    store: "ResultsStore | str | None" = None,
-    force: bool = False,
-    on_progress: "ProgressFn | None" = None,
-) -> dict[str, ExperimentResult]:
-    """Run several experiments (default: all registered) through one store."""
-    from repro.experiments.spec import EXPERIMENT_SPECS, _ensure_registered
-
-    if experiment_ids is None:
-        _ensure_registered()
-        experiment_ids = list(EXPERIMENT_SPECS)
-    if isinstance(store, (str, Path)):
-        store = ResultsStore(store)
-    return {
-        experiment_id: run_batch(
-            experiment_id,
-            scale,
-            jobs=jobs,
-            store=store,
-            force=force,
-            on_progress=on_progress,
-        )
-        for experiment_id in experiment_ids
-    }

@@ -25,7 +25,6 @@ import sys
 
 from repro.experiments.batch import run_batch
 from repro.config import PRESETS
-from repro.experiments.reporting import ExperimentResult
 from repro.experiments.spec import EXPERIMENT_SPECS
 from repro.experiments.store import ResultsStore
 
@@ -64,33 +63,6 @@ def print_registries(stream=None) -> None:
         width = max(len(key) for key in described)
         for key, description in described.items():
             print(f"  {key:<{width}}  {description}", file=stream)
-
-
-def run_experiment(
-    experiment_id: str,
-    scale: str = "default",
-    *,
-    jobs: int = 1,
-    store: "ResultsStore | str | None" = None,
-    force: bool = False,
-    on_progress=None,
-) -> ExperimentResult:
-    """Run one experiment by its paper id (``fig5`` ... ``table3``).
-
-    With the defaults this is a serial in-process run; ``jobs`` and
-    ``store`` (a directory path or an open
-    :class:`~repro.experiments.store.ResultsStore`) fan the units out and
-    cache them (see :func:`repro.experiments.batch.run_batch`, which also
-    validates the id and ``jobs``).
-    """
-    return run_batch(
-        experiment_id,
-        scale,
-        jobs=jobs,
-        store=store,
-        force=force,
-        on_progress=on_progress,
-    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -146,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"# {line}", file=sys.stderr)
 
     for experiment_id in ids:
-        result = run_experiment(
+        result = run_batch(
             experiment_id,
             args.scale,
             jobs=args.jobs,

@@ -33,6 +33,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Iterator
 
+from repro.utils.atomic import atomic_rewrite
+
 
 @dataclass(frozen=True)
 class RunSummary:
@@ -147,12 +149,8 @@ class ResultsStore:
         either the damaged original or the repaired file, never less.
         """
         path.with_name(path.name + ".partial").write_bytes(partial + b"\n")
-        tmp = path.with_name(path.name + ".tmp")
-        with tmp.open("wb") as fh:
+        with atomic_rewrite(path) as fh:
             fh.write(b"".join(line + b"\n" for line in good_lines))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
 
     def get(
         self, experiment_id: str, scale: str, unit_id: str, config_hash: str

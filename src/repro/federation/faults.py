@@ -32,8 +32,9 @@ consult it at response time:
     *simulated* seconds; against a retry policy's per-attempt timeout
     that becomes a metered timeout failure.
 
-Unknown kinds fail with an error listing the registered choices, and a
-party may carry at most one spec — two specs for the same party would
+Unknown kinds fail with an error listing the registered choices, an
+unknown param key (a misspelt ``"sed"``) with one listing the kind's
+accepted keys, and a party may carry at most one spec — two specs for the same party would
 silently shadow each other, so :meth:`FaultPlan.from_specs` rejects the
 duplicate naming both.
 """
@@ -57,7 +58,14 @@ from repro.utils.validation import check_in_range
 __all__ = ["FAULT_KINDS", "FaultPlan"]
 
 #: Registered fault kinds and the params each spec accepts.
-FAULT_KINDS = ("drop", "straggler", "flaky", "crash_after", "corrupt", "timeout")
+FAULT_KINDS = {
+    "drop": ("party",),
+    "straggler": ("party", "delay"),
+    "flaky": ("party", "p", "seed"),
+    "crash_after": ("party", "round"),
+    "corrupt": ("party", "p", "seed"),
+    "timeout": ("party", "delay", "p", "seed"),
+}
 
 #: Kinds whose per-attempt behaviour the chaos engine decides.
 STOCHASTIC_KINDS = ("flaky", "crash_after", "corrupt", "timeout")
@@ -139,6 +147,12 @@ class FaultPlan:
             if kind not in FAULT_KINDS:
                 raise ValidationError(
                     f"unknown fault kind {kind!r}; choose from {list(FAULT_KINDS)}"
+                )
+            unknown = sorted(set(params) - set(FAULT_KINDS[kind]), key=str)
+            if unknown:
+                raise ValidationError(
+                    f"fault spec {kind!r} has unknown param(s) {unknown}; "
+                    f"it accepts {list(FAULT_KINDS[kind])}"
                 )
             if "party" not in params:
                 raise ValidationError(

@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.exceptions import TelemetryError
+from repro.utils.atomic import atomic_rewrite
 from repro.utils.registry import Registry
 
 __all__ = ["TRACE_SINKS", "TraceSink", "MemorySink", "JsonlSink", "load_trace"]
@@ -97,12 +98,8 @@ class JsonlSink(TraceSink):
         raw = self.path.read_bytes()
         records, durable = _durable_records(raw, self.path)
         if durable != raw:
-            tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-            with open(tmp, "wb") as fh:
+            with atomic_rewrite(self.path) as fh:
                 fh.write(durable)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
         return len(records)
 
     def emit(self, record: dict[str, Any]) -> None:

@@ -370,7 +370,8 @@ def decode(cls: Any, payload: Any, *, partial: bool = False) -> Any:
     """The generic decoder: a validated ``cls`` from its payload.
 
     Every declared field must be present unless ``partial`` (then an
-    absent one takes its default); an undeclared key is refused. The
+    absent one takes its default, and only a field without one must be
+    present); an undeclared key is refused. The
     result passes :meth:`Declared.validate`, as a directly built one must.
     """
     owner, error, declared = cls.knob_owner, cls.knob_error, knobs(cls)
@@ -380,7 +381,15 @@ def decode(cls: Any, payload: Any, *, partial: bool = False) -> Any:
     if unknown:
         raise error(f"{owner} payload has unknown field(s) {unknown}; choose from {list(declared)}")
     missing = [name for name in declared if name not in payload]
-    if missing and not partial:
+    if partial:  # only a field with no default must be present
+        missing = [
+            spec.name
+            for spec in fields(cls)
+            if spec.name in missing
+            and spec.default is MISSING
+            and spec.default_factory is MISSING
+        ]
+    if missing:
         raise error(f"{owner} payload is missing field(s) {missing}")
     targets = _targets(cls)
     obj = cls(**{name: _from_json(data, targets[name]) for name, data in payload.items()})

@@ -175,7 +175,7 @@ def lr_fit_multinomial(model, X, y):
 # Attacks
 # ----------------------------------------------------------------------
 def pra_restrict(attack, x_adv, predicted_class):
-    """``PathRestrictionAttack.restrict`` as a per-node Python BFS (Algorithm 1)."""
+    """One row of ``PathRestrictionAttack.restrict_batch`` as a per-node Python BFS (Algorithm 1)."""
     x_adv = check_vector(x_adv, name="x_adv")
     if x_adv.shape[0] != attack.view.d_adv:
         raise AttackError(

@@ -113,7 +113,8 @@ def legacy_fig5_run_unit(spec, scale):
 
 
 def legacy_fig6_run_unit(spec, scale):
-    """Pre-refactor fig6_run_unit, verbatim."""
+    """Pre-refactor fig6_run_unit, verbatim but for the per-sample PRA run,
+    written out: the seed restriction, then one ``rng.choice`` per row."""
     params = spec.kwargs
     scenario = build_scenario(
         params["dataset"], "dt", params["fraction"], scale, spec.seed
@@ -124,11 +125,14 @@ def legacy_fig6_run_unit(spec, scale):
     labels = np.argmax(scenario.V, axis=1)
     counts, rg_counts, restricted = [], [], []
     for i in range(scenario.X_adv.shape[0]):
-        result = attack.run(scenario.X_adv[i], int(labels[i]), rng=attack_rng)
+        candidates = np.flatnonzero(
+            reference.pra_restrict(attack, scenario.X_adv[i], int(labels[i]))
+        )
+        selected_path = structure.path_to(int(attack_rng.choice(candidates)))
         counts.append(
             path_cbr(
                 structure,
-                result.selected_path,
+                selected_path,
                 scenario.X_pred_full[i],
                 scenario.view.target_indices,
             )
@@ -141,7 +145,7 @@ def legacy_fig6_run_unit(spec, scale):
                 scenario.view.target_indices,
             )
         )
-        restricted.append(float(result.n_paths_restricted / result.n_paths_total))
+        restricted.append(float(candidates.size / structure.n_prediction_paths()))
     return {
         "pra_cbr": float(aggregate_cbr(counts)),
         "rg_cbr": float(aggregate_cbr(rg_counts)),

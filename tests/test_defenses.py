@@ -1,11 +1,14 @@
 """Tests for the §VII countermeasures."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from repro.attacks import EqualitySolvingAttack
+import reference
+from repro.api.defenses import VerificationDefense
+from repro.attacks import EqualitySolvingAttack, PathRestrictionAttack
 from repro.defenses import (
-    LeakageVerifier,
     NoisyModel,
     RoundedModel,
     drop_flagged_features,
@@ -155,67 +158,80 @@ class TestScreening:
             )
 
 
-class TestLeakageVerifier:
+def verification_scenario(model, X, view):
+    """Hand-built scenario: the verification reads the model, the view and
+    the pending pool (adversary features, target truth, scores)."""
+    X_adv, X_target = view.split(X)
+    return SimpleNamespace(
+        model=model, view=view, X_adv=X_adv, X_target=X_target, V=model.predict_proba(X)
+    )
+
+
+class TestVerificationDefense:
     def test_blocks_exact_lr_leakage(self, drive_small):
-        """When ESA is exact the verifier must refuse to release the output."""
+        """When ESA is exact the defense must refuse to release any output."""
         ds = drive_small
         model = LogisticRegression(epochs=20, rng=0).fit(ds.X, ds.y)
-        partition = FeaturePartition.adversary_target(ds.n_features, 0.15, rng=1)
-        view = partition.adversary_view()
-        verifier = LeakageVerifier(view)
-        x = ds.X[:1]
-        decision = verifier.verify_lr_output(
-            model,
-            x[:, view.adversary_indices],
-            x[:, view.target_indices],
-            model.predict_proba(x),
-        )
-        assert not decision.release
-        assert "ESA" in decision.reason
+        view = FeaturePartition.adversary_target(ds.n_features, 0.15, rng=1).adversary_view()
+        assert EqualitySolvingAttack(model, view).is_exact
+        mask = VerificationDefense().release_mask(verification_scenario(model, ds.X[:20], view))
+        assert mask.shape == (20,) and not mask.any()
 
     def test_releases_ambiguous_lr_output(self, bank_small):
         ds = bank_small
         model = LogisticRegression(epochs=20, rng=0).fit(ds.X, ds.y)
-        partition = FeaturePartition.adversary_target(ds.n_features, 0.5, rng=1)
-        view = partition.adversary_view()
-        verifier = LeakageVerifier(view)
-        x = ds.X[:1]
-        decision = verifier.verify_lr_output(
-            model,
-            x[:, view.adversary_indices],
-            x[:, view.target_indices],
-            model.predict_proba(x),
-            min_mse=1e-4,
-        )
-        assert decision.release
+        view = FeaturePartition.adversary_target(ds.n_features, 0.5, rng=1).adversary_view()
+        scenario = verification_scenario(model, ds.X[:1], view)
+        assert VerificationDefense(min_mse=1e-4).release_mask(scenario).all()
+
+    def test_lr_mask_matches_per_row_solve(self, bank_small):
+        """One pooled ESA decides every row as its own one-row solve would."""
+        ds = bank_small
+        model = LogisticRegression(epochs=20, rng=0).fit(ds.X, ds.y)
+        view = FeaturePartition.adversary_target(ds.n_features, 0.5, rng=1).adversary_view()
+        scenario = verification_scenario(model, ds.X[:200], view)
+        attack = EqualitySolvingAttack(model, view)
+        mse = np.empty(200)
+        for i in range(200):
+            x_hat = attack.run(scenario.X_adv[i], scenario.V[i]).x_target_hat
+            mse[i] = np.mean((x_hat - scenario.X_target[i]) ** 2)
+        for min_mse in (1e-3, np.median(mse), 0.05):
+            mask = VerificationDefense(min_mse=min_mse).release_mask(scenario)
+            assert (mask == (mse >= min_mse)).all()
+        assert 0 < VerificationDefense(min_mse=np.median(mse)).release_mask(scenario).sum() < 200
 
     def test_tree_verifier_counts_paths(self, blobs):
         X, y = blobs
         tree = DecisionTreeClassifier(max_depth=4, rng=0).fit(X, y)
-        structure = tree.tree_structure()
         view = FeaturePartition.adversary_target(6, 0.5, rng=2).adversary_view()
-        verifier = LeakageVerifier(view)
-        label = int(tree.predict(X[:1])[0])
-        decision = verifier.verify_tree_output(
-            structure, X[0, view.adversary_indices], label, min_candidate_paths=1
+        scenario = verification_scenario(tree, X[:50], view)
+        # >= 1 path always survives for the true class
+        assert VerificationDefense(min_candidate_paths=1).release_mask(scenario).all()
+
+    def test_tree_mask_matches_per_row_restriction(self, blobs):
+        X, y = blobs
+        tree = DecisionTreeClassifier(max_depth=4, rng=0).fit(X, y)
+        view = FeaturePartition.adversary_target(6, 0.5, rng=2).adversary_view()
+        scenario = verification_scenario(tree, X[:100], view)
+        attack = PathRestrictionAttack(tree.tree_structure(), view)
+        labels = np.argmax(scenario.V, axis=1)
+        survivors = np.array(
+            [reference.pra_restrict(attack, x, int(c)).sum() for x, c in zip(scenario.X_adv, labels)]
         )
-        assert decision.release  # >= 1 path always survives for the true class
-        assert decision.estimated_leakage >= 1
+        assert survivors.min() < survivors.max()
+        for min_paths in range(1, int(survivors.max()) + 2):
+            mask = VerificationDefense(min_candidate_paths=min_paths).release_mask(scenario)
+            assert (mask == (survivors >= min_paths)).all()
 
     def test_tree_verifier_blocks_pinned_path(self, blobs):
         X, y = blobs
         tree = DecisionTreeClassifier(max_depth=4, rng=0).fit(X, y)
-        structure = tree.tree_structure()
         view = FeaturePartition.adversary_target(6, 0.2, rng=2).adversary_view()
-        verifier = LeakageVerifier(view)
-        label = int(tree.predict(X[:1])[0])
-        decision = verifier.verify_tree_output(
-            structure, X[0, view.adversary_indices], label,
-            min_candidate_paths=10_000,
-        )
-        assert not decision.release
+        scenario = verification_scenario(tree, X[:1], view)
+        assert not VerificationDefense(min_candidate_paths=10_000).release_mask(scenario).any()
 
-    def test_invalid_min_paths(self, blobs):
-        view = FeaturePartition.adversary_target(6, 0.5, rng=0).adversary_view()
+    def test_invalid_min_paths(self):
         with pytest.raises(ValidationError):
-            LeakageVerifier(view).verify_tree_output(None, np.ones(3), 0, min_candidate_paths=0)
+            VerificationDefense(min_candidate_paths=0)
+        with pytest.raises(ValidationError):
+            VerificationDefense(min_mse=-1.0)

@@ -302,6 +302,14 @@ class TestCodecEdges:
         with pytest.raises(ScenarioError, match=rf"\['{key}'\]"):
             ScenarioReport.from_payload(payload)
 
+    def test_partial_payload_names_missing_required_fields(self):
+        with pytest.raises(ScenarioError, match=r"missing field\(s\) \['model', 'attack'\]"):
+            ScenarioConfig.from_payload({"dataset": "bank"}, partial=True)
+        partial = ScenarioConfig.from_payload(
+            {"dataset": "bank", "model": "lr", "attack": "esa"}, partial=True
+        )
+        assert partial == ScenarioConfig(dataset="bank", model="lr", attack="esa")
+
     def test_missing_deployment_keys_mean_the_defaults(self):
         payload = ScenarioReport(
             config=ScenarioConfig(**CELL), scenario=None, result=None, metrics={}

@@ -12,7 +12,7 @@ from repro.experiments import (
     build_scenario,
     get_scale,
     make_model,
-    run_experiment,
+    run_batch,
     table2_datasets,
 )
 from repro.config import SMOKE
@@ -209,15 +209,11 @@ class TestRunners:
 
     def test_table2_accepts_scale(self):
         assert table2_datasets("smoke").rows == table2_datasets(TINY).rows
-        assert run_experiment("table2", "smoke").rows == table2_datasets().rows
-
-    def test_run_experiment_rejects_bad_jobs(self):
-        with pytest.raises(ValidationError):
-            run_experiment("table2", jobs=0)
+        assert run_batch("table2", "smoke").rows == table2_datasets().rows
 
     def test_unknown_experiment(self):
         with pytest.raises(ValidationError):
-            run_experiment("fig99")
+            run_batch("fig99")
 
     def test_fig5_tiny_run(self):
         from repro.experiments import fig5_esa

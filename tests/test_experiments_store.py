@@ -19,7 +19,6 @@ from repro.experiments import (
     config_hash,
     get_experiment_spec,
     run_batch,
-    run_batch_experiments,
 )
 from repro.experiments.batch import _execute_unit
 
@@ -345,16 +344,17 @@ class TestSerialParallelEquality:
         assert elapsed >= 0.0
 
 
-class TestRunBatchExperiments:
-    def test_runs_selected_ids_through_one_store(self, tmp_path):
-        results = run_batch_experiments(["table2", "fig5"], TINY, store=str(tmp_path))
-        assert set(results) == {"table2", "fig5"}
-        assert len(results["table2"].rows) == 6
-        assert (tmp_path / "table2.jsonl").exists()
-        assert (tmp_path / "fig5.jsonl").exists()
-
-
 class TestCli:
+    def test_all_runs_through_one_store(self, tmp_path, capsys, monkeypatch):
+        from repro.experiments import runner
+
+        picked = {key: runner.EXPERIMENTS[key] for key in ("table2", "fig5")}
+        monkeypatch.setattr(runner, "EXPERIMENTS", picked)
+        assert runner.main(["all", "--scale", "smoke", "--store-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert out.index("== table2:") < out.index("== fig5:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fig5.jsonl", "table2.jsonl"]
+
     def test_store_and_jobs_flags(self, tmp_path, capsys):
         from repro.experiments.runner import main
 

@@ -5,8 +5,11 @@ wrapper, run the attack using only adversary-visible information, and score
 against ground truth held by the evaluation harness.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
+from repro.api import ATTACKS
 from repro.attacks import (
     EqualitySolvingAttack,
     GenerativeRegressionNetwork,
@@ -82,21 +85,16 @@ class TestPRAPipeline:
             X_train, y_train, X_pool, y_pool, partition,
         )
         view = partition.adversary_view()
-        structure = vfl.release_model().tree_structure()
-        attack = PathRestrictionAttack(structure, view)
-
-        X_adv = vfl.adversary_features()
-        V = vfl.predict_all()
-        labels = np.argmax(V, axis=1)
+        tree = vfl.release_model()
+        structure = tree.tree_structure()
+        attack = ATTACKS.create("pra").prepare(SimpleNamespace(model=tree, view=view), seed=3)
+        result = attack.run(vfl.adversary_features()[:200], vfl.predict_all()[:200])
         truth_full = X_pool
 
         rng = np.random.default_rng(3)
         pra_counts, rg_counts = [], []
-        for i in range(200):
-            result = attack.run(X_adv[i], int(labels[i]), rng=rng)
-            pra_counts.append(
-                path_cbr(structure, result.selected_path, truth_full[i], view.target_indices)
-            )
+        for i, path in enumerate(result.info["selected_paths"]):
+            pra_counts.append(path_cbr(structure, path, truth_full[i], view.target_indices))
             rg_counts.append(
                 path_cbr(structure, random_path(structure, rng), truth_full[i], view.target_indices)
             )
@@ -109,13 +107,10 @@ class TestPRAPipeline:
         tree = DecisionTreeClassifier(max_depth=5, rng=0).fit(ds.X, ds.y)
         structure = tree.tree_structure()
         attack = PathRestrictionAttack(structure, view)
-        labels = tree.predict(ds.X)
-        ratios = []
-        for i in range(100):
-            result = attack.run(
-                ds.X[i, view.adversary_indices], int(labels[i]), rng=0
-            )
-            ratios.append(result.n_paths_restricted / result.n_paths_total)
+        labels = tree.predict(ds.X[:100])
+        restricted = attack.restrict_batch(ds.X[:100, view.adversary_indices], labels)
+        ratios = restricted.sum(axis=1) / structure.n_prediction_paths()
+        assert (ratios > 0).all()
         assert np.mean(ratios) < 0.6  # restriction must bite
 
 

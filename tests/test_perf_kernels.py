@@ -292,12 +292,14 @@ class TestPraKernels:
         labels = tree.predict(Xq)
         X_adv = Xq[:, view.adversary_indices]
         batch = attack.restrict_batch(X_adv, labels)
+        assert batch.shape == (Xq.shape[0], attack.structure.n_nodes)
+        assert batch.dtype == np.int8
         for i in range(Xq.shape[0]):
             slow = reference.pra_restrict(attack, X_adv[i], int(labels[i]))
-            fast = attack.restrict(X_adv[i], int(labels[i]))
-            assert fast.dtype == slow.dtype == np.int8
-            assert (fast == slow).all()
+            assert slow.dtype == np.int8
             assert (batch[i] == slow).all()
+            # A one-row pool is the same restriction.
+            assert (attack.restrict_batch(X_adv[i], labels[i : i + 1])[0] == slow).all()
 
     def test_cached_paths_and_intervals_are_fresh_and_identical(self):
         rng, X, y = _random_problem(2)
@@ -305,14 +307,14 @@ class TestPraKernels:
         view = FeaturePartition.adversary_target(X.shape[1], 0.4, rng=0).adversary_view()
         attack = PathRestrictionAttack(tree.tree_structure(), view)
         x = rng.random(X.shape[1])
-        label = int(tree.predict(x[None, :])[0])
-        first = attack.run(x[view.adversary_indices], label, rng=np.random.default_rng(3))
-        second = attack.run(x[view.adversary_indices], label, rng=np.random.default_rng(3))
-        assert first.selected_path == second.selected_path
-        assert first.selected_path is not second.selected_path
-        assert first.n_paths_total == tree.tree_structure().n_prediction_paths()
-        intervals_a = attack.infer_intervals(first.selected_path)
-        intervals_b = attack.infer_intervals(first.selected_path)
+        label = tree.predict(x[None, :])
+        leaf = int(np.flatnonzero(attack.restrict_batch(x[None, view.adversary_indices], label))[0])
+        first = attack.cached_path(leaf)
+        second = attack.cached_path(leaf)
+        assert first == second == tree.tree_structure().path_to(leaf)
+        assert first is not second
+        intervals_a = attack.infer_intervals(first)
+        intervals_b = attack.infer_intervals(first)
         assert intervals_a == intervals_b and intervals_a is not intervals_b
 
 

@@ -540,6 +540,14 @@ class TestFaultPlanEdges:
             ([("flaky", {"party": 1, "p": "x"})], "p must be a number in"),
             ([("crash_after", {"party": 1, "round": 2.5})], "round must be an int"),
             ([("timeout", {"party": 1, "delay": "x"})], "delay must be a number"),
+            (
+                [("flaky", {"party": 1, "p": 0.5, "sed": 3})],
+                r"unknown param\(s\) \['sed'\]; it accepts \['party', 'p', 'seed'\]",
+            ),
+            (
+                [("straggler", {"party": 1, "dealy": 0.5})],
+                r"unknown param\(s\) \['dealy'\]; it accepts \['party', 'delay'\]",
+            ),
         ],
     )
     def test_malformed_specs_rejected(self, specs, match):
